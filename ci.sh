@@ -66,4 +66,16 @@ cargo run --release -q --bin bench_serve -- --smoke
 echo "==> tandem-tune (schedule autotuner, smoke + regression floors)"
 cargo run --release -q --bin tandem_tune -- --smoke --out artifacts/BENCH_TUNE_SMOKE.json
 
+# Whole-stack host benchmark, correctness only: a short transformer_cold
+# run checks every phase's result against the uncached reference and
+# must report "correct": true on its last line. Its timings are not
+# gated here (a 2 s run on a shared CI runner is too noisy for that).
+echo "==> hostbench (whole-stack correctness smoke)"
+hostbench_out=$(cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
+    --workload transformer_cold --seed 1 --seconds 2 --trace 0 | tail -n 1)
+case "$hostbench_out" in
+    *'"correct": true'*) ;;
+    *) echo "hostbench smoke failed: $hostbench_out" >&2; exit 1 ;;
+esac
+
 echo "CI OK"

@@ -34,7 +34,8 @@ pub use blocks::{BlockKind, ExecutionBlock, Partitioner};
 pub use codegen::{BuilderMark, Fixed, NestLevel, TileProgramBuilder, View};
 pub use lower::{CompileError, CompiledOp, OpLowering};
 pub use schedule::{
-    schedule_block, schedule_graph, schedule_graph_opts, CompileOptions, ScheduledBlock,
+    schedule_block, schedule_graph, schedule_graph_opts, schedule_graph_with, CompileOptions,
+    ScheduledBlock,
 };
 pub use signature::{CompileCache, NodeSignature};
 pub use tiling::{TilePlan, Tiler};

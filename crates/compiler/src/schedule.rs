@@ -5,10 +5,11 @@
 //! tile completion and Output-BUF ownership.
 
 use crate::blocks::{BlockKind, ExecutionBlock};
-use crate::lower::{CompileError, OpLowering};
+use crate::lower::{CompileError, CompiledOp, OpLowering};
 use crate::tune_space::Schedule;
+use std::borrow::Borrow;
 use tandem_isa::{CastTarget, Instruction, Program, SyncEdge, SyncKind, SyncUnit};
-use tandem_model::{Graph, OpClass};
+use tandem_model::{Graph, Node, OpClass};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
 /// Options controlling graph compilation.
@@ -72,15 +73,22 @@ pub struct ScheduledBlock {
 /// sync.simd.end.exec        ─┘ (Tandem_done → execution FSM)
 /// ```
 ///
+/// `lower` supplies each non-GEMM node's tile programs: an uncached
+/// [`OpLowering::lower_node`] in [`schedule_graph_opts`], a memoized
+/// [`crate::CompileCache::lower_node`] in the NPU's verify gate.
+///
 /// # Errors
 ///
 /// Propagates [`CompileError`] from lowering the block's non-GEMM nodes.
-pub fn schedule_block(
-    lowering: &OpLowering,
+pub fn schedule_block<R>(
     graph: &Graph,
     block: &ExecutionBlock,
     group: u8,
-) -> Result<ScheduledBlock, CompileError> {
+    mut lower: impl FnMut(&Node) -> R,
+) -> Result<ScheduledBlock, CompileError>
+where
+    R: Borrow<Result<CompiledOp, CompileError>>,
+{
     let mut program = Program::new();
     let mut tiles = 1u64;
 
@@ -117,11 +125,11 @@ pub fn schedule_block(
         ));
         let mut obuf_released = block.gemm.is_none();
         for (i, &id) in block.non_gemm.iter().enumerate() {
-            let node = graph.node(id);
-            let compiled = match lowering.lower_node(graph, node) {
+            let lowered = lower(graph.node(id));
+            let compiled = match lowered.borrow() {
                 Ok(c) => c,
                 Err(CompileError::Unsupported { .. }) => continue,
-                Err(e) => return Err(e),
+                Err(e) => return Err(e.clone()),
             };
             for (prog, reps) in &compiled.tiles {
                 tiles = tiles.max(*reps);
@@ -193,17 +201,42 @@ pub fn schedule_graph_opts(
         tuned = lowering.clone().with_schedule(opts.schedule.clone());
         &tuned
     };
+    let verifier = opts.verify.then(|| {
+        Verifier::new(
+            VerifyConfig::for_lowering(lowering.lanes(), lowering.interim_rows())
+                .with_mode(opts.verify_mode),
+        )
+    });
+    schedule_graph_with(graph, verifier.as_ref(), |node| {
+        lowering.lower_node(graph, node)
+    })
+}
+
+/// The body of [`schedule_graph_opts`] with the node lowering supplied
+/// by the caller (see [`schedule_block`]): partitions `graph`, assembles
+/// every block under sync group `index % 32`, then runs `verifier` (if
+/// any) over each assembled program in block order.
+///
+/// # Errors
+///
+/// Propagates the first [`CompileError`]; the first block with
+/// error-severity verifier findings yields
+/// [`CompileError::Verification`].
+pub fn schedule_graph_with<R>(
+    graph: &Graph,
+    verifier: Option<&Verifier>,
+    mut lower: impl FnMut(&Node) -> R,
+) -> Result<Vec<ScheduledBlock>, CompileError>
+where
+    R: Borrow<Result<CompiledOp, CompileError>>,
+{
     let blocks: Vec<ScheduledBlock> = crate::blocks::Partitioner::new()
         .partition(graph)
         .iter()
         .enumerate()
-        .map(|(i, b)| schedule_block(lowering, graph, b, (i % 32) as u8))
+        .map(|(i, b)| schedule_block(graph, b, (i % 32) as u8, &mut lower))
         .collect::<Result<_, _>>()?;
-    if opts.verify {
-        let verifier = Verifier::new(
-            VerifyConfig::for_lowering(lowering.lanes(), lowering.interim_rows())
-                .with_mode(opts.verify_mode),
-        );
+    if let Some(verifier) = verifier {
         for (i, sb) in blocks.iter().enumerate() {
             let report = verifier.verify(&sb.program);
             if !report.is_clean() {

@@ -28,7 +28,7 @@
 //! `bench_serve` scenarios run in.
 
 use crate::events::EventQueue;
-use crate::memory::{Allocation, BandwidthDemand, MemorySystem};
+use crate::memory::{eta_ns, Allocation, BandwidthDemand, MemorySystem};
 use crate::policy::{Dispatch, FleetView, Policy, SchedulerPolicy};
 use crate::report::{FleetReport, LatencyStats, ModelStats, NpuUsage, RequestRecord};
 use crate::stats::{LatencySketch, Rollups};
@@ -564,12 +564,8 @@ impl Sim<'_> {
                 continue;
             }
             self.flight.rate[i] = alloc.rates[i];
-            let remaining = (self.flight.service_ns[i] as f64 - self.flight.progress[i]).max(0.0);
-            let eta = if remaining == 0.0 {
-                now
-            } else {
-                now + (remaining / self.flight.rate[i]).ceil() as u64
-            };
+            let remaining = self.flight.service_ns[i] as f64 - self.flight.progress[i];
+            let eta = eta_ns(now, remaining, self.flight.rate[i]);
             // Physics floor: contention can only push a completion
             // past its nominal end, never before it (also guards the
             // stall's non-negativity against float rounding).

@@ -28,7 +28,7 @@ use crate::engine::FleetConfig;
 use crate::events::EventQueue;
 use crate::llm::model::DecodeModel;
 use crate::llm::workload::LlmRequest;
-use crate::memory::{Allocation, BandwidthDemand, MemorySystem};
+use crate::memory::{eta_ns, Allocation, BandwidthDemand, MemorySystem};
 use crate::report::{
     FleetReport, LatencyStats, LlmRecord, LlmStats, ModelStats, NpuUsage, RequestRecord,
 };
@@ -478,12 +478,8 @@ impl Sim<'_> {
                 continue;
             }
             self.lanes[i].rate = alloc.rates[i];
-            let remaining = (self.lanes[i].nominal_ns as f64 - self.lanes[i].progress).max(0.0);
-            let eta = if remaining == 0.0 {
-                now
-            } else {
-                now + (remaining / self.lanes[i].rate).ceil() as u64
-            };
+            let remaining = self.lanes[i].nominal_ns as f64 - self.lanes[i].progress;
+            let eta = eta_ns(now, remaining, self.lanes[i].rate);
             // Physics floor: contention can only push an iteration
             // boundary past its nominal end, never before it.
             let eta = eta.max(self.lanes[i].start_ns + self.lanes[i].nominal_ns);

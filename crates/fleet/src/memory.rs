@@ -156,6 +156,33 @@ impl MemorySystem {
     }
 }
 
+/// The last virtual nanosecond a contended completion may be scheduled
+/// at (about 146 years). Leaving three quarters of the `u64` range above
+/// it keeps every later `start + warmup + service` sum representable.
+pub(crate) const HORIZON_NS: u64 = u64::MAX / 4;
+
+/// When work with `remaining_ns` of nominal service left, progressing at
+/// `rate` (nominal ns per virtual ns) from `now`, completes:
+/// `now + ⌈remaining_ns / rate⌉`. The checked form of that sum, shared by
+/// both serving engines: as a budget shrinks toward zero the fair-share
+/// rate does too, and the quotient outgrows `u64`. Such a completion
+/// lands at [`HORIZON_NS`] instead, or at `now` once the clock has passed
+/// it; the callers' physics floor (never before the nominal end) then
+/// applies as usual, so virtual time never overflows and the latency
+/// identity holds exactly.
+pub(crate) fn eta_ns(now: u64, remaining_ns: f64, rate: f64) -> u64 {
+    if remaining_ns <= 0.0 {
+        return now;
+    }
+    let limit = HORIZON_NS.max(now);
+    let delta = (remaining_ns / rate).ceil();
+    if delta < (limit - now) as f64 {
+        now + delta as u64
+    } else {
+        limit // also a NaN or infinite quotient
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

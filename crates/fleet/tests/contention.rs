@@ -196,3 +196,48 @@ fn finite_budget_raises_p99_and_charges_stalls_on_a_bert_heavy_fleet() {
     assert!(!plain.contains("hbm_gbps"));
     assert!(!plain.contains("mem_stall_ms"));
 }
+
+/// A vanishing budget drives the fair-share progress rate toward zero,
+/// and `remaining / rate` outgrows the `u64` nanosecond clock. The
+/// engine must neither overflow (a debug panic, a silent wrap in
+/// release) nor break the latency identity: the stretched completion
+/// lands at the virtual-time horizon and every later one at its nominal
+/// end. The pinned numbers are the same in debug and release builds.
+#[test]
+fn vanishing_budget_parks_completions_at_the_horizon() {
+    let mut catalog = Catalog::new();
+    catalog.add(Benchmark::Resnet50.name(), Benchmark::Resnet50.graph());
+    let spec = WorkloadSpec {
+        mix: vec![(0, 1.0)],
+        arrival: ArrivalProcess::Poisson {
+            rate_rps: oversubscribed_rate(&catalog, &[(0, 1.0)], 2, 1.2),
+        },
+        seed: 5,
+        requests: 50,
+    };
+    let mut cfg = FleetConfig::homogeneous(NpuConfig::paper(), 2);
+    cfg.hbm_gbps = Some(1e-300);
+    let report = Fleet::new(cfg).serve(&catalog, &spec, Policy::Fifo);
+    assert_eq!(report.completed, 50);
+    let horizon = u64::MAX / 4;
+    let stalled: Vec<_> = report
+        .records
+        .iter()
+        .filter(|r| r.mem_stall_ns > 0)
+        .collect();
+    // The two requests in service when the budget bites are stretched
+    // to the horizon; everything dispatched after it runs at its
+    // nominal speed.
+    assert_eq!(stalled.len(), 2);
+    assert!(stalled.iter().all(|r| r.completion_ns == horizon));
+    for r in &report.records {
+        assert_eq!(
+            r.latency_ns(),
+            r.queue_ns + r.warmup_ns + r.service_ns + r.mem_stall_ns
+        );
+        assert!(r.completion_ns >= r.arrival_ns + r.warmup_ns + r.service_ns);
+    }
+    // The horizon plus the nominal tail of the 48 later requests, to the
+    // nanosecond, in both build profiles.
+    assert_eq!(report.makespan_ns, 4_611_686_018_608_144_959);
+}

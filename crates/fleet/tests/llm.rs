@@ -273,3 +273,28 @@ fn sweep_json_is_byte_identical_across_runs_and_jobs() {
     assert!(serial.contains("\"ttft_p99_win\""));
     assert!(serial.ends_with("\n  ]\n}\n"));
 }
+
+/// The LLM engine's iteration boundaries go through the same checked
+/// completion-time helper as the whole-graph engine: a vanishing HBM
+/// budget parks the stretched iterations at the virtual-time horizon
+/// instead of overflowing the clock, and the identities survive.
+#[test]
+fn vanishing_budget_parks_iterations_at_the_horizon() {
+    let wl = LlmWorkloadSpec {
+        requests: 24,
+        ..workload(calibrated_rate(1.3))
+    };
+    let offered_tokens: u64 = wl.generate().iter().map(|r| r.output_tokens as u64).sum();
+    for mode in LlmMode::ALL {
+        let report = serve_mode(mode, &wl, |cfg| cfg.fleet.hbm_gbps = Some(1e-300));
+        assert_eq!(report.completed, 24, "{}", mode.name());
+        assert_eq!(report.llm.as_ref().unwrap().tokens_out, offered_tokens);
+        assert!(report.makespan_ns > u64::MAX / 4, "{}", mode.name());
+        for rec in &report.records {
+            assert_eq!(
+                rec.latency_ns(),
+                rec.queue_ns + rec.warmup_ns + rec.service_ns + rec.mem_stall_ns
+            );
+        }
+    }
+}

@@ -5,13 +5,15 @@ use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
 use crate::report::{ExecStats, NpuReport};
 use gemm_sim::{GemmConfig, GemmReport, GemmReportCache, GemmUnit, GemmWorkload};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tandem_compiler::{
-    enumerate_sites, prefetch_key, stable_hash, BlockKind, CompileCache, ExecutionBlock,
-    NodeSignature, OpLowering, Partitioner, Schedule, TileChoice, TuneSite,
+    enumerate_sites, prefetch_key, schedule_block, stable_hash, BlockKind, CompileCache,
+    CompileError, CompiledOp, ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule,
+    TileChoice, TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
 use tandem_model::{Graph, Node, NodeId, TensorId};
@@ -161,10 +163,25 @@ pub struct ServiceDemand {
 /// nodes.
 type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
 
+/// Memoization key of one execution block's [`Npu::verify_schedule`]
+/// verdict: whether the block has a GEMM region, the signature of each
+/// non-GEMM node in block order, and the verifier mode. A signature
+/// enters as its site key plus the schedule's choice there — the same
+/// identity a [`Schedule`] maps choices by, without a copy of every
+/// shape per entry. That is everything the assembled program depends on
+/// except its sync group id: every sync in a block carries the same
+/// group, and the verifier's sync and deadlock passes only compare
+/// groups for equality, so the verdict cannot depend on which group the
+/// block drew.
+type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
+
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: CompileCache,
     verify: Mutex<HashMap<(NodeSignature, VerifyMode), VerifyOutcome>>,
+    gate: Mutex<HashMap<GateKey, bool>>,
+    gate_hits: AtomicU64,
+    gate_misses: AtomicU64,
     sim: Mutex<HashMap<SimKey, RunReport>>,
     sim_hits: AtomicU64,
     sim_misses: AtomicU64,
@@ -254,9 +271,9 @@ impl Npu {
     }
 
     /// `[compile hits, compile misses, sim hits, sim misses, gemm hits,
-    /// gemm misses, graph hits, graph misses]`, cumulative over the
-    /// caches' lifetime.
-    fn cache_counters(&self) -> [u64; 8] {
+    /// gemm misses, graph hits, graph misses, gate hits, gate misses]`,
+    /// cumulative over the caches' lifetime.
+    fn cache_counters(&self) -> [u64; 10] {
         [
             self.caches.compile.hits(),
             self.caches.compile.misses(),
@@ -266,6 +283,8 @@ impl Npu {
             self.caches.gemm.misses(),
             self.caches.graph_hits.load(Ordering::Relaxed),
             self.caches.graph_misses.load(Ordering::Relaxed),
+            self.caches.gate_hits.load(Ordering::Relaxed),
+            self.caches.gate_misses.load(Ordering::Relaxed),
         ]
     }
 
@@ -346,6 +365,8 @@ impl Npu {
             gemm_misses: c[5],
             graph_hits: c[6],
             graph_misses: c[7],
+            gate_hits: c[8],
+            gate_misses: c[9],
         }
     }
 
@@ -461,17 +482,79 @@ impl Npu {
         }
     }
 
+    /// The gate `tandem-tune` puts in front of every candidate schedule:
+    /// `true` when every execution block of `graph`, assembled under this
+    /// NPU's schedule, verifies with no error-severity finding in
+    /// [`NpuConfig::verify_mode`]. The verdict equals
+    /// `schedule_graph_opts(…, CompileOptions { verify: true, .. })
+    /// .is_ok()` under the same schedule and mode; the differential gate
+    /// tests assert this.
+    ///
+    /// Each block's verdict is memoized in the caches this NPU shares
+    /// with its siblings, keyed on whether the block has a GEMM region,
+    /// its non-GEMM node signatures and the mode (not its sync group),
+    /// and a miss assembles the block through the compile cache.
+    /// Candidates that differ from an already-gated one at a few sites
+    /// therefore verify only the blocks those sites touch. An
+    /// [`Npu::uncached`] runner recompiles and re-verifies every block.
+    pub fn verify_schedule(&self, graph: &Graph) -> bool {
+        self.verify_schedule_with(graph, |node| self.lower(graph, node))
+    }
+
+    /// [`Npu::verify_schedule`] with the node lowering supplied by the
+    /// caller. The memo key still comes from this NPU's lowering, so a
+    /// foreign `lower` must only ever run on a runner of its own.
+    fn verify_schedule_with<R>(&self, graph: &Graph, mut lower: impl FnMut(&Node) -> R) -> bool
+    where
+        R: Borrow<Result<CompiledOp, CompileError>>,
+    {
+        let verifier = Verifier::new(
+            VerifyConfig::for_lowering(self.lowering.lanes(), self.lowering.interim_rows())
+                .with_mode(self.cfg.verify_mode),
+        );
+        let blocks = Partitioner::new().partition(graph);
+        blocks.iter().enumerate().all(|(i, block)| {
+            let mut verdict = || {
+                schedule_block(graph, block, (i % 32) as u8, &mut lower)
+                    .is_ok_and(|sb| verifier.verify(&sb.program).is_clean())
+            };
+            if !self.cache_enabled {
+                return verdict();
+            }
+            let sites = block.non_gemm.iter().map(|&id| {
+                let site =
+                    NodeSignature::for_lowering(&self.lowering, graph, graph.node(id)).site_key();
+                (site, self.lowering.schedule().get(site))
+            });
+            let key: GateKey = (block.gemm.is_some(), sites.collect(), self.cfg.verify_mode);
+            if let Some(&hit) = self.caches.gate.lock().unwrap().get(&key) {
+                self.caches.gate_hits.fetch_add(1, Ordering::Relaxed);
+                return hit;
+            }
+            self.caches.gate_misses.fetch_add(1, Ordering::Relaxed);
+            let ok = verdict();
+            self.caches.gate.lock().unwrap().insert(key, ok);
+            ok
+        })
+    }
+
+    /// Lowers `node` under this NPU's schedule, through the compile
+    /// cache unless this NPU is [`Npu::uncached`].
+    fn lower(&self, graph: &Graph, node: &Node) -> Arc<Result<CompiledOp, CompileError>> {
+        if self.cache_enabled {
+            self.caches.compile.lower_node(&self.lowering, graph, node)
+        } else {
+            Arc::new(self.lowering.lower_node(graph, node))
+        }
+    }
+
     /// The per-node body of [`Npu::verify_block`], memoized on the node's
     /// [`NodeSignature`] unless this NPU is [`Npu::uncached`].
     fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> VerifyOutcome {
         let compute = || -> VerifyOutcome {
             let verifier =
                 Verifier::new(VerifyConfig::from(&self.cfg.tandem).with_mode(self.cfg.verify_mode));
-            let compiled = if self.cache_enabled {
-                self.caches.compile.lower_node(&self.lowering, graph, node)
-            } else {
-                Arc::new(self.lowering.lower_node(graph, node))
-            };
+            let compiled = self.lower(graph, node);
             let mut programs = 0u64;
             let mut errors = 0u64;
             let mut diags = Vec::new();
@@ -546,11 +629,7 @@ impl Npu {
         proc: &mut TandemProcessor,
         dram: &mut Dram,
     ) -> RunReport {
-        let compiled = if self.cache_enabled {
-            self.caches.compile.lower_node(&self.lowering, graph, node)
-        } else {
-            Arc::new(self.lowering.lower_node(graph, node))
-        };
+        let compiled = self.lower(graph, node);
         let compiled = match compiled.as_ref() {
             Ok(c) => c,
             Err(_) => return RunReport::default(), // metadata-only ops
@@ -1379,12 +1458,7 @@ impl Npu {
     ) {
         let mut at = start;
         for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let compiled = if self.cache_enabled {
-                self.caches.compile.lower_node(&self.lowering, graph, node)
-            } else {
-                Arc::new(self.lowering.lower_node(graph, node))
-            };
+            let compiled = self.lower(graph, graph.node(id));
             let Ok(c) = compiled.as_ref() else { continue };
             for (prog, reps) in &c.tiles {
                 let one = {
@@ -1602,6 +1676,65 @@ mod tests {
         let rb = base.run(&g);
         assert_ne!(r.total_cycles, rb.total_cycles);
         assert_eq!(rb, Npu::uncached(NpuConfig::paper()).run(&g));
+    }
+
+    #[test]
+    fn verify_gate_rejects_a_bad_lowering_and_memoizes_the_verdict() {
+        use std::cell::Cell;
+        use tandem_compiler::schedule_graph_with;
+        // No schedule can produce an illegal candidate (the tiler falls
+        // back to legal tiles), so the known-bad input is a lowering that
+        // tiles every softmax for a machine with 8x the Interim BUF rows:
+        // those tiles address rows the real machine does not have.
+        let g = zoo::bert_base(128);
+        let mut cfg = NpuConfig::paper();
+        cfg.verify_mode = VerifyMode::Widened;
+        let npu = Npu::new(cfg);
+        let tandem = &npu.config().tandem;
+        let oversized = OpLowering::new(tandem.lanes, tandem.interim_rows * 8);
+        let calls = Cell::new(0u64);
+        let bad = |node: &Node| {
+            calls.set(calls.get() + 1);
+            match node.kind {
+                tandem_model::OpKind::Softmax => oversized.lower_node(&g, node),
+                _ => npu.lowering.lower_node(&g, node),
+            }
+        };
+        // The whole-graph path rejects one block …
+        let verifier = Verifier::new(
+            VerifyConfig::for_lowering(tandem.lanes, tandem.interim_rows)
+                .with_mode(VerifyMode::Widened),
+        );
+        let bad_block = match schedule_graph_with(&g, Some(&verifier), &bad) {
+            Err(tandem_compiler::CompileError::Verification { block, .. }) => block as u64,
+            other => panic!("expected a verification error, got {other:?}"),
+        };
+        // … as does the gate, after answering every block up to it.
+        let before = npu.stats();
+        assert!(!npu.verify_schedule_with(&g, &bad));
+        let first = npu.stats().delta(&before);
+        assert_eq!(first.gate_hits + first.gate_misses, bad_block + 1);
+        assert!(
+            bad_block > 1,
+            "the clean blocks before it must be gated too"
+        );
+        assert!(first.gate_hits > 0 && first.gate_misses > 1);
+        // The second call answers from the memo: no lowering, no verify.
+        calls.set(0);
+        let mid = npu.stats();
+        assert!(!npu.verify_schedule_with(&g, &bad));
+        let second = npu.stats().delta(&mid);
+        assert_eq!(second.gate_misses, 0);
+        assert_eq!(second.gate_hits, bad_block + 1);
+        assert_eq!(calls.get(), 0, "a memoized verdict must not re-lower");
+        // The rejection does not depend on the block's sync group.
+        let block = &Partitioner::new().partition(&g)[bad_block as usize];
+        for group in [(bad_block % 32) as u8, 0] {
+            let sb = schedule_block(&g, block, group, &bad).unwrap();
+            assert!(!verifier.verify(&sb.program).is_clean(), "group {group}");
+        }
+        // The real lowering passes on a runner of its own.
+        assert!(Npu::new(npu.config().clone()).verify_schedule(&g));
     }
 
     #[test]

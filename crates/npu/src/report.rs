@@ -15,8 +15,8 @@ pub struct UnitBusy {
 }
 
 /// Host-side execution statistics for one `Npu::run` call: wall-clock
-/// time and hit/miss counts of the compilation, node-simulation, and
-/// GEMM-report caches.
+/// time and hit/miss counts of the compilation, node-simulation,
+/// GEMM-report, graph-report and verify-gate caches.
 ///
 /// Deliberately **excluded** from [`NpuReport`] equality — a cached and
 /// an uncached run of the same model compare equal even though their
@@ -52,6 +52,11 @@ pub struct ExecStats {
     pub graph_hits: u64,
     /// Graph-level report-cache misses (graphs executed block-by-block).
     pub graph_misses: u64,
+    /// Block verdicts [`crate::Npu::verify_schedule`] answered from its
+    /// memo.
+    pub gate_hits: u64,
+    /// Blocks [`crate::Npu::verify_schedule`] assembled and verified.
+    pub gate_misses: u64,
 }
 
 impl ExecStats {
@@ -72,6 +77,8 @@ impl ExecStats {
             gemm_misses: self.gemm_misses.saturating_sub(baseline.gemm_misses),
             graph_hits: self.graph_hits.saturating_sub(baseline.graph_hits),
             graph_misses: self.graph_misses.saturating_sub(baseline.graph_misses),
+            gate_hits: self.gate_hits.saturating_sub(baseline.gate_hits),
+            gate_misses: self.gate_misses.saturating_sub(baseline.gate_misses),
         }
     }
 
@@ -98,9 +105,11 @@ impl ExecStats {
         self.gemm_misses += other.gemm_misses;
         self.graph_hits += other.graph_hits;
         self.graph_misses += other.graph_misses;
+        self.gate_hits += other.gate_hits;
+        self.gate_misses += other.gate_misses;
     }
 
-    /// Total cache lookups across all four caches.
+    /// Total cache lookups across all five caches.
     pub fn lookups(&self) -> u64 {
         self.compile_hits
             + self.compile_misses
@@ -110,6 +119,8 @@ impl ExecStats {
             + self.gemm_misses
             + self.graph_hits
             + self.graph_misses
+            + self.gate_hits
+            + self.gate_misses
     }
 
     /// Overall hit rate in `[0, 1]` (zero when no lookups happened,
@@ -119,7 +130,8 @@ impl ExecStats {
         if lookups == 0 {
             0.0
         } else {
-            (self.compile_hits + self.sim_hits + self.gemm_hits + self.graph_hits) as f64
+            (self.compile_hits + self.sim_hits + self.gemm_hits + self.graph_hits + self.gate_hits)
+                as f64
                 / lookups as f64
         }
     }
@@ -327,6 +339,8 @@ mod tests {
             gemm_misses: 6,
             graph_hits: 7,
             graph_misses: 8,
+            gate_hits: 9,
+            gate_misses: 10,
         };
         let b = ExecStats {
             wall_s: 0.75,
@@ -338,6 +352,8 @@ mod tests {
             gemm_misses: 60,
             graph_hits: 70,
             graph_misses: 80,
+            gate_hits: 90,
+            gate_misses: 100,
         };
         let mut m = a;
         m.merge(&b);
@@ -350,6 +366,8 @@ mod tests {
         assert_eq!(m.gemm_misses, 66);
         assert_eq!(m.graph_hits, 77);
         assert_eq!(m.graph_misses, 88);
+        assert_eq!(m.gate_hits, 99);
+        assert_eq!(m.gate_misses, 110);
         assert_eq!(m.lookups(), a.lookups() + b.lookups());
     }
 

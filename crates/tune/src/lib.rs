@@ -13,12 +13,15 @@
 //!    [`Candidate::schedule`] compiles it into the
 //!    [`tandem_compiler::CompileOptions::schedule`] /
 //!    [`tandem_npu::NpuConfig::schedule`] the stack already understands.
-//! 2. **Gate** — every fresh candidate materializes through
-//!    [`tandem_compiler::schedule_graph_opts`] under widened
-//!    `tandem-verify`; error findings reject it before it is scored.
-//! 3. **Score** — accepted candidates run on [`tandem_npu::Npu::sibling`]s
-//!    of one cache hub, so repeated `(site, choice)` decisions simulate
-//!    once across the whole search.
+//! 2. **Gate** — every fresh candidate gets one [`tandem_npu::Npu::sibling`]
+//!    of a cache hub, whose [`tandem_npu::Npu::verify_schedule`] assembles
+//!    and verifies each execution block under widened `tandem-verify`;
+//!    error findings reject the candidate before it is scored. Block
+//!    verdicts are memoized in the hub, so only blocks whose sites
+//!    changed are verified again.
+//! 3. **Score** — accepted candidates run on the same siblings, so
+//!    repeated `(site, choice)` decisions compile and simulate once
+//!    across the whole search.
 //! 4. **Search** — a single-site seeding sweep, a greedy
 //!    coordinate-descent composite, then beam-elite evolution (weighted
 //!    point mutation + uniform crossover), with the dead-traffic lint's

@@ -10,19 +10,23 @@
 //! wall-time, never results. Wall-times are reported separately and are
 //! the only nondeterministic fields.
 //!
-//! Scoring runs on [`Npu::sibling`]s of one cache hub: every candidate's
-//! run reuses the per-node simulation of each `(site, choice)` decision
-//! the search has already paid for, which is what makes hundreds of
-//! whole-graph evaluations affordable. The verify gate materializes each
-//! candidate through [`schedule_graph_opts`] in widened mode and rejects
-//! any candidate with error-severity findings before it is ever scored.
+//! Each candidate is evaluated on one [`Npu::sibling`] of a cache hub,
+//! configured with the candidate's schedule and the widened verifier.
+//! The sibling first gates the candidate with [`Npu::verify_schedule`]:
+//! every execution block is assembled through the hub's compile cache
+//! and verified, and a candidate with any error-severity finding is
+//! rejected before it is scored. Block verdicts are memoized in the hub
+//! on the block's node signatures, so a candidate pays verification only
+//! for the blocks its changed sites touch. The same sibling then scores
+//! the candidate, reusing the per-node simulation of each
+//! `(site, choice)` decision the search has already paid for — which is
+//! what makes hundreds of whole-graph evaluations affordable.
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
 use tandem_npu::Npu;
@@ -167,39 +171,37 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
     tune_in_space(npu, graph, &space, opts)
 }
 
-/// Candidate evaluation: the widened verify gate and the cached-sibling
-/// score, both pure functions of the candidate.
+/// Candidate evaluation: the widened verify gate and the cached score,
+/// both pure functions of the candidate, run on one sibling of the hub.
 struct Evaluator<'a> {
     npu: &'a Npu,
     graph: &'a Graph,
-    gate_lowering: OpLowering,
     gate: bool,
 }
 
 impl Evaluator<'_> {
-    /// `true` when the candidate's materialized schedule compiles with no
-    /// error-severity verify finding (widened mode).
-    fn verify_ok(&self, cand: &Candidate) -> bool {
-        if !self.gate {
-            return true;
-        }
-        let opts = CompileOptions {
-            verify: true,
-            verify_mode: VerifyMode::Widened,
-            schedule: cand.schedule(),
-        };
-        schedule_graph_opts(&self.gate_lowering, self.graph, &opts).is_ok()
-    }
-
-    /// Simulated end-to-end cycles of the candidate, through a sibling
-    /// sharing the hub's caches. Bit-equal to an
-    /// [`Npu::uncached`] run under the same configuration (the oracle
-    /// tests assert this).
-    fn score(&self, cand: &Candidate) -> u64 {
+    /// The candidate's runner: a sibling sharing the hub's caches, under
+    /// the candidate's schedule, gating in widened mode and scoring with
+    /// the per-node verify pass off.
+    fn sibling(&self, cand: &Candidate) -> Npu {
         let mut cfg = self.npu.config().clone();
         cfg.verify = false;
+        cfg.verify_mode = VerifyMode::Widened;
         cfg.schedule = cand.schedule();
-        self.npu.sibling(cfg).run(self.graph).total_cycles
+        self.npu.sibling(cfg)
+    }
+
+    /// `true` when every block of the candidate's program verifies with
+    /// no error-severity finding (widened mode).
+    fn verify_ok(&self, sibling: &Npu) -> bool {
+        !self.gate || sibling.verify_schedule(self.graph)
+    }
+
+    /// Simulated end-to-end cycles of the candidate. Bit-equal to an
+    /// [`Npu::uncached`] run under the same configuration (the oracle
+    /// tests assert this).
+    fn score(&self, sibling: &Npu) -> u64 {
+        sibling.run(self.graph).total_cycles
     }
 }
 
@@ -213,7 +215,6 @@ pub fn tune_in_space(
     let eval = Evaluator {
         npu,
         graph,
-        gate_lowering: OpLowering::new(npu.config().tandem.lanes, npu.config().tandem.interim_rows),
         gate: opts.verify_gate,
     };
     let mut rng = SplitMix64::new(opts.seed);
@@ -247,23 +248,27 @@ pub fn tune_in_space(
             .collect();
         // Phase 1 — the verify gate, in parallel, results in input order.
         let t0 = Instant::now();
-        let ok = par_map(&fresh, opts.jobs, |c| eval.verify_ok(c));
+        let gated = par_map(&fresh, opts.jobs, |c| {
+            let sibling = eval.sibling(c);
+            let ok = eval.verify_ok(&sibling);
+            (sibling, ok)
+        });
         let verify_wall_s = t0.elapsed().as_secs_f64();
-        let mut to_score: Vec<Candidate> = Vec::new();
+        let mut to_score: Vec<(&Candidate, Npu)> = Vec::new();
         let mut rejected = 0usize;
-        for (c, &ok) in fresh.iter().zip(&ok) {
+        for (c, (sibling, ok)) in fresh.iter().zip(gated) {
             if ok {
-                to_score.push(c.clone());
+                to_score.push((c, sibling));
             } else {
                 rejected += 1;
                 memo.insert(c.digest(), None);
             }
         }
-        // Phase 2 — score the survivors against the shared caches.
+        // Phase 2 — score the survivors on the same siblings.
         let t1 = Instant::now();
-        let scores = par_map(&to_score, opts.jobs, |c| eval.score(c));
+        let scores = par_map(&to_score, opts.jobs, |(_, sibling)| eval.score(sibling));
         let sim_wall_s = t1.elapsed().as_secs_f64();
-        for (c, &cycles) in to_score.iter().zip(&scores) {
+        for (&(c, _), &cycles) in to_score.iter().zip(&scores) {
             memo.insert(c.digest(), Some(cycles));
             pool.push((cycles, c.digest(), c.clone()));
             if opts.record_accepted {
