@@ -50,6 +50,11 @@ cargo run --release -q --bin tandem_serve -- --scenario contention --smoke --out
 echo "==> tandem-serve (LLM continuous-batching scenario, smoke)"
 cargo run --release -q --bin tandem_serve -- --scenario llm --smoke --out SERVE_LLM.json
 
+# The three smoke serving artifacts are committed and byte-deterministic:
+# regenerating them must leave no diff.
+echo "==> serve-artifact drift check"
+git diff --exit-code -- SERVE.json SERVE_CONTENTION.json SERVE_LLM.json
+
 # Fleet-engine throughput: streaming-statistics serving at CI size.
 # Fails if requests/sec drops below the smoke_floor_rps committed in
 # the baseline BENCH_SERVE.json (the perf regression guard).

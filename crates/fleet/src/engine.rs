@@ -1,5 +1,6 @@
-//! The fleet engine: an event-driven simulation of a request-serving
-//! deployment over N simulated NPUs, in discrete virtual nanoseconds.
+//! The whole-graph fleet engine: an event-driven simulation of a
+//! request-serving deployment over N simulated NPUs, in discrete
+//! virtual nanoseconds.
 //!
 //! Virtual time is derived from real per-model [`tandem_npu::NpuReport`]
 //! cycle counts via each NPU's clock frequency (`cycles / freq_ghz` ns),
@@ -10,28 +11,36 @@
 //! stall — and the engine asserts that the components sum to the
 //! end-to-end latency for every completed request.
 //!
+//! ## A policy over the serving core
+//!
+//! This engine decides *what* runs: admission, deadlines, the
+//! scheduler's batches, warm-up. The shared core decides *when* it
+//! finishes. Without an HBM budget a dispatch's completion is final at
+//! dispatch time (the fast path, with no lane bookkeeping at all).
+//! With one, the dispatch first waits out its warm-up (a stamped
+//! `EV_START`: warm-up consumes no bandwidth), then its service runs on
+//! the NPU's lane in [`crate::lanes::ServiceLanes`], which reschedules
+//! the completion as the fair share moves. Every completed request goes
+//! through the one report builder, [`crate::report::Tally`].
+//!
 //! ## Scaling to millions of requests
 //!
 //! The engine *streams*: arrivals are generated lazily (one staged
 //! arrival in the heap at a time for open-loop processes), events live
-//! in a flat packed binary heap ([`crate::events`]), in-flight dispatch
-//! state sits in a struct-of-arrays table whose per-dispatch member
-//! buffers are reused across events, and per-request accounting is
-//! online — counters, per-NPU/per-model running aggregates, and
-//! log-bucket percentile sketches ([`crate::stats`]). With
-//! [`FleetConfig::retain_records`] **on** (the default) the engine
-//! additionally keeps every [`RequestRecord`] and computes report
-//! percentiles from the exact retained values — byte-identical output
-//! to the historical record-retaining engine. With it **off**, peak
-//! memory is flat in the request count and percentiles come from the
-//! sketch (relative error ≤ 1/32); that is the mode the 10M-request
-//! `bench_serve` scenarios run in.
+//! in a flat packed binary heap ([`crate::events`]), per-NPU in-flight
+//! member buffers are reused across dispatches, and per-request
+//! accounting is online. With [`FleetConfig::retain_records`] **on**
+//! (the default) the tally additionally keeps every [`RequestRecord`]
+//! and computes report percentiles from the exact retained values. With
+//! it **off**, peak memory is flat in the request count and percentiles
+//! come from log-bucket sketches (relative error ≤ 1/32); that is the
+//! mode the 10M-request `bench_serve` scenarios run in.
 
 use crate::events::EventQueue;
-use crate::memory::{eta_ns, Allocation, BandwidthDemand, MemorySystem};
+use crate::lanes::{batch_scaled, ServiceLanes};
+use crate::memory::{BandwidthDemand, MemorySystem};
 use crate::policy::{Dispatch, FleetView, Policy, SchedulerPolicy};
-use crate::report::{FleetReport, LatencyStats, ModelStats, NpuUsage, RequestRecord};
-use crate::stats::{LatencySketch, Rollups};
+use crate::report::{FleetReport, RequestRecord, Tally};
 use crate::workload::{ArrivalGen, ArrivalProcess, Catalog, ModelSampler, Request, WorkloadSpec};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -67,7 +76,9 @@ pub struct FleetConfig {
     /// `solo · (1 + (k−1) · batch_marginal)`. Sub-linear (< 1) because
     /// weights, tiles, and the compiled program are already resident —
     /// the same amortization that makes batching win on real serving
-    /// hardware.
+    /// hardware. Must lie in `0.0..=1.0` (0 = free followers, 1 = no
+    /// amortization); fleet constructors panic on anything else,
+    /// NaN included.
     pub batch_marginal: f64,
     /// Per-member private DRAM-link bandwidth in GB/s (one entry per
     /// NPU). `None` derives each member's link from its configuration
@@ -128,6 +139,20 @@ impl FleetConfig {
         cfg.npus = points.iter().map(|p| p.npu_config()).collect();
         cfg
     }
+
+    /// The constructor check every fleet engine runs: at least one NPU,
+    /// `max_batch ≥ 1`, and `batch_marginal` in `0.0..=1.0` (a value
+    /// outside it would make batches free or overflow the service time
+    /// through the float-to-integer cast).
+    pub(crate) fn validate(&self) {
+        assert!(!self.npus.is_empty(), "a fleet needs at least one NPU");
+        assert!(self.max_batch >= 1, "max_batch must be at least 1");
+        assert!(
+            (0.0..=1.0).contains(&self.batch_marginal),
+            "batch_marginal must lie in 0.0..=1.0, got {}",
+            self.batch_marginal
+        );
+    }
 }
 
 /// A fleet of simulated NPUs ready to serve workloads.
@@ -139,67 +164,22 @@ pub struct Fleet {
 
 /// Event kinds, ordered within one timestamp by issue sequence.
 const EV_ARRIVAL: u8 = 0;
+/// An NPU frees up. Stamped (see [`ServiceLanes::live`]) under
+/// contention, where reallocations move it; plain `npu` otherwise.
 const EV_FREE: u8 = 1;
 const EV_POKE: u8 = 2;
-/// Deferred service start (contention model only): the warm-up has
-/// elapsed and the dispatch begins consuming shared bandwidth.
+/// Deferred service start (contention model only, stamped): the warm-up
+/// has elapsed and the dispatch begins consuming shared bandwidth.
 const EV_START: u8 = 3;
 
-/// In-flight dispatch state in struct-of-arrays layout, one slot per
-/// NPU (the unlimited-budget path never populates it). A slot's
-/// completion time is provisional: every change to the set of serving
-/// NPUs re-shares the bandwidth, re-prices the remaining work, and
-/// reschedules the completion event under a fresh generation. The
-/// per-slot `members` buffers are reused across dispatches — cleared,
-/// never reallocated — so steady-state serving performs no per-dispatch
-/// heap allocation here.
+/// A dispatch in flight on one NPU under contention, where its records
+/// wait for the (moving) completion. Its timing lives in the NPU's
+/// service lane; the member buffer is reused across dispatches.
 #[derive(Debug, Default)]
-struct InFlightTable {
-    /// Slot occupied (a dispatch is in flight on this NPU).
-    active: Vec<bool>,
-    /// Service has begun (bandwidth is consumed only then, not during
-    /// the host-side warm-up).
-    started: Vec<bool>,
-    model: Vec<usize>,
-    /// Generation stamped into this dispatch's scheduled event; bumping
-    /// it turns the superseded heap entry into a discarded stale pop.
-    gen: Vec<u64>,
-    dispatched_ns: Vec<u64>,
-    warmup_ns: Vec<u64>,
-    /// Nominal (uncontended, batch-scaled) service time.
-    service_ns: Vec<u64>,
-    /// Progress through the nominal service, in nominal nanoseconds.
-    progress: Vec<f64>,
-    /// When `progress` was last banked.
-    accrued_ns: Vec<u64>,
-    /// Progress rate in force since then (≤ 1; 1 = uncontended).
-    rate: Vec<f64>,
-    /// Completion time of the currently scheduled `EV_FREE`
-    /// (`u64::MAX` = none), so an unchanged estimate is not rescheduled
-    /// — fewer stale events, and uncontended dispatches keep their
-    /// original event order.
-    eta_ns: Vec<u64>,
-    /// The dispatch's batch members (reused buffer).
-    members: Vec<Vec<Request>>,
-}
-
-impl InFlightTable {
-    fn new(n: usize) -> Self {
-        InFlightTable {
-            active: vec![false; n],
-            started: vec![false; n],
-            model: vec![0; n],
-            gen: vec![0; n],
-            dispatched_ns: vec![0; n],
-            warmup_ns: vec![0; n],
-            service_ns: vec![0; n],
-            progress: vec![0.0; n],
-            accrued_ns: vec![0; n],
-            rate: vec![1.0; n],
-            eta_ns: vec![u64::MAX; n],
-            members: (0..n).map(|_| Vec::new()).collect(),
-        }
-    }
+struct InFlight {
+    model: usize,
+    warmup_ns: u64,
+    members: Vec<Request>,
 }
 
 /// The mutable simulation state (kept separate from the scheduler so a
@@ -230,45 +210,22 @@ struct Sim<'a> {
     next_spawn: usize,
     total_requests: usize,
     idle: Vec<bool>,
-    usage: Vec<NpuUsage>,
-    depth: u64,
-    peak_depth: u64,
-    /// Per-event depth samples — collected only when records are
-    /// retained (they grow with the event count).
-    depth_samples: Vec<(u64, u64)>,
-    makespan_ns: u64,
     /// `Some(think_ns)` when the workload is closed-loop: each finished
     /// (or refused) request triggers its client's next one.
     closed_think_ns: Option<u64>,
-    /// The shared memory system (no-op when the budget is unlimited).
-    mem: MemorySystem,
+    /// Per-NPU service timing over the shared memory system.
+    lanes: ServiceLanes,
     /// `demand[npu][model]` — bandwidth demand of a solo service; empty
     /// when the contention model is off.
     demand: Vec<Vec<BandwidthDemand>>,
     /// `dram_bytes[npu][model]` — byte footprint per dispatch; empty
     /// when the contention model is off.
     dram_bytes: Vec<Vec<u64>>,
-    /// In-flight dispatches, SoA (contention model only).
-    flight: InFlightTable,
-    /// Monotone generation counter for reschedulable events.
-    gen: u64,
-    // --- online accounting ---
-    retain: bool,
-    records: Vec<RequestRecord>,
-    completed: u64,
-    dropped: u64,
-    timed_out: u64,
-    /// Streaming distributions (fed only when records are *not*
-    /// retained; the exact path reads the retained records instead).
-    lat_sketch: LatencySketch,
-    queue_sketch: LatencySketch,
-    stall_sketch: LatencySketch,
-    model_sketches: Vec<LatencySketch>,
-    rollups: Option<Rollups>,
-    // --- reused scratch (no per-event allocation) ---
+    /// Per-NPU in-flight dispatches (contention model only).
+    flight: Vec<InFlight>,
+    tally: Tally,
+    /// Reused scratch for a dispatch's unexpired members.
     live_buf: Vec<Request>,
-    serving_buf: Vec<Option<BandwidthDemand>>,
-    alloc_buf: Allocation,
 }
 
 impl Sim<'_> {
@@ -336,36 +293,13 @@ impl Sim<'_> {
         }
     }
 
-    fn sample_depth(&mut self, at: u64) {
-        self.peak_depth = self.peak_depth.max(self.depth);
-        if let Some(r) = &mut self.rollups {
-            r.on_depth(at, self.depth);
-        }
-        if self.retain && self.depth_samples.last().map(|&(t, d)| (t, d)) != Some((at, self.depth))
-        {
-            self.depth_samples.push((at, self.depth));
-        }
-    }
-
-    /// Banks one completed request into the online accounting (and the
-    /// record vector when retained).
-    #[inline]
-    fn finish_request(&mut self, rec: RequestRecord) {
-        // The contract the report advertises: latency decomposes
-        // exactly into its components.
-        debug_assert_eq!(
-            rec.latency_ns(),
-            rec.queue_ns + rec.warmup_ns + rec.service_ns + rec.mem_stall_ns
-        );
-        self.completed += 1;
-        if self.retain {
-            self.records.push(rec);
-        } else {
-            let lat = rec.latency_ns();
-            self.lat_sketch.record(lat);
-            self.queue_sketch.record(rec.queue_ns);
-            self.stall_sketch.record(rec.mem_stall_ns);
-            self.model_sketches[rec.model].record(lat);
+    /// What the scheduler sees of the fleet.
+    fn view(&self) -> FleetView<'_> {
+        FleetView {
+            service_ns: &self.service_ns,
+            seen: &self.seen,
+            max_batch: self.cfg.max_batch,
+            batch_window_ns: self.cfg.batch_window_ns,
         }
     }
 
@@ -379,16 +313,7 @@ impl Sim<'_> {
         sink: &mut dyn TraceSink,
     ) {
         while self.idle[n] {
-            let decision = {
-                let view = FleetView {
-                    service_ns: &self.service_ns,
-                    seen: &self.seen,
-                    max_batch: self.cfg.max_batch,
-                    batch_window_ns: self.cfg.batch_window_ns,
-                };
-                sched.dispatch(n, now, &view)
-            };
-            match decision {
+            match sched.dispatch(n, now, &self.view()) {
                 Dispatch::Idle => return,
                 Dispatch::HoldUntil(at) => {
                     self.events.push(at.max(now + 1), EV_POKE, n as u64);
@@ -409,19 +334,19 @@ impl Sim<'_> {
                     live.clear();
                     for r in batch {
                         if now.saturating_sub(r.arrival_ns) > deadline {
-                            self.timed_out += 1;
-                            if let Some(roll) = &mut self.rollups {
+                            self.tally.timed_out += 1;
+                            if let Some(roll) = &mut self.tally.rollups {
                                 roll.on_timed_out(now);
                             }
-                            self.depth -= 1;
+                            self.tally.depth -= 1;
                             spans::timeout_marker(sink, now, r.id, self.catalog.name(r.model));
                             self.closed_loop_refill(now);
                         } else {
                             live.push(r);
                         }
                     }
-                    self.sample_depth(now);
-                    spans::queue_depth(sink, now, self.depth);
+                    self.tally.sample_depth(now);
+                    spans::queue_depth(sink, now, self.tally.depth);
                     if live.is_empty() {
                         self.live_buf = live;
                         continue; // ask the scheduler again
@@ -434,6 +359,11 @@ impl Sim<'_> {
         }
     }
 
+    /// Nominal service of a `k`-batch of `model` on NPU `n`.
+    fn batch_service_ns(&self, n: usize, model: usize, k: usize) -> u64 {
+        batch_scaled(self.service_ns[n][model], k as u64, self.cfg.batch_marginal)
+    }
+
     /// Charges warm-up + batch-scaled service for `live` on NPU `n`.
     fn run_batch(
         &mut self,
@@ -443,212 +373,128 @@ impl Sim<'_> {
         live: &[Request],
         sink: &mut dyn TraceSink,
     ) {
-        let warm = self.seen[n][model];
-        let warmup = if warm { 0 } else { self.warmup_ns[model] };
-        self.seen[n][model] = true;
+        let cold = !std::mem::replace(&mut self.seen[n][model], true);
+        let warmup = if cold { self.warmup_ns[model] } else { 0 };
         let k = live.len() as u64;
-        let solo = self.service_ns[n][model];
-        let service =
-            solo + (((k - 1) as f64) * self.cfg.batch_marginal * solo as f64).round() as u64;
+        let service = self.batch_service_ns(n, model, live.len());
         self.idle[n] = false;
-        let contended = self.mem.enabled();
-        let bytes = if contended {
-            self.dram_bytes[n][model]
-        } else {
-            0
-        };
-        let u = &mut self.usage[n];
-        u.served += k;
+        let contended = self.lanes.mem().enabled();
+        let u = &mut self.tally.usage[n];
         u.batches += 1;
         u.warmups += (warmup > 0) as u64;
         u.warmup_ns += warmup;
         u.service_ns += service;
-        u.dram_bytes += bytes;
-        let name = self.catalog.name(model);
-        spans::warmup_span(sink, n as u16, name, now, warmup);
+        if contended {
+            u.dram_bytes += self.dram_bytes[n][model];
+        }
+        spans::warmup_span(sink, n as u16, self.catalog.name(model), now, warmup);
         if !contended {
             // Unlimited-bandwidth fast path: the completion is final at
             // dispatch (byte-identical to the pre-contention engine).
             let completion = now + warmup + service;
             self.events.push(completion, EV_FREE, n as u64);
-            spans::service_span(sink, n as u16, name, now + warmup, service, live[0].id, k);
-            let batch = live.len();
-            for &r in live {
-                self.finish_request(RequestRecord {
-                    id: r.id,
-                    model,
-                    npu: n,
-                    batch,
-                    arrival_ns: r.arrival_ns,
-                    queue_ns: now - r.arrival_ns,
-                    warmup_ns: warmup,
-                    service_ns: service,
-                    mem_stall_ns: 0,
-                    completion_ns: completion,
-                });
-                self.depth -= 1;
-                self.closed_loop_refill(completion);
-            }
-            if let Some(roll) = &mut self.rollups {
-                roll.on_completed(completion, k);
-                roll.on_busy(completion, warmup + service);
-            }
-            self.sample_depth(now);
-            spans::queue_depth(sink, now, self.depth);
-            self.makespan_ns = self.makespan_ns.max(completion);
-            return;
+            self.finish_batch(n, model, now, warmup, service, 0, live, sink);
         }
-        // Contended path: the completion moves as overlap changes, so
-        // records are finalized at the completion event instead.
-        self.depth -= k;
-        self.sample_depth(now);
-        spans::queue_depth(sink, now, self.depth);
-        self.gen += 1;
-        let gen = self.gen;
-        let f = &mut self.flight;
-        f.active[n] = true;
-        f.started[n] = false;
-        f.model[n] = model;
-        f.gen[n] = gen;
-        f.dispatched_ns[n] = now;
-        f.warmup_ns[n] = warmup;
-        f.service_ns[n] = service;
-        f.progress[n] = 0.0;
-        f.accrued_ns[n] = now;
-        f.rate[n] = 1.0;
-        f.eta_ns[n] = u64::MAX;
-        f.members[n].clear();
-        f.members[n].extend_from_slice(live);
-        if warmup == 0 {
-            self.start_service(n, now, sink);
-        } else {
-            let payload = gen * self.idle.len() as u64 + n as u64;
-            self.events.push(now + warmup, EV_START, payload);
+        self.tally.depth -= k;
+        self.tally.sample_depth(now);
+        spans::queue_depth(sink, now, self.tally.depth);
+        if contended {
+            // The completion moves as overlap changes, so records are
+            // finalized at the completion event instead.
+            let f = &mut self.flight[n];
+            f.model = model;
+            f.warmup_ns = warmup;
+            f.members.clear();
+            f.members.extend_from_slice(live);
+            if warmup == 0 {
+                self.start_service(n, now, sink);
+            } else {
+                let payload = self.lanes.stamp(n);
+                self.events.push(now + warmup, EV_START, payload);
+            }
         }
+    }
+
+    /// Books a finished dispatch: its service span, one record per
+    /// member, and the closed-loop refills and rollups at completion.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_batch(
+        &mut self,
+        n: usize,
+        model: usize,
+        dispatched: u64,
+        warmup: u64,
+        service: u64,
+        stall: u64,
+        members: &[Request],
+        sink: &mut dyn TraceSink,
+    ) {
+        let (start, k) = (dispatched + warmup, members.len());
+        let completion = start + service + stall;
+        let name = self.catalog.name(model);
+        spans::service_span(
+            sink,
+            n as u16,
+            name,
+            start,
+            service + stall,
+            members[0].id,
+            k as u64,
+        );
+        for r in members {
+            self.tally.record(RequestRecord {
+                id: r.id,
+                model,
+                npu: n,
+                batch: k,
+                arrival_ns: r.arrival_ns,
+                queue_ns: dispatched - r.arrival_ns,
+                warmup_ns: warmup,
+                service_ns: service,
+                mem_stall_ns: stall,
+                completion_ns: completion,
+            });
+            self.closed_loop_refill(completion);
+        }
+        if let Some(roll) = &mut self.tally.rollups {
+            roll.on_completed(completion, k as u64);
+            roll.on_busy(completion, warmup + service + stall);
+        }
+        self.tally.advance(completion);
     }
 
     /// Begins the service phase of NPU `n`'s in-flight dispatch: from
     /// here it demands bandwidth, so the whole fleet re-shares.
     fn start_service(&mut self, n: usize, at: u64, sink: &mut dyn TraceSink) {
-        debug_assert!(self.flight.active[n] && !self.flight.started[n]);
-        self.flight.started[n] = true;
-        self.flight.progress[n] = 0.0;
-        self.flight.accrued_ns[n] = at;
-        self.reallocate(at, sink);
-    }
-
-    /// Recomputes the fair-share allocation and every in-service
-    /// completion time — called whenever the set of serving NPUs
-    /// changes, which makes each NPU's bandwidth (and progress rate)
-    /// piecewise-constant between events. All buffers are reused.
-    fn reallocate(&mut self, now: u64, sink: &mut dyn TraceSink) {
-        let n_npus = self.idle.len();
-        // Bank progress earned at the rates in force since the last event.
-        for i in 0..n_npus {
-            if self.flight.active[i] && self.flight.started[i] {
-                self.flight.progress[i] +=
-                    (now - self.flight.accrued_ns[i]) as f64 * self.flight.rate[i];
-                self.flight.accrued_ns[i] = now;
-            }
-        }
-        let mut serving = std::mem::take(&mut self.serving_buf);
-        serving.clear();
-        serving.extend((0..n_npus).map(|i| {
-            (self.flight.active[i] && self.flight.started[i])
-                .then(|| self.demand[i][self.flight.model[i]])
-        }));
-        let mut alloc = std::mem::take(&mut self.alloc_buf);
-        self.mem.allocate_into(&serving, &mut alloc);
-        for i in 0..n_npus {
-            if !(self.flight.active[i] && self.flight.started[i]) {
-                continue;
-            }
-            self.flight.rate[i] = alloc.rates[i];
-            let remaining = self.flight.service_ns[i] as f64 - self.flight.progress[i];
-            let eta = eta_ns(now, remaining, self.flight.rate[i]);
-            // Physics floor: contention can only push a completion
-            // past its nominal end, never before it (also guards the
-            // stall's non-negativity against float rounding).
-            let eta = eta.max(
-                self.flight.dispatched_ns[i] + self.flight.warmup_ns[i] + self.flight.service_ns[i],
-            );
-            if self.flight.eta_ns[i] == eta {
-                continue; // the already-scheduled event still stands
-            }
-            self.flight.eta_ns[i] = eta;
-            self.gen += 1;
-            self.flight.gen[i] = self.gen;
-            self.events
-                .push(eta, EV_FREE, self.gen * n_npus as u64 + i as u64);
-        }
-        if sink.enabled() {
-            let cgbps = |g: f64| (g * 100.0).round() as u64;
-            spans::hbm_bandwidth(
-                sink,
-                now,
-                cgbps(alloc.demand_gbps),
-                cgbps(alloc.granted_gbps),
-            );
-            if alloc.throttled > 0 {
-                spans::hbm_throttle(sink, now, alloc.throttled as u64);
-            }
-        }
-        self.serving_buf = serving;
-        self.alloc_buf = alloc;
+        let f = &self.flight[n];
+        let service = self.batch_service_ns(n, f.model, f.members.len());
+        let demand = self.demand[n][f.model];
+        self.lanes.begin(n, at, service, demand);
+        self.lanes.reallocate(at, EV_FREE, &mut self.events, sink);
     }
 
     /// Finalizes NPU `n`'s in-flight dispatch at its (possibly
     /// stretched) completion time, then re-shares the freed bandwidth
     /// among the survivors.
     fn complete(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        debug_assert!(self.flight.active[n], "completion without a dispatch");
-        self.flight.active[n] = false;
-        let (model, dispatched, warmup, service) = (
-            self.flight.model[n],
-            self.flight.dispatched_ns[n],
-            self.flight.warmup_ns[n],
-            self.flight.service_ns[n],
-        );
-        let nominal_end = dispatched + warmup + service;
-        debug_assert!(now >= nominal_end, "completions never beat nominal time");
-        let stall = now - nominal_end;
-        self.usage[n].mem_stall_ns += stall;
-        let name = self.catalog.name(model);
-        let members = std::mem::take(&mut self.flight.members[n]);
-        spans::service_span(
+        let stall = self.lanes.end(n, now);
+        let (start, service) = (self.lanes.start_ns(n), self.lanes.nominal_ns(n));
+        let (model, warmup) = (self.flight[n].model, self.flight[n].warmup_ns);
+        self.tally.usage[n].mem_stall_ns += stall;
+        let members = std::mem::take(&mut self.flight[n].members);
+        self.finish_batch(
+            n,
+            model,
+            start - warmup,
+            warmup,
+            service,
+            stall,
+            &members,
             sink,
-            n as u16,
-            name,
-            dispatched + warmup,
-            service + stall,
-            members[0].id,
-            members.len() as u64,
         );
-        for r in &members {
-            self.finish_request(RequestRecord {
-                id: r.id,
-                model,
-                npu: n,
-                batch: members.len(),
-                arrival_ns: r.arrival_ns,
-                queue_ns: dispatched - r.arrival_ns,
-                warmup_ns: warmup,
-                service_ns: service,
-                mem_stall_ns: stall,
-                completion_ns: now,
-            });
-            self.closed_loop_refill(now);
-        }
-        if let Some(roll) = &mut self.rollups {
-            roll.on_completed(now, members.len() as u64);
-            roll.on_busy(now, warmup + service + stall);
-        }
-        // Hand the (cleared) member buffer back for the next dispatch.
-        let mut members = members;
-        members.clear();
-        self.flight.members[n] = members;
-        self.makespan_ns = self.makespan_ns.max(now);
-        self.reallocate(now, sink);
+        // Hand the member buffer back for the next dispatch.
+        self.flight[n].members = members;
+        self.lanes.reallocate(now, EV_FREE, &mut self.events, sink);
     }
 }
 
@@ -656,8 +502,7 @@ impl Fleet {
     /// Builds the fleet (members with equal configurations share one
     /// host-side cache set).
     pub fn new(cfg: FleetConfig) -> Self {
-        assert!(!cfg.npus.is_empty(), "a fleet needs at least one NPU");
-        assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
+        cfg.validate();
         let npus = Npu::fleet(&cfg.npus);
         Fleet { cfg, npus }
     }
@@ -666,6 +511,7 @@ impl Fleet {
     /// host-side caches *across* fleets (e.g. a sweep cloning one warm
     /// pool into every cell). Member configurations must match `cfg`.
     pub fn with_members(cfg: FleetConfig, members: Vec<Npu>) -> Self {
+        cfg.validate();
         assert_eq!(
             members.len(),
             cfg.npus.len(),
@@ -770,7 +616,6 @@ impl Fleet {
         };
 
         let closed = matches!(&spec.arrival, ArrivalProcess::ClosedLoop { .. });
-        let retain = self.cfg.retain_records;
         let mut sim = Sim {
             cfg: &self.cfg,
             catalog,
@@ -788,37 +633,21 @@ impl Fleet {
             next_spawn: 0,
             total_requests: spec.requests,
             idle: vec![true; n_npus],
-            usage: vec![NpuUsage::default(); n_npus],
-            depth: 0,
-            peak_depth: 0,
-            depth_samples: Vec::new(),
-            makespan_ns: 0,
             closed_think_ns: match &spec.arrival {
                 ArrivalProcess::ClosedLoop { think_ns, .. } => Some(*think_ns),
                 _ => None,
             },
-            mem,
+            lanes: ServiceLanes::new(n_npus, mem),
             demand,
             dram_bytes,
-            flight: InFlightTable::new(n_npus),
-            gen: 0,
-            retain,
-            records: Vec::new(),
-            completed: 0,
-            dropped: 0,
-            timed_out: 0,
-            lat_sketch: LatencySketch::new(),
-            queue_sketch: LatencySketch::new(),
-            stall_sketch: LatencySketch::new(),
-            model_sketches: if retain {
-                Vec::new()
-            } else {
-                (0..n_models).map(|_| LatencySketch::new()).collect()
-            },
-            rollups: self.cfg.rollup_window_ns.map(Rollups::new),
+            flight: (0..n_npus).map(|_| InFlight::default()).collect(),
+            tally: Tally::new(
+                self.cfg.retain_records,
+                n_npus,
+                n_models,
+                self.cfg.rollup_window_ns,
+            ),
             live_buf: Vec::new(),
-            serving_buf: Vec::new(),
-            alloc_buf: Allocation::default(),
         };
 
         // Seed the event queue: the initial closed-loop client wave, or
@@ -833,78 +662,55 @@ impl Fleet {
             _ => sim.stage_next_arrival(),
         }
 
-        // The event loop. Under contention, `EV_FREE`/`EV_START`
-        // payloads carry `gen · n_npus + npu`; pops whose generation no
-        // longer matches the in-flight dispatch were superseded by a
-        // reallocation and are discarded *before* the makespan update.
+        // The event loop. Stamped pops that a reallocation superseded
+        // are discarded *before* the makespan update.
         while let Some((now, kind, payload)) = sim.events.pop() {
-            if contended && kind == EV_FREE {
-                let n = (payload % n_npus as u64) as usize;
-                let gen = payload / n_npus as u64;
-                let live =
-                    sim.flight.active[n] && sim.flight.started[n] && sim.flight.gen[n] == gen;
-                if !live {
-                    continue; // stale: a reallocation moved this completion
+            let n = if kind == EV_START || (contended && kind == EV_FREE) {
+                match sim.lanes.live(payload) {
+                    Some(n) => n,
+                    None => continue,
                 }
-                sim.makespan_ns = sim.makespan_ns.max(now);
-                sim.complete(n, now, sink);
-                sim.idle[n] = true;
-                sim.try_dispatch(n, now, sched, sink);
-                continue;
-            }
-            if kind == EV_START {
-                let n = (payload % n_npus as u64) as usize;
-                let gen = payload / n_npus as u64;
-                let live =
-                    sim.flight.active[n] && !sim.flight.started[n] && sim.flight.gen[n] == gen;
-                if live {
-                    sim.makespan_ns = sim.makespan_ns.max(now);
-                    sim.start_service(n, now, sink);
-                }
-                continue;
-            }
-            sim.makespan_ns = sim.makespan_ns.max(now);
+            } else {
+                payload as usize
+            };
+            sim.tally.advance(now);
             match kind {
                 EV_ARRIVAL => {
                     let req = sim.take_arrival(payload, now);
-                    if let Some(roll) = &mut sim.rollups {
+                    if let Some(roll) = &mut sim.tally.rollups {
                         roll.on_arrival(now);
                     }
                     spans::arrival(sink, now, req.id, catalog.name(req.model));
                     if sched.pending() >= self.cfg.queue_capacity {
-                        sim.dropped += 1;
-                        if let Some(roll) = &mut sim.rollups {
+                        sim.tally.dropped += 1;
+                        if let Some(roll) = &mut sim.tally.rollups {
                             roll.on_dropped(now);
                         }
                         spans::drop_marker(sink, now, req.id, catalog.name(req.model));
                         sim.closed_loop_refill(now);
                         continue;
                     }
-                    {
-                        let view = FleetView {
-                            service_ns: &sim.service_ns,
-                            seen: &sim.seen,
-                            max_batch: self.cfg.max_batch,
-                            batch_window_ns: self.cfg.batch_window_ns,
-                        };
-                        sched.enqueue(req, &view);
-                    }
-                    sim.depth += 1;
-                    sim.sample_depth(now);
-                    spans::queue_depth(sink, now, sim.depth);
+                    sched.enqueue(req, &sim.view());
+                    sim.tally.depth += 1;
+                    sim.tally.sample_depth(now);
+                    spans::queue_depth(sink, now, sim.tally.depth);
                     for n in 0..n_npus {
                         if sim.idle[n] {
                             sim.try_dispatch(n, now, sched, sink);
                         }
                     }
                 }
+                EV_START => sim.start_service(n, now, sink),
                 EV_FREE => {
-                    sim.idle[payload as usize] = true;
-                    sim.try_dispatch(payload as usize, now, sched, sink);
+                    if contended {
+                        sim.complete(n, now, sink);
+                    }
+                    sim.idle[n] = true;
+                    sim.try_dispatch(n, now, sched, sink);
                 }
                 EV_POKE => {
-                    if sim.idle[payload as usize] {
-                        sim.try_dispatch(payload as usize, now, sched, sink);
+                    if sim.idle[n] {
+                        sim.try_dispatch(n, now, sched, sink);
                     }
                 }
                 _ => unreachable!("unknown event kind"),
@@ -915,95 +721,26 @@ impl Fleet {
             sim.next_spawn, spec.requests,
             "every request must be issued"
         );
+        let t = &sim.tally;
         debug_assert_eq!(
-            sim.completed + sim.dropped + sim.timed_out,
+            t.completed + t.dropped + t.timed_out,
             spec.requests as u64,
             "every request must be accounted for"
         );
 
-        // Roll up. With records retained the distributions are computed
-        // from the exact values through the one shared percentile
-        // implementation (byte-identical to the record-retaining
-        // engine); without, they are read off the streaming sketches.
-        let mut records = sim.records;
-        let (latency, queue, mem_stall, per_model) = if retain {
-            records.sort_by_key(|r| r.id);
-            let mut latencies: Vec<u64> = records.iter().map(|r| r.latency_ns()).collect();
-            latencies.sort_unstable();
-            let mut queues: Vec<u64> = records.iter().map(|r| r.queue_ns).collect();
-            queues.sort_unstable();
-            let mut stalls: Vec<u64> = records.iter().map(|r| r.mem_stall_ns).collect();
-            stalls.sort_unstable();
-            let per_model: Vec<ModelStats> = (0..n_models)
-                .filter_map(|m| {
-                    let mut lat: Vec<u64> = records
-                        .iter()
-                        .filter(|r| r.model == m)
-                        .map(|r| r.latency_ns())
-                        .collect();
-                    if lat.is_empty() {
-                        return None;
-                    }
-                    lat.sort_unstable();
-                    Some(ModelStats {
-                        model: m,
-                        name: catalog.name(m).to_string(),
-                        latency: LatencyStats::from_sorted(&lat),
-                    })
-                })
-                .collect();
-            (
-                LatencyStats::from_sorted(&latencies),
-                LatencyStats::from_sorted(&queues),
-                LatencyStats::from_sorted(&stalls),
-                per_model,
-            )
-        } else {
-            let per_model: Vec<ModelStats> = sim
-                .model_sketches
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.count() > 0)
-                .map(|(m, s)| ModelStats {
-                    model: m,
-                    name: catalog.name(m).to_string(),
-                    latency: LatencyStats::from_sketch(s),
-                })
-                .collect();
-            (
-                LatencyStats::from_sketch(&sim.lat_sketch),
-                LatencyStats::from_sketch(&sim.queue_sketch),
-                LatencyStats::from_sketch(&sim.stall_sketch),
-                per_model,
-            )
-        };
         let mut stats = ExecStats::default();
         for (&head, b) in group_heads.iter().zip(&before) {
             stats.merge(&self.npus[head].stats().delta(b));
         }
         stats.wall_s = t0.elapsed().as_secs_f64();
 
-        FleetReport {
-            policy: sched.name().to_string(),
-            fleet_size: n_npus,
-            offered: spec.requests as u64,
-            completed: sim.completed,
-            dropped: sim.dropped,
-            timed_out: sim.timed_out,
-            makespan_ns: sim.makespan_ns,
-            latency,
-            queue,
-            hbm_gbps: sim.mem.budget_gbps(),
-            mem_stall,
-            peak_queue_depth: sim.peak_depth,
-            queue_depth_samples: sim.depth_samples,
-            rollup_window_ns: self.cfg.rollup_window_ns,
-            rollups: sim.rollups.map(Rollups::finish).unwrap_or_default(),
-            per_npu: sim.usage,
-            per_model,
-            records,
-            llm: None,
-            stats,
-        }
+        let hbm_gbps = sim.lanes.mem().budget_gbps();
+        let mut report = sim
+            .tally
+            .finish(sched.name(), spec.requests as u64, hbm_gbps, |m| {
+                catalog.name(m).to_string()
+            });
+        report.stats = stats;
+        report
     }
 }

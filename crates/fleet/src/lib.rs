@@ -8,7 +8,7 @@
 //! GeneSys, "a parametrizable NPU generator … for applications ranging
 //! from high-end datacenters to ultra-low-power brain-implantable
 //! devices" (§10) — and a datacenter NPU is one node in a *service*.
-//! This crate adds that layer, in three pieces:
+//! This crate adds that layer:
 //!
 //! * **Workload generation** ([`WorkloadSpec`], [`Catalog`]) —
 //!   deterministic seeded arrival processes (closed-loop, open-loop
@@ -19,33 +19,39 @@
 //!   `Npu::estimate` cycle oracle, model-affinity routing that exploits
 //!   each NPU's compiled-model warm set, and same-model batch
 //!   coalescing with a deadline window.
-//! * **The fleet engine** ([`Fleet`], [`FleetConfig`]) — an
-//!   event-driven simulation in discrete virtual nanoseconds over N
-//!   [`tandem_npu::Npu`]s (heterogeneous configurations allowed),
-//!   charging queueing delay, cold-compile warm-up on first sight of a
-//!   model per NPU, and batch-scaled service time derived from real
-//!   per-model cycle counts. It emits per-request [`RequestRecord`]s
-//!   whose latency decomposes *exactly* into queue + warm-up + service
-//!   (+ memory stall under contention, below), and an aggregate
-//!   [`FleetReport`] (throughput, per-NPU utilization, p50/p95/p99/p99.9,
-//!   queue depth over time, drop/timeout counts).
+//! * **The serving core** — one copy of the mechanisms every engine
+//!   needs. Per-NPU *service lanes* time each unit of work (a dispatch's
+//!   service, an LLM iteration) against the shared memory system: they
+//!   bank progress at piecewise-constant rates, apply the physics floor
+//!   (never before the nominal end), reschedule only completions whose
+//!   time moved, and discard superseded events by generation stamp. One
+//!   batch-scaling law prices a `k`-batch, and one report builder (on
+//!   [`LatencyAccumulator`]) books every completed request — exact
+//!   percentiles when records are retained, sketched when streaming.
 //! * **The shared memory system** ([`MemorySystem`], backed by
 //!   [`tandem_core::HbmModel`]) — set [`FleetConfig::hbm_gbps`] and the
-//!   members contend for one HBM stack: each dispatch's DMA-byte
+//!   members contend for one HBM stack: each unit of work's DMA-byte
 //!   footprint (from the cycle model's DAE accounting) becomes a
-//!   bandwidth demand, a max-min fair share is recomputed at every
-//!   dispatch/completion event, and oversubscription stretches service
-//!   into an exact per-request `mem_stall_ns`. Unset, the engine is
-//!   byte-identical to a fleet without the memory system.
-//!
-//! On top of the whole-graph engine, the [`llm`] module serves
-//! *autoregressive decode*: prefill/decode-step cycle tables built once
-//! from the cached simulator ([`llm::DecodeModel`]), KV-cache DRAM
-//! demand through the same [`MemorySystem`], and an iteration-level
-//! engine ([`llm::LlmFleet`]) with static batching, Orca-style
-//! continuous batching, and block-boundary preemption with
-//! checkpoint/restore — reporting TTFT/TPOT/tokens-per-second with the
-//! same exact latency identity.
+//!   bandwidth demand, a max-min fair share is recomputed whenever the
+//!   set of serving lanes changes, and oversubscription stretches
+//!   service into an exact per-request `mem_stall_ns`. Unset, the
+//!   engines are byte-identical to a fleet without the memory system.
+//! * **Two engines, as policies over the core.** The whole-graph engine
+//!   ([`Fleet`], [`FleetConfig`]) is an event-driven simulation in
+//!   discrete virtual nanoseconds over N [`tandem_npu::Npu`]s
+//!   (heterogeneous configurations allowed), charging queueing delay,
+//!   cold-compile warm-up on first sight of a model per NPU, and
+//!   batch-scaled service time derived from real per-model cycle
+//!   counts. The [`llm`] engine ([`llm::LlmFleet`]) serves
+//!   *autoregressive decode*: prefill/decode-step cycle tables built
+//!   once from the cached simulator ([`llm::DecodeModel`]) and
+//!   iteration-level static batching, Orca-style continuous batching,
+//!   and block-boundary preemption with checkpoint/restore, reporting
+//!   TTFT/TPOT/tokens-per-second. Both emit per-request
+//!   [`RequestRecord`]s whose latency decomposes *exactly* into queue +
+//!   warm-up + service + memory stall, and an aggregate [`FleetReport`]
+//!   (throughput, per-NPU utilization, p50/p95/p99/p99.9, queue depth
+//!   over time, drop/timeout counts).
 //!
 //! A [`tandem_trace::TraceSink`] threads through
 //! [`Fleet::serve_traced`], so a whole fleet run renders in Perfetto —
@@ -72,6 +78,7 @@
 
 mod engine;
 mod events;
+mod lanes;
 pub mod llm;
 mod memory;
 mod policy;

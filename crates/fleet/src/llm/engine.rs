@@ -12,30 +12,33 @@
 //! distinguishes continuous batching from the static baseline that
 //! drains each batch fully before forming the next.
 //!
-//! Costs come from the [`DecodeModel`]'s cycle-oracle tables, batch
-//! scaling reuses the fleet's sub-linear batch-service model
-//! ([`FleetConfig::batch_marginal`]), and when a shared HBM budget is
-//! configured each iteration's DRAM footprint (weights + the growing KV
-//! pages) becomes a bandwidth demand through the same
-//! [`MemorySystem`] max-min fair allocator the whole-graph engine uses
-//! — completions are generation-stamped and rescheduled whenever the
-//! set of serving NPUs changes. Per-request accounting keeps the fleet
-//! invariant exact: `latency == queue + warmup + service + mem_stall`
-//! for every completed request (prefill and KV re-warm charges count as
-//! warm-up; the decode share of each iteration counts as service).
+//! Costs come from the [`DecodeModel`]'s cycle-oracle tables and batch
+//! scaling uses the fleet's sub-linear batch-service law
+//! ([`FleetConfig::batch_marginal`]). Like the whole-graph engine, this
+//! one is a policy over the shared serving core: each iteration runs on
+//! its NPU's lane in [`crate::lanes::ServiceLanes`], which, when a
+//! shared HBM budget is configured, turns the iteration's DRAM
+//! footprint (weights + the growing KV pages) into a bandwidth demand
+//! from iteration start (prefill included) and reschedules the
+//! iteration boundary whenever the set of serving NPUs changes.
+//! Completed requests go through the shared report builder
+//! ([`crate::report::Tally`]), which keeps the fleet invariant exact:
+//! `latency == queue + warmup + service + mem_stall` for every
+//! completed request (prefill and KV re-warm charges count as warm-up;
+//! the decode share of each iteration counts as service). TTFT and TPOT
+//! accumulate next to it.
 
 use crate::engine::FleetConfig;
 use crate::events::EventQueue;
+use crate::lanes::{batch_scaled, ServiceLanes};
 use crate::llm::model::DecodeModel;
 use crate::llm::workload::LlmRequest;
-use crate::memory::{eta_ns, Allocation, BandwidthDemand, MemorySystem};
-use crate::report::{
-    FleetReport, LatencyStats, LlmRecord, LlmStats, ModelStats, NpuUsage, RequestRecord,
-};
-use crate::stats::LatencySketch;
+use crate::memory::{BandwidthDemand, MemorySystem};
+use crate::report::{FleetReport, LlmRecord, LlmStats, RequestRecord, Tally};
+use crate::stats::LatencyAccumulator;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::mem;
-use tandem_npu::ExecStats;
 use tandem_trace::{fleet as spans, NullSink, TraceSink};
 
 /// The batching discipline of an LLM serving run.
@@ -106,8 +109,8 @@ impl LlmConfig {
 
 /// Event kinds, ordered within one timestamp by issue sequence.
 const EV_ARRIVAL: u8 = 0;
-/// An iteration boundary on one NPU. Generation-stamped
-/// (`gen · n_npus + npu`): contention reallocations supersede the
+/// An iteration boundary on one NPU. Stamped (see
+/// [`ServiceLanes::live`]): contention reallocations supersede the
 /// scheduled boundary, and stale pops are discarded.
 const EV_STEP: u8 = 1;
 /// Static-mode batch-window expiry poke.
@@ -139,9 +142,10 @@ impl Member {
     }
 }
 
-/// Per-NPU serving lane: the running batch plus the in-flight iteration.
+/// Per-NPU batch state: the running members plus what the in-flight
+/// iteration ran. Its timing lives in the NPU's service lane.
 #[derive(Debug, Default)]
-struct Lane {
+struct Batch {
     members: Vec<Member>,
     /// Per-member warm-up charge of the current iteration (own solo
     /// prefill + own re-warm), parallel to `members`.
@@ -149,30 +153,18 @@ struct Lane {
     /// Preempted requests parked on their home NPU (KV locality: the
     /// persisted pages live in this member's DRAM).
     paused: VecDeque<Member>,
-    busy: bool,
     /// Static mode: the formed batch size decode steps stay scaled by.
     static_k: usize,
     /// A batch-window poke is already in the heap.
     poke_armed: bool,
     // --- current iteration ---
-    start_ns: u64,
-    /// Nominal (uncontended) iteration length.
-    nominal_ns: u64,
     prefills: u64,
     decodes: u64,
     max_ctx: u64,
-    /// Generation stamped into the scheduled `EV_STEP`.
-    gen: u64,
-    /// Progress through the nominal iteration, in nominal nanoseconds.
-    progress: f64,
-    accrued_ns: u64,
-    rate: f64,
-    eta_ns: u64,
-    demand: BandwidthDemand,
 }
 
 /// Per-request running accounts (indexed by request).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Acct {
     /// When the request last became waiting (arrival or preemption).
     wait_since: u64,
@@ -180,22 +172,9 @@ struct Acct {
     warmup_ns: u64,
     service_ns: u64,
     stall_ns: u64,
-    first_token_ns: u64,
+    /// When its first token came out of the prompt pass.
+    first_token_ns: Option<u64>,
     preemptions: u32,
-}
-
-impl Default for Acct {
-    fn default() -> Self {
-        Acct {
-            wait_since: 0,
-            queue_ns: 0,
-            warmup_ns: 0,
-            service_ns: 0,
-            stall_ns: 0,
-            first_token_ns: u64::MAX,
-            preemptions: 0,
-        }
-    }
 }
 
 /// An LLM-serving fleet: a configuration bound to prebuilt
@@ -213,46 +192,28 @@ struct Sim<'a> {
     reqs: &'a [LlmRequest],
     /// Per-class display names (`…:interactive`, `…:batch`).
     class_names: [String; 2],
-    n_npus: usize,
     events: EventQueue,
-    lanes: Vec<Lane>,
+    /// Per-NPU iteration timing over the shared memory system.
+    lanes: ServiceLanes,
+    batches: Vec<Batch>,
     acct: Vec<Acct>,
     /// Latency-critical waiting queue (continuous modes only).
     wait_lat: VecDeque<u32>,
     /// Throughput-class waiting queue (every arrival in static mode).
     wait_batch: VecDeque<u32>,
-    mem: MemorySystem,
-    gen: u64,
-    usage: Vec<NpuUsage>,
-    /// Waiting requests (fresh + paused).
-    depth: u64,
-    peak_depth: u64,
-    depth_samples: Vec<(u64, u64)>,
-    makespan_ns: u64,
     arrived: u64,
-    completed: u64,
-    retain: bool,
-    records: Vec<RequestRecord>,
+    /// Waiting requests (fresh + paused) are `tally.depth`; classes are
+    /// its latency groups.
+    tally: Tally,
     llm: LlmStats,
-    ttfts: Vec<u64>,
-    tpots: Vec<u64>,
-    lat_sketch: LatencySketch,
-    queue_sketch: LatencySketch,
-    stall_sketch: LatencySketch,
-    ttft_sketch: LatencySketch,
-    tpot_sketch: LatencySketch,
-    class_sketches: [LatencySketch; 2],
-    serving_buf: Vec<Option<BandwidthDemand>>,
-    alloc_buf: Allocation,
+    ttft: LatencyAccumulator,
+    tpot: LatencyAccumulator,
 }
 
 impl Sim<'_> {
-    fn sample_depth(&mut self, at: u64) {
-        self.peak_depth = self.peak_depth.max(self.depth);
-        if self.retain && self.depth_samples.last().map(|&(t, d)| (t, d)) != Some((at, self.depth))
-        {
-            self.depth_samples.push((at, self.depth));
-        }
+    /// Whether lane `n` is between iterations with nobody running.
+    fn vacant(&self, n: usize) -> bool {
+        !self.lanes.serving(n) && self.batches[n].members.is_empty()
     }
 
     /// Books the queueing interval that ends with this admission.
@@ -273,19 +234,17 @@ impl Sim<'_> {
             _ if r.latency_class => self.wait_lat.push_back(idx),
             _ => self.wait_batch.push_back(idx),
         }
-        self.depth += 1;
-        self.sample_depth(now);
-        spans::queue_depth(sink, now, self.depth);
-        for n in 0..self.n_npus {
-            if !self.lanes[n].busy && self.lanes[n].members.is_empty() {
-                match self.cfg.mode {
-                    LlmMode::Static => self.try_start_static(n, now, sink),
-                    _ => {
-                        if self.admit(n, now, sink) {
-                            self.begin_iteration(n, now, sink);
-                        }
-                    }
-                }
+        self.tally.depth += 1;
+        self.tally.sample_depth(now);
+        spans::queue_depth(sink, now, self.tally.depth);
+        for n in 0..self.batches.len() {
+            if !self.vacant(n) {
+                continue;
+            }
+            if self.cfg.mode == LlmMode::Static {
+                self.try_start_static(n, now, sink);
+            } else if self.admit(n, now, sink) {
+                self.begin_iteration(n, now, sink);
             }
         }
     }
@@ -296,10 +255,10 @@ impl Sim<'_> {
     /// joined.
     fn admit(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) -> bool {
         let mut any = false;
-        while self.lanes[n].members.len() < self.cfg.fleet.max_batch {
+        while self.batches[n].members.len() < self.cfg.fleet.max_batch {
             let member = if let Some(idx) = self.wait_lat.pop_front() {
                 Member::fresh(idx)
-            } else if let Some(mut m) = self.lanes[n].paused.pop_front() {
+            } else if let Some(mut m) = self.batches[n].paused.pop_front() {
                 let r = self.reqs[m.idx as usize];
                 let cache = r.prompt_tokens + m.tokens as usize;
                 m.rewarm_blocks = (cache / self.model.block_tokens()).max(1) as u32;
@@ -312,13 +271,13 @@ impl Sim<'_> {
                 break;
             };
             self.note_join(member.idx, now);
-            self.lanes[n].members.push(member);
-            self.depth -= 1;
+            self.batches[n].members.push(member);
+            self.tally.depth -= 1;
             any = true;
         }
         if any {
-            self.sample_depth(now);
-            spans::queue_depth(sink, now, self.depth);
+            self.tally.sample_depth(now);
+            spans::queue_depth(sink, now, self.tally.depth);
         }
         any
     }
@@ -326,7 +285,7 @@ impl Sim<'_> {
     /// Static-mode batch formation: start only when the queue can fill
     /// the batch or the head has out-waited the window.
     fn try_start_static(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        if self.lanes[n].busy || !self.lanes[n].members.is_empty() {
+        if !self.vacant(n) {
             return;
         }
         let qlen = self.wait_batch.len();
@@ -342,8 +301,8 @@ impl Sim<'_> {
             if now >= deadline {
                 qlen
             } else {
-                if !self.lanes[n].poke_armed {
-                    self.lanes[n].poke_armed = true;
+                if !self.batches[n].poke_armed {
+                    self.batches[n].poke_armed = true;
                     self.events.push(deadline.max(now + 1), EV_POKE, n as u64);
                 }
                 return;
@@ -352,12 +311,12 @@ impl Sim<'_> {
         for _ in 0..take {
             let idx = self.wait_batch.pop_front().expect("sized above");
             self.note_join(idx, now);
-            self.lanes[n].members.push(Member::fresh(idx));
-            self.depth -= 1;
+            self.batches[n].members.push(Member::fresh(idx));
+            self.tally.depth -= 1;
         }
-        self.lanes[n].static_k = take;
-        self.sample_depth(now);
-        spans::queue_depth(sink, now, self.depth);
+        self.batches[n].static_k = take;
+        self.tally.sample_depth(now);
+        spans::queue_depth(sink, now, self.tally.depth);
         self.begin_iteration(n, now, sink);
     }
 
@@ -366,9 +325,8 @@ impl Sim<'_> {
     /// any resume re-warms; charges the per-NPU usage and, under
     /// contention, registers the iteration's bandwidth demand.
     fn begin_iteration(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        let marginal = self.cfg.fleet.batch_marginal;
-        let mut members = mem::take(&mut self.lanes[n].members);
-        let mut warm = mem::take(&mut self.lanes[n].warm_charge);
+        let mut members = mem::take(&mut self.batches[n].members);
+        let mut warm = mem::take(&mut self.batches[n].warm_charge);
         warm.clear();
         let (mut k_p, mut k_d) = (0u64, 0u64);
         let (mut prefill_max, mut decode_max) = (0u64, 0u64);
@@ -400,38 +358,25 @@ impl Sim<'_> {
             }
             warm.push(w);
         }
-        let scale = |solo: u64, k: u64| {
-            if solo == 0 || k == 0 {
-                0
-            } else {
-                solo + ((k - 1) as f64 * marginal * solo as f64).round() as u64
-            }
-        };
         // Static batching pays for the formed batch size even after
         // members finished — the padding cost continuous batching avoids.
         let k_decode = match self.cfg.mode {
-            LlmMode::Static => (self.lanes[n].static_k as u64).max(k_d),
+            LlmMode::Static => (self.batches[n].static_k as u64).max(k_d),
             _ => k_d,
         };
-        let decode_part = scale(decode_max, k_decode);
-        let prefill_part = scale(prefill_max, k_p);
+        let marginal = self.cfg.fleet.batch_marginal;
+        let decode_part = batch_scaled(decode_max, k_decode, marginal);
+        let prefill_part = batch_scaled(prefill_max, k_p, marginal);
         let nominal = (prefill_part + decode_part + rewarm_total).max(1);
         let batch = members.len();
-        let lane = &mut self.lanes[n];
-        lane.members = members;
-        lane.warm_charge = warm;
-        lane.busy = true;
-        lane.start_ns = now;
-        lane.nominal_ns = nominal;
-        lane.prefills = k_p;
-        lane.decodes = k_d;
-        lane.max_ctx = max_ctx;
-        lane.progress = 0.0;
-        lane.accrued_ns = now;
-        lane.rate = 1.0;
-        lane.eta_ns = u64::MAX;
-        let contended = self.mem.enabled();
-        let u = &mut self.usage[n];
+        let b = &mut self.batches[n];
+        b.members = members;
+        b.warm_charge = warm;
+        b.prefills = k_p;
+        b.decodes = k_d;
+        b.max_ctx = max_ctx;
+        let contended = self.lanes.mem().enabled();
+        let u = &mut self.tally.usage[n];
         u.batches += 1;
         u.warmups += k_p;
         u.warmup_ns += prefill_part + rewarm_total;
@@ -441,71 +386,15 @@ impl Sim<'_> {
         self.llm.prefills += k_p;
         self.llm.max_batch_seen = self.llm.max_batch_seen.max(batch as u64);
         if contended {
-            self.lanes[n].demand = self.mem.demand(n, bytes, nominal);
-            self.reallocate(now, sink);
+            let demand = self.lanes.mem().demand(n, bytes, nominal);
+            self.lanes.begin(n, now, nominal, demand);
+            self.lanes.reallocate(now, EV_STEP, &mut self.events, sink);
         } else {
-            self.gen += 1;
-            self.lanes[n].gen = self.gen;
-            self.lanes[n].eta_ns = now + nominal;
-            self.events.push(
-                now + nominal,
-                EV_STEP,
-                self.gen * self.n_npus as u64 + n as u64,
-            );
+            self.lanes
+                .begin(n, now, nominal, BandwidthDemand::default());
+            self.lanes
+                .schedule(n, now + nominal, EV_STEP, &mut self.events);
         }
-    }
-
-    /// Recomputes the fair-share allocation and every busy lane's
-    /// iteration-boundary time — the same piecewise-constant-rate
-    /// machinery as the whole-graph engine, with the iteration as the
-    /// reschedulable unit.
-    fn reallocate(&mut self, now: u64, sink: &mut dyn TraceSink) {
-        let n_npus = self.n_npus;
-        for i in 0..n_npus {
-            if self.lanes[i].busy {
-                let l = &mut self.lanes[i];
-                l.progress += (now - l.accrued_ns) as f64 * l.rate;
-                l.accrued_ns = now;
-            }
-        }
-        let mut serving = mem::take(&mut self.serving_buf);
-        serving.clear();
-        serving.extend((0..n_npus).map(|i| self.lanes[i].busy.then(|| self.lanes[i].demand)));
-        let mut alloc = mem::take(&mut self.alloc_buf);
-        self.mem.allocate_into(&serving, &mut alloc);
-        for i in 0..n_npus {
-            if !self.lanes[i].busy {
-                continue;
-            }
-            self.lanes[i].rate = alloc.rates[i];
-            let remaining = self.lanes[i].nominal_ns as f64 - self.lanes[i].progress;
-            let eta = eta_ns(now, remaining, self.lanes[i].rate);
-            // Physics floor: contention can only push an iteration
-            // boundary past its nominal end, never before it.
-            let eta = eta.max(self.lanes[i].start_ns + self.lanes[i].nominal_ns);
-            if self.lanes[i].eta_ns == eta {
-                continue; // the already-scheduled event still stands
-            }
-            self.lanes[i].eta_ns = eta;
-            self.gen += 1;
-            self.lanes[i].gen = self.gen;
-            self.events
-                .push(eta, EV_STEP, self.gen * n_npus as u64 + i as u64);
-        }
-        if sink.enabled() {
-            let cgbps = |g: f64| (g * 100.0).round() as u64;
-            spans::hbm_bandwidth(
-                sink,
-                now,
-                cgbps(alloc.demand_gbps),
-                cgbps(alloc.granted_gbps),
-            );
-            if alloc.throttled > 0 {
-                spans::hbm_throttle(sink, now, alloc.throttled as u64);
-            }
-        }
-        self.serving_buf = serving;
-        self.alloc_buf = alloc;
     }
 
     /// Ends lane `n`'s iteration at `now`: accounts every member's
@@ -513,13 +402,11 @@ impl Sim<'_> {
     /// preempts/admits per the mode, and immediately launches the next
     /// iteration if members remain.
     fn end_iteration(&mut self, n: usize, now: u64, sink: &mut dyn TraceSink) {
-        let (start, nominal, k_p, k_d, max_ctx) = {
-            let l = &self.lanes[n];
-            (l.start_ns, l.nominal_ns, l.prefills, l.decodes, l.max_ctx)
-        };
-        let stall = now - (start + nominal);
-        self.usage[n].mem_stall_ns += stall;
-        let batch = self.lanes[n].members.len();
+        let stall = self.lanes.end(n, now);
+        let (start, nominal) = (self.lanes.start_ns(n), self.lanes.nominal_ns(n));
+        let b = &self.batches[n];
+        let (k_p, k_d, max_ctx, batch) = (b.prefills, b.decodes, b.max_ctx, b.members.len());
+        self.tally.usage[n].mem_stall_ns += stall;
         spans::llm_step_span(
             sink,
             n as u16,
@@ -531,8 +418,8 @@ impl Sim<'_> {
             k_d,
             max_ctx,
         );
-        let mut members = mem::take(&mut self.lanes[n].members);
-        let warm = mem::take(&mut self.lanes[n].warm_charge);
+        let mut members = mem::take(&mut self.batches[n].members);
+        let warm = mem::take(&mut self.batches[n].warm_charge);
         debug_assert_eq!(members.len(), warm.len());
         for (m, &w) in members.iter_mut().zip(&warm) {
             let a = &mut self.acct[m.idx as usize];
@@ -545,7 +432,7 @@ impl Sim<'_> {
                 // The prompt pass yields the first generated token.
                 m.prefilled = true;
                 m.tokens = 1;
-                a.first_token_ns = now;
+                a.first_token_ns = Some(now);
             }
             self.llm.tokens_out += 1;
         }
@@ -563,34 +450,25 @@ impl Sim<'_> {
             }
         }
         members.truncate(w);
-        self.lanes[n].members = members;
-        self.lanes[n].warm_charge = warm;
-        self.lanes[n].busy = false;
-        self.makespan_ns = self.makespan_ns.max(now);
-        match self.cfg.mode {
-            LlmMode::Static => {
-                // No joins mid-flight: drain fully, then form anew.
-                if self.lanes[n].members.is_empty() {
-                    if self.mem.enabled() {
-                        self.reallocate(now, sink);
-                    }
-                    self.try_start_static(n, now, sink);
-                } else {
-                    self.begin_iteration(n, now, sink);
-                }
+        self.batches[n].members = members;
+        self.batches[n].warm_charge = warm;
+        // Continuous modes admit between iterations; static batching
+        // has no joins mid-flight: it drains fully, then forms anew.
+        let mode = self.cfg.mode;
+        if mode == LlmMode::Preemptive {
+            self.preempt(n, now, sink);
+        }
+        if mode != LlmMode::Static {
+            self.admit(n, now, sink);
+        }
+        if !self.batches[n].members.is_empty() {
+            self.begin_iteration(n, now, sink);
+        } else {
+            if self.lanes.mem().enabled() {
+                self.lanes.reallocate(now, EV_STEP, &mut self.events, sink);
             }
-            mode => {
-                if mode == LlmMode::Preemptive {
-                    self.preempt(n, now, sink);
-                }
-                self.admit(n, now, sink);
-                if self.lanes[n].members.is_empty() {
-                    if self.mem.enabled() {
-                        self.reallocate(now, sink);
-                    }
-                } else {
-                    self.begin_iteration(n, now, sink);
-                }
+            if mode == LlmMode::Static {
+                self.try_start_static(n, now, sink);
             }
         }
         // Membership conservation at every step boundary: every issued
@@ -598,12 +476,12 @@ impl Sim<'_> {
         // paused) / running.
         debug_assert_eq!(
             self.arrived,
-            self.completed
-                + self.depth
+            self.tally.completed
+                + self.tally.depth
                 + self
-                    .lanes
+                    .batches
                     .iter()
-                    .map(|l| l.members.len() as u64)
+                    .map(|b| b.members.len() as u64)
                     .sum::<u64>()
         );
     }
@@ -617,56 +495,54 @@ impl Sim<'_> {
             return;
         }
         let block = self.model.block_tokens();
-        let free = self.cfg.fleet.max_batch - self.lanes[n].members.len();
+        let free = self.cfg.fleet.max_batch - self.batches[n].members.len();
         let mut need = self.wait_lat.len().saturating_sub(free);
         let mut any = false;
         while need > 0 {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, m) in self.lanes[n].members.iter().enumerate() {
-                let r = &self.reqs[m.idx as usize];
-                if r.latency_class || !m.prefilled {
-                    continue;
-                }
-                if !(r.prompt_tokens + m.tokens as usize).is_multiple_of(block) {
-                    continue; // checkpoints land on block boundaries only
-                }
-                let remaining = r.output_tokens - m.tokens as usize;
-                let better = match best {
-                    None => true,
-                    Some((_, br)) => remaining > br,
-                };
-                if better {
-                    best = Some((i, remaining));
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let m = self.lanes[n].members.remove(i);
+            // Batch-class, prefilled, on a block boundary (checkpoints
+            // land there only); the first of the largest remaining
+            // budgets wins.
+            let reqs = self.reqs;
+            let victim = self.batches[n]
+                .members
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| {
+                    let r = &reqs[m.idx as usize];
+                    !r.latency_class
+                        && m.prefilled
+                        && (r.prompt_tokens + m.tokens as usize).is_multiple_of(block)
+                })
+                .min_by_key(|(_, m)| {
+                    Reverse(reqs[m.idx as usize].output_tokens - m.tokens as usize)
+                });
+            let Some((i, _)) = victim else { break };
+            let m = self.batches[n].members.remove(i);
             let r = self.reqs[m.idx as usize];
             let a = &mut self.acct[m.idx as usize];
             a.preemptions += 1;
             a.wait_since = now;
             self.llm.preemptions += 1;
-            self.depth += 1;
+            self.tally.depth += 1;
             spans::preempt_marker(sink, n as u16, now, r.id, m.tokens as u64);
-            self.lanes[n].paused.push_back(m);
+            self.batches[n].paused.push_back(m);
             need -= 1;
             any = true;
         }
         if any {
-            self.sample_depth(now);
-            spans::queue_depth(sink, now, self.depth);
+            self.tally.sample_depth(now);
+            spans::queue_depth(sink, now, self.tally.depth);
         }
     }
 
-    /// Banks one completed request into the records/sketches and the
-    /// LLM accounting.
+    /// Banks one completed request into the tally and the LLM
+    /// accounting.
     fn finish_member(&mut self, m: Member, n: usize, batch: usize, now: u64) {
         let r = self.reqs[m.idx as usize];
         let a = self.acct[m.idx as usize];
-        let class = usize::from(!r.latency_class);
-        let rec = RequestRecord {
+        self.tally.record(RequestRecord {
             id: r.id,
-            model: class,
+            model: usize::from(!r.latency_class),
             npu: n,
             batch,
             arrival_ns: r.arrival_ns,
@@ -675,23 +551,16 @@ impl Sim<'_> {
             service_ns: a.service_ns,
             mem_stall_ns: a.stall_ns,
             completion_ns: now,
-        };
-        // The fleet-wide contract: latency decomposes exactly.
-        debug_assert_eq!(
-            rec.latency_ns(),
-            rec.queue_ns + rec.warmup_ns + rec.service_ns + rec.mem_stall_ns
-        );
-        debug_assert_ne!(a.first_token_ns, u64::MAX);
-        let ttft = a.first_token_ns - r.arrival_ns;
-        self.completed += 1;
-        self.usage[n].served += 1;
-        if self.retain {
-            self.records.push(rec);
-            self.ttfts.push(ttft);
-            if m.tokens >= 2 {
-                self.tpots
-                    .push((now - a.first_token_ns) / (m.tokens as u64 - 1));
-            }
+        });
+        let first = a
+            .first_token_ns
+            .expect("a finished request emitted a token");
+        let ttft = first - r.arrival_ns;
+        self.ttft.record(ttft);
+        if m.tokens >= 2 {
+            self.tpot.record((now - first) / (m.tokens as u64 - 1));
+        }
+        if self.tally.retain {
             self.llm.per_request.push(LlmRecord {
                 id: r.id,
                 ttft_ns: ttft,
@@ -699,17 +568,6 @@ impl Sim<'_> {
                 preemptions: a.preemptions,
                 latency_class: r.latency_class,
             });
-        } else {
-            let lat = rec.latency_ns();
-            self.lat_sketch.record(lat);
-            self.queue_sketch.record(rec.queue_ns);
-            self.stall_sketch.record(rec.mem_stall_ns);
-            self.class_sketches[class].record(lat);
-            self.ttft_sketch.record(ttft);
-            if m.tokens >= 2 {
-                self.tpot_sketch
-                    .record((now - a.first_token_ns) / (m.tokens as u64 - 1));
-            }
         }
     }
 }
@@ -718,8 +576,7 @@ impl<'a> LlmFleet<'a> {
     /// Binds `cfg` to prebuilt decode tables. The tables must cover the
     /// fleet: one row per member, matching configurations.
     pub fn new(cfg: LlmConfig, model: &'a DecodeModel) -> Self {
-        assert!(!cfg.fleet.npus.is_empty(), "a fleet needs at least one NPU");
-        assert!(cfg.fleet.max_batch >= 1, "max_batch must be at least 1");
+        cfg.fleet.validate();
         assert!(
             model.npu_cfgs().len() >= cfg.fleet.npus.len(),
             "decode tables cover fewer NPUs than the fleet has"
@@ -769,34 +626,17 @@ impl<'a> LlmFleet<'a> {
                 format!("{}:interactive", self.model.name()),
                 format!("{}:batch", self.model.name()),
             ],
-            n_npus,
             events: EventQueue::with_reserved_seqs(requests.len() as u64),
-            lanes: (0..n_npus).map(|_| Lane::default()).collect(),
+            lanes: ServiceLanes::new(n_npus, MemorySystem::new(&self.cfg.fleet)),
+            batches: (0..n_npus).map(|_| Batch::default()).collect(),
             acct: vec![Acct::default(); requests.len()],
             wait_lat: VecDeque::new(),
             wait_batch: VecDeque::new(),
-            mem: MemorySystem::new(&self.cfg.fleet),
-            gen: 0,
-            usage: vec![NpuUsage::default(); n_npus],
-            depth: 0,
-            peak_depth: 0,
-            depth_samples: Vec::new(),
-            makespan_ns: 0,
             arrived: 0,
-            completed: 0,
-            retain,
-            records: Vec::new(),
+            tally: Tally::new(retain, n_npus, 2, None),
             llm: LlmStats::default(),
-            ttfts: Vec::new(),
-            tpots: Vec::new(),
-            lat_sketch: LatencySketch::new(),
-            queue_sketch: LatencySketch::new(),
-            stall_sketch: LatencySketch::new(),
-            ttft_sketch: LatencySketch::new(),
-            tpot_sketch: LatencySketch::new(),
-            class_sketches: [LatencySketch::new(), LatencySketch::new()],
-            serving_buf: Vec::new(),
-            alloc_buf: Allocation::default(),
+            ttft: LatencyAccumulator::new(retain),
+            tpot: LatencyAccumulator::new(retain),
         };
         // Arrivals carry reserved sequences 1..=n (issue order), so
         // event order matches a heap seeded with the whole trace.
@@ -807,21 +647,19 @@ impl<'a> LlmFleet<'a> {
         while let Some((now, kind, payload)) = sim.events.pop() {
             match kind {
                 EV_ARRIVAL => {
-                    sim.makespan_ns = sim.makespan_ns.max(now);
+                    sim.tally.advance(now);
                     sim.on_arrival(payload as u32, now, sink);
                 }
                 EV_STEP => {
-                    let n = (payload % n_npus as u64) as usize;
-                    let gen = payload / n_npus as u64;
-                    if sim.lanes[n].busy && sim.lanes[n].gen == gen {
-                        sim.makespan_ns = sim.makespan_ns.max(now);
+                    if let Some(n) = sim.lanes.live(payload) {
+                        sim.tally.advance(now);
                         sim.end_iteration(n, now, sink);
                     }
                 }
                 EV_POKE => {
                     let n = payload as usize;
-                    sim.lanes[n].poke_armed = false;
-                    if !sim.lanes[n].busy && sim.lanes[n].members.is_empty() {
+                    sim.batches[n].poke_armed = false;
+                    if sim.vacant(n) {
                         sim.try_start_static(n, now, sink);
                     }
                 }
@@ -829,94 +667,26 @@ impl<'a> LlmFleet<'a> {
             }
         }
         assert_eq!(
-            sim.completed,
+            sim.tally.completed,
             requests.len() as u64,
             "every LLM request must complete"
         );
-
-        let mut records = sim.records;
         let mut llm = sim.llm;
-        let (latency, queue, mem_stall, per_model) = if retain {
-            records.sort_by_key(|r| r.id);
-            llm.per_request.sort_by_key(|r| r.id);
-            let mut latencies: Vec<u64> = records.iter().map(|r| r.latency_ns()).collect();
-            latencies.sort_unstable();
-            let mut queues: Vec<u64> = records.iter().map(|r| r.queue_ns).collect();
-            queues.sort_unstable();
-            let mut stalls: Vec<u64> = records.iter().map(|r| r.mem_stall_ns).collect();
-            stalls.sort_unstable();
-            sim.ttfts.sort_unstable();
-            sim.tpots.sort_unstable();
-            llm.ttft = LatencyStats::from_sorted(&sim.ttfts);
-            llm.tpot = LatencyStats::from_sorted(&sim.tpots);
-            let per_model: Vec<ModelStats> = (0..2)
-                .filter_map(|class| {
-                    let mut lat: Vec<u64> = records
-                        .iter()
-                        .filter(|r| r.model == class)
-                        .map(|r| r.latency_ns())
-                        .collect();
-                    if lat.is_empty() {
-                        return None;
-                    }
-                    lat.sort_unstable();
-                    Some(ModelStats {
-                        model: class,
-                        name: sim.class_names[class].clone(),
-                        latency: LatencyStats::from_sorted(&lat),
-                    })
-                })
-                .collect();
-            (
-                LatencyStats::from_sorted(&latencies),
-                LatencyStats::from_sorted(&queues),
-                LatencyStats::from_sorted(&stalls),
-                per_model,
-            )
-        } else {
-            llm.ttft = LatencyStats::from_sketch(&sim.ttft_sketch);
-            llm.tpot = LatencyStats::from_sketch(&sim.tpot_sketch);
-            let per_model: Vec<ModelStats> = sim
-                .class_sketches
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.count() > 0)
-                .map(|(class, s)| ModelStats {
-                    model: class,
-                    name: sim.class_names[class].clone(),
-                    latency: LatencyStats::from_sketch(s),
-                })
-                .collect();
-            (
-                LatencyStats::from_sketch(&sim.lat_sketch),
-                LatencyStats::from_sketch(&sim.queue_sketch),
-                LatencyStats::from_sketch(&sim.stall_sketch),
-                per_model,
-            )
-        };
-        FleetReport {
-            policy: self.cfg.mode.name().to_string(),
-            fleet_size: n_npus,
-            offered: requests.len() as u64,
-            completed: sim.completed,
-            dropped: 0,
-            timed_out: 0,
-            makespan_ns: sim.makespan_ns,
-            latency,
-            queue,
-            hbm_gbps: sim.mem.budget_gbps(),
-            mem_stall,
-            peak_queue_depth: sim.peak_depth,
-            queue_depth_samples: sim.depth_samples,
-            rollup_window_ns: None,
-            rollups: Vec::new(),
-            per_npu: sim.usage,
-            per_model,
-            records,
-            llm: Some(llm),
-            // The cycle-model work was paid (and is accounted) at
-            // DecodeModel::build time; serving replays the tables.
-            stats: ExecStats::default(),
-        }
+        llm.ttft = sim.ttft.finish();
+        llm.tpot = sim.tpot.finish();
+        llm.per_request.sort_by_key(|r| r.id);
+        let hbm_gbps = sim.lanes.mem().budget_gbps();
+        let names = sim.class_names;
+        let mut report = sim.tally.finish(
+            self.cfg.mode.name(),
+            requests.len() as u64,
+            hbm_gbps,
+            |class| names[class].clone(),
+        );
+        report.llm = Some(llm);
+        // The cycle-model work was paid (and is accounted) at
+        // DecodeModel::build time; serving replays the tables, so
+        // `stats` stays default.
+        report
     }
 }

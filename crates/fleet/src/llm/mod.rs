@@ -16,9 +16,13 @@
 //!   (workload.rs).
 //! * [`LlmFleet`] with [`LlmMode`] — the iteration-level engine:
 //!   static batching baseline, Orca-style continuous batching, and
-//!   continuous + block-boundary checkpoint/restore preemption; exact
-//!   per-request latency decomposition and TTFT / tokens-per-second
-//!   accounting into [`crate::FleetReport::llm`] (engine.rs).
+//!   continuous + block-boundary checkpoint/restore preemption
+//!   (engine.rs). It is a batching policy over the crate's shared
+//!   serving core: iterations run on the same per-NPU service lanes,
+//!   HBM contention and stale-event rules as whole-graph dispatches,
+//!   and completed requests go through the same report builder, which
+//!   keeps the exact per-request latency decomposition; TTFT / TPOT /
+//!   tokens-per-second accounting lands in [`crate::FleetReport::llm`].
 //! * [`llm_sweep`] / [`render_llm_serve_json`] — the mode × fleet-size
 //!   grid and the byte-deterministic `SERVE_LLM.json` document
 //!   (sweep.rs).

@@ -163,11 +163,12 @@ pub(crate) const HORIZON_NS: u64 = u64::MAX / 4;
 
 /// When work with `remaining_ns` of nominal service left, progressing at
 /// `rate` (nominal ns per virtual ns) from `now`, completes:
-/// `now + ⌈remaining_ns / rate⌉`. The checked form of that sum, shared by
-/// both serving engines: as a budget shrinks toward zero the fair-share
-/// rate does too, and the quotient outgrows `u64`. Such a completion
+/// `now + ⌈remaining_ns / rate⌉`. The checked form of that sum, used by
+/// [`crate::lanes::ServiceLanes::reallocate`] for both serving engines:
+/// as a budget shrinks toward zero the fair-share rate does too, and the
+/// quotient outgrows `u64`. Such a completion
 /// lands at [`HORIZON_NS`] instead, or at `now` once the clock has passed
-/// it; the callers' physics floor (never before the nominal end) then
+/// it; the caller's physics floor (never before the nominal end) then
 /// applies as usual, so virtual time never overflows and the latency
 /// identity holds exactly.
 pub(crate) fn eta_ns(now: u64, remaining_ns: f64, rate: f64) -> u64 {

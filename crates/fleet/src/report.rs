@@ -1,6 +1,6 @@
 //! Per-request records and the aggregate fleet report.
 
-use crate::stats::{nearest_rank, LatencySketch, RollupWindow};
+use crate::stats::{nearest_rank, LatencyAccumulator, LatencySketch, RollupWindow, Rollups};
 use std::fmt::Write as _;
 use tandem_npu::ExecStats;
 
@@ -470,6 +470,147 @@ impl FleetReport {
         }
         out.push('}');
         out
+    }
+}
+
+/// The one report builder both serving engines account into: every
+/// completed request goes through [`Tally::record`], every queue-depth
+/// change through [`Tally::sample_depth`], and [`Tally::finish`]
+/// assembles the [`FleetReport`]. Each distribution is a
+/// [`LatencyAccumulator`], so retained runs report exact nearest-rank
+/// percentiles and streaming runs read them off sketches — one code
+/// path either way.
+#[derive(Debug)]
+pub(crate) struct Tally {
+    /// Whether per-request detail is retained.
+    pub(crate) retain: bool,
+    pub(crate) completed: u64,
+    pub(crate) dropped: u64,
+    pub(crate) timed_out: u64,
+    latency: LatencyAccumulator,
+    queue: LatencyAccumulator,
+    stall: LatencyAccumulator,
+    /// Latency per group: catalog model (whole-graph) or class (LLM).
+    per_group: Vec<LatencyAccumulator>,
+    /// Completed requests, kept only when retaining.
+    records: Vec<RequestRecord>,
+    /// Requests waiting right now.
+    pub(crate) depth: u64,
+    peak_depth: u64,
+    /// One sample per depth change, kept only when retaining.
+    depth_samples: Vec<(u64, u64)>,
+    pub(crate) rollups: Option<Rollups>,
+    makespan_ns: u64,
+    pub(crate) usage: Vec<NpuUsage>,
+}
+
+impl Tally {
+    /// An empty tally over `npus` members and `groups` latency groups,
+    /// with rollups of `window_ns` windows when set.
+    pub(crate) fn new(retain: bool, npus: usize, groups: usize, window_ns: Option<u64>) -> Self {
+        Tally {
+            retain,
+            completed: 0,
+            dropped: 0,
+            timed_out: 0,
+            latency: LatencyAccumulator::new(retain),
+            queue: LatencyAccumulator::new(retain),
+            stall: LatencyAccumulator::new(retain),
+            per_group: (0..groups)
+                .map(|_| LatencyAccumulator::new(retain))
+                .collect(),
+            records: Vec::new(),
+            depth: 0,
+            peak_depth: 0,
+            depth_samples: Vec::new(),
+            rollups: window_ns.map(Rollups::new),
+            makespan_ns: 0,
+            usage: vec![NpuUsage::default(); npus],
+        }
+    }
+
+    /// Extends the makespan to cover an event at `now`.
+    #[inline]
+    pub(crate) fn advance(&mut self, now: u64) {
+        self.makespan_ns = self.makespan_ns.max(now);
+    }
+
+    /// Banks one completed request; its group is `rec.model`.
+    #[inline]
+    pub(crate) fn record(&mut self, rec: RequestRecord) {
+        // The contract the report advertises: latency decomposes
+        // exactly into its components.
+        let lat = rec.latency_ns();
+        debug_assert_eq!(
+            lat,
+            rec.queue_ns + rec.warmup_ns + rec.service_ns + rec.mem_stall_ns
+        );
+        self.completed += 1;
+        self.usage[rec.npu].served += 1;
+        self.latency.record(lat);
+        self.queue.record(rec.queue_ns);
+        self.stall.record(rec.mem_stall_ns);
+        self.per_group[rec.model].record(lat);
+        if self.retain {
+            self.records.push(rec);
+        }
+    }
+
+    /// Notes the current depth at `at`: peak, rollup window, and (when
+    /// retaining) one sample per change.
+    pub(crate) fn sample_depth(&mut self, at: u64) {
+        self.peak_depth = self.peak_depth.max(self.depth);
+        if let Some(r) = &mut self.rollups {
+            r.on_depth(at, self.depth);
+        }
+        if self.retain && self.depth_samples.last() != Some(&(at, self.depth)) {
+            self.depth_samples.push((at, self.depth));
+        }
+    }
+
+    /// The report: records ascending by id, per-group stats for groups
+    /// that completed anything, named by `name`. `llm` and `stats` are
+    /// left for the engine to fill.
+    pub(crate) fn finish(
+        mut self,
+        policy: &str,
+        offered: u64,
+        hbm_gbps: Option<f64>,
+        name: impl Fn(usize) -> String,
+    ) -> FleetReport {
+        self.records.sort_by_key(|r| r.id);
+        FleetReport {
+            policy: policy.to_string(),
+            fleet_size: self.usage.len(),
+            offered,
+            completed: self.completed,
+            dropped: self.dropped,
+            timed_out: self.timed_out,
+            makespan_ns: self.makespan_ns,
+            latency: self.latency.finish(),
+            queue: self.queue.finish(),
+            hbm_gbps,
+            mem_stall: self.stall.finish(),
+            peak_queue_depth: self.peak_depth,
+            queue_depth_samples: self.depth_samples,
+            rollup_window_ns: self.rollups.as_ref().map(Rollups::window_ns),
+            rollups: self.rollups.map(Rollups::finish).unwrap_or_default(),
+            per_npu: self.usage,
+            per_model: self
+                .per_group
+                .into_iter()
+                .enumerate()
+                .filter(|(_, acc)| acc.count() > 0)
+                .map(|(m, acc)| ModelStats {
+                    model: m,
+                    name: name(m),
+                    latency: acc.finish(),
+                })
+                .collect(),
+            records: self.records,
+            llm: None,
+            stats: ExecStats::default(),
+        }
     }
 }
 

@@ -316,6 +316,10 @@ impl Rollups {
         }
     }
 
+    pub(crate) fn window_ns(&self) -> u64 {
+        self.window_ns
+    }
+
     #[inline]
     fn row(&mut self, at_ns: u64) -> &mut RollupWindow {
         let i = (at_ns / self.window_ns) as usize;
