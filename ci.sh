@@ -34,6 +34,14 @@ echo "==> tandem-profile (cycle-attribution traces: ResNet-50, BERT)"
 cargo run --release -q --bin tandem_profile -- resnet50 artifacts/resnet50.trace.json
 cargo run --release -q --bin tandem_profile -- bert artifacts/bert.trace.json
 
+# Executor caches: bench_exec re-asserts that cold and warm cached runs
+# report exactly what Npu::uncached reports, on every zoo model. Its
+# timings go to artifacts/; the committed BENCH_EXEC.json baseline is not
+# rewritten here, and no timing is gated beyond the binary's own
+# warm-speedup sanity bar.
+echo "==> bench-exec (cached == uncached on the zoo)"
+cargo run --release -q --bin bench_exec -- artifacts/BENCH_EXEC_SMOKE.json
+
 # Multi-NPU serving sweep: policies × fleet sizes over the zoo; the
 # SERVE.json artifact is byte-deterministic for a fixed seed.
 echo "==> tandem-serve (fleet serving sweep, smoke)"

@@ -152,15 +152,20 @@ impl OpLowering {
         &self.schedule
     }
 
-    /// The schedule choice pinned at `node`'s tuning site, if any.
+    /// The schedule choice pinned at `node`'s tuning site, if any. Free
+    /// under the empty schedule: no site key is computed.
     pub fn choice_for(&self, graph: &Graph, node: &Node) -> Option<TileChoice> {
         if self.schedule.is_empty() {
             return None;
         }
-        let key =
-            crate::NodeSignature::of(graph, node, self.lanes, self.interim_rows, self.fixed.q)
-                .site_key();
-        self.schedule.get(key)
+        self.schedule.get(self.site_key(graph, node))
+    }
+
+    /// The key of `node`'s tuning site on this machine shape
+    /// ([`crate::NodeSignature::site_key`]).
+    pub fn site_key(&self, graph: &Graph, node: &Node) -> u64 {
+        crate::NodeSignature::of(graph, node, self.lanes, self.interim_rows, self.fixed.q)
+            .site_key()
     }
 
     fn builder(&self) -> TileProgramBuilder {
@@ -1159,7 +1164,19 @@ impl OpLowering {
     /// [`CompileError::Unsupported`] for GEMM-class nodes (they belong to
     /// the systolic array) or any resource-allocation failure.
     pub fn lower_node(&self, graph: &Graph, node: &Node) -> Result<CompiledOp, CompileError> {
-        crate::tiling::Tiler::new(self.lanes, self.interim_rows).lower(self, graph, node)
+        self.lower_node_as(graph, node, self.choice_for(graph, node))
+    }
+
+    /// [`OpLowering::lower_node`] under an already-looked-up schedule
+    /// `choice` for `node`'s site (the one [`OpLowering::choice_for`]
+    /// returns).
+    pub(crate) fn lower_node_as(
+        &self,
+        graph: &Graph,
+        node: &Node,
+        choice: Option<TileChoice>,
+    ) -> Result<CompiledOp, CompileError> {
+        crate::tiling::Tiler::new(self.lanes, self.interim_rows).lower(self, graph, node, choice)
     }
 }
 

@@ -13,43 +13,11 @@
 
 use crate::lower::{CompileError, CompiledOp, OpLowering};
 use crate::tune_space::{StableHasher, TileChoice};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tandem_model::{Graph, Node, OpAttrs, Padding};
-
-/// Hashable image of [`OpAttrs`]: float attributes are keyed by their IEEE
-/// bit patterns, which is exact (two nodes share a lowering iff the bits
-/// agree — the compiler materializes constants from these exact values).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct AttrsKey {
-    kernel: usize,
-    stride: usize,
-    padding: Padding,
-    groups: usize,
-    axis: isize,
-    perm: Vec<usize>,
-    alpha_bits: u64,
-    clip_min_bits: u64,
-    clip_max_bits: u64,
-}
-
-impl AttrsKey {
-    fn of(attrs: &OpAttrs) -> Self {
-        AttrsKey {
-            kernel: attrs.kernel,
-            stride: attrs.stride,
-            padding: attrs.padding,
-            groups: attrs.groups,
-            axis: attrs.axis,
-            perm: attrs.perm.clone(),
-            alpha_bits: attrs.alpha.to_bits(),
-            clip_min_bits: attrs.clip_min.to_bits(),
-            clip_max_bits: attrs.clip_max.to_bits(),
-        }
-    }
-}
+use tandem_model::hash::{WordHasher, WordMap};
+use tandem_model::{Graph, Node};
 
 /// Everything [`OpLowering::lower_node`] can observe about a node: the
 /// memoization key of the compilation (and downstream simulation) caches.
@@ -57,23 +25,26 @@ impl AttrsKey {
 /// Two nodes with equal signatures lower to identical `(program,
 /// repetitions)` pairs, so their performance-mode simulation reports are
 /// identical too.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key is one flat, length-prefixed word buffer:
+///
+/// ```text
+/// kind, #inputs, (rank, dims.., is_weight)*, #outputs, (rank, dims..)*,
+/// kernel, stride, padding, groups, axis, #perm, perm..,
+/// alpha bits, clip_min bits, clip_max bits, lanes, interim_rows, q
+/// ```
+///
+/// Every variable-length run carries its length, so the buffer parses
+/// back one way only and equal buffers mean equal fields. Float
+/// attributes enter by their IEEE bits, which is exact: `0.0` and `-0.0`
+/// stay apart because the compiler materializes constants from these
+/// exact values. The map hash over the words and the schedule choice is
+/// computed once, at construction: a cache probe hashes one word and
+/// compares the buffers only when the hashes agree.
+#[derive(Debug, Clone)]
 pub struct NodeSignature {
-    /// Operator kind.
-    kind: tandem_model::OpKind,
-    /// Per-input `(dims, is_weight)` — tiling reads input shapes and the
-    /// executor's DRAM-traffic model distinguishes weights.
-    inputs: Vec<(Vec<usize>, bool)>,
-    /// Output dims.
-    outputs: Vec<Vec<usize>>,
-    /// Relevant attributes.
-    attrs: AttrsKey,
-    /// SIMD lanes of the target machine.
-    lanes: usize,
-    /// Rows per Interim BUF of the target machine.
-    interim_rows: usize,
-    /// Fixed-point fractional bits of the activation format.
-    q: u32,
+    /// The flattened key (layout above).
+    words: Vec<u64>,
     /// The tuner's pinned decision at this node's site, if the lowering
     /// carries a [`crate::Schedule`] that overrides it. Part of the key —
     /// two schedules produce different programs for the same node, so
@@ -81,47 +52,67 @@ pub struct NodeSignature {
     /// them — but excluded from [`NodeSignature::site_key`], which names
     /// the site the choice applies to.
     choice: Option<TileChoice>,
+    /// [`WordHasher`] digest of `words` and `choice`.
+    hash: u64,
+}
+
+impl PartialEq for NodeSignature {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.choice == other.choice && self.words == other.words
+    }
+}
+
+impl Eq for NodeSignature {}
+
+impl Hash for NodeSignature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 impl NodeSignature {
     /// Computes the signature of `node` for a machine with `lanes` lanes,
     /// `interim_rows` scratchpad rows, and `q` fractional bits.
     pub fn of(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u32) -> Self {
-        NodeSignature {
-            kind: node.kind,
-            inputs: node
-                .inputs
-                .iter()
-                .map(|&id| {
-                    let t = graph.tensor(id);
-                    (t.shape.dims().to_vec(), t.is_weight)
-                })
-                .collect(),
-            outputs: node
-                .outputs
-                .iter()
-                .map(|&id| graph.tensor(id).shape.dims().to_vec())
-                .collect(),
-            attrs: AttrsKey::of(&node.attrs),
-            lanes,
-            interim_rows,
-            q,
-            choice: None,
-        }
+        Self::sealed(key_words(graph, node, lanes, interim_rows, q), None)
     }
 
     /// The signature of `node` under `lowering`'s machine shape,
     /// including the schedule choice pinned at the node's site (if any).
+    /// The site key is computed only under a non-empty schedule.
     pub fn for_lowering(lowering: &OpLowering, graph: &Graph, node: &Node) -> Self {
-        let mut sig = Self::of(
+        let words = key_words(
             graph,
             node,
             lowering.lanes(),
             lowering.interim_rows(),
             lowering.fixed.q,
         );
-        sig.choice = lowering.schedule().get(sig.site_key());
-        sig
+        let schedule = lowering.schedule();
+        let choice = if schedule.is_empty() {
+            None
+        } else {
+            schedule.get(site_key_of(&words))
+        };
+        Self::sealed(words, choice)
+    }
+
+    fn sealed(words: Vec<u64>, choice: Option<TileChoice>) -> Self {
+        let mut h = WordHasher::default();
+        for &w in &words {
+            h.write_u64(w);
+        }
+        choice.hash(&mut h);
+        NodeSignature {
+            hash: h.finish(),
+            words,
+            choice,
+        }
+    }
+
+    /// The schedule choice this signature was built under.
+    pub fn choice(&self) -> Option<TileChoice> {
+        self.choice
     }
 
     /// The stable key of this node's tuning site: a platform-independent
@@ -130,16 +121,87 @@ impl NodeSignature {
     /// share one site key; a [`crate::Schedule`] maps these keys to
     /// [`TileChoice`]s.
     pub fn site_key(&self) -> u64 {
-        let mut h = StableHasher::new();
-        self.kind.hash(&mut h);
-        self.inputs.hash(&mut h);
-        self.outputs.hash(&mut h);
-        self.attrs.hash(&mut h);
-        h.write_usize(self.lanes);
-        h.write_usize(self.interim_rows);
-        h.write_u32(self.q);
-        h.finish()
+        site_key_of(&self.words)
     }
+}
+
+/// The flat key of [`NodeSignature`], sized exactly in one allocation.
+fn key_words(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u32) -> Vec<u64> {
+    let dims = |id| graph.tensor(id).shape.dims();
+    let a = &node.attrs;
+    let len = 15
+        + a.perm.len()
+        + node
+            .inputs
+            .iter()
+            .map(|&t| dims(t).len() + 2)
+            .sum::<usize>()
+        + node
+            .outputs
+            .iter()
+            .map(|&t| dims(t).len() + 1)
+            .sum::<usize>();
+    let mut words = Vec::with_capacity(len);
+    words.extend([node.kind as u64, node.inputs.len() as u64]);
+    for &id in &node.inputs {
+        let t = graph.tensor(id);
+        words.push(t.shape.dims().len() as u64);
+        words.extend(t.shape.dims().iter().map(|&d| d as u64));
+        words.push(u64::from(t.is_weight));
+    }
+    words.push(node.outputs.len() as u64);
+    for &id in &node.outputs {
+        words.push(dims(id).len() as u64);
+        words.extend(dims(id).iter().map(|&d| d as u64));
+    }
+    words.extend([
+        a.kernel as u64,
+        a.stride as u64,
+        a.padding as u64,
+        a.groups as u64,
+        a.axis as u64,
+        a.perm.len() as u64,
+    ]);
+    words.extend(a.perm.iter().map(|&p| p as u64));
+    words.extend([
+        a.alpha.to_bits(),
+        a.clip_min.to_bits(),
+        a.clip_max.to_bits(),
+        lanes as u64,
+        interim_rows as u64,
+        u64::from(q),
+    ]);
+    debug_assert_eq!(words.len(), len);
+    words
+}
+
+/// FNV-1a over the byte stream a derived `Hash` of the original nested
+/// fields (kind, inputs, outputs, attrs, lanes, interim_rows, q) fed to
+/// [`StableHasher`]: every word as 8 little-endian bytes except each
+/// input's weight flag (a `bool`, one byte) and `q` (a `u32`, four).
+/// Committed schedules and tuning trajectories name sites by these
+/// values, so they must not change.
+fn site_key_of(words: &[u64]) -> u64 {
+    let mut h = StableHasher::new();
+    let (head, mut rest) = words.split_at(2);
+    for &w in head {
+        h.write_u64(w);
+    }
+    for _ in 0..head[1] {
+        let rank = rest[0] as usize;
+        let (shape, tail) = rest.split_at(rank + 1);
+        for &w in shape {
+            h.write_u64(w);
+        }
+        h.write_u8(tail[0] as u8);
+        rest = &tail[1..];
+    }
+    let (&q, rest) = rest.split_last().expect("a signature ends with q");
+    for &w in rest {
+        h.write_u64(w);
+    }
+    h.write_u32(q as u32);
+    h.finish()
 }
 
 /// A thread-safe memoization table for [`OpLowering::lower_node`].
@@ -151,7 +213,7 @@ impl NodeSignature {
 /// lowering configurations, though in practice each NPU owns one.
 #[derive(Debug, Default)]
 pub struct CompileCache {
-    map: Mutex<HashMap<NodeSignature, Arc<Result<CompiledOp, CompileError>>>>,
+    map: Mutex<WordMap<NodeSignature, Arc<Result<CompiledOp, CompileError>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -163,15 +225,19 @@ impl CompileCache {
     }
 
     /// Memoized [`OpLowering::lower_node`]: returns the cached lowering
-    /// for `node`'s signature, compiling on first sight.
+    /// of `node`, compiling on first sight. `sig` must be
+    /// [`NodeSignature::for_lowering`] of `node` under `lowering`; the
+    /// caller built it for its own cache key, and a miss lowers under the
+    /// schedule choice it carries.
     pub fn lower_node(
         &self,
         lowering: &OpLowering,
         graph: &Graph,
         node: &Node,
+        sig: &NodeSignature,
     ) -> Arc<Result<CompiledOp, CompileError>> {
-        let sig = NodeSignature::for_lowering(lowering, graph, node);
-        if let Some(hit) = self.map.lock().unwrap().get(&sig) {
+        debug_assert_eq!(*sig, NodeSignature::for_lowering(lowering, graph, node));
+        if let Some(hit) = self.map.lock().unwrap().get(sig) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
@@ -179,11 +245,11 @@ impl CompileCache {
         // signature may compile twice, but lowering is deterministic so
         // either result is the same value.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(lowering.lower_node(graph, node));
+        let compiled = Arc::new(lowering.lower_node_as(graph, node, sig.choice()));
         self.map
             .lock()
             .unwrap()
-            .entry(sig)
+            .entry(sig.clone())
             .or_insert_with(|| Arc::clone(&compiled));
         compiled
     }
@@ -247,7 +313,8 @@ mod tests {
         let lowering = OpLowering::new(32, 512);
         let cache = CompileCache::new();
         for node in g.nodes() {
-            let cached = cache.lower_node(&lowering, &g, node);
+            let sig = NodeSignature::for_lowering(&lowering, &g, node);
+            let cached = cache.lower_node(&lowering, &g, node, &sig);
             let fresh = lowering.lower_node(&g, node);
             assert_eq!(*cached, fresh, "node {}", node.name);
         }

@@ -509,10 +509,10 @@ impl Tiler {
 
     // ----- lowering entry point -------------------------------------
 
-    /// Lowers one node into tile programs, honoring any legal
+    /// Lowers one node into tile programs, honoring `choice` — the
     /// [`TileChoice`] the lowering's [`crate::Schedule`] pins at this
-    /// node's site. GEMM-class nodes are rejected (they run on the
-    /// systolic array).
+    /// node's site ([`OpLowering::choice_for`]) — when it is legal.
+    /// GEMM-class nodes are rejected (they run on the systolic array).
     ///
     /// # Errors
     ///
@@ -522,12 +522,12 @@ impl Tiler {
         lowering: &OpLowering,
         graph: &Graph,
         node: &Node,
+        choice: Option<TileChoice>,
     ) -> Result<CompiledOp, CompileError> {
         let kind = node.kind;
         if kind.class() == OpClass::Gemm {
             return Err(CompileError::Unsupported { kind });
         }
-        let choice = lowering.choice_for(graph, node);
 
         let tiles = match kind {
             // pure metadata — free on the Tandem Processor
@@ -632,7 +632,8 @@ impl Tiler {
             return None;
         }
         // Only nodes the compiler can actually lower are tuning sites.
-        self.lower(lowering, graph, node).ok()?;
+        self.lower(lowering, graph, node, lowering.choice_for(graph, node))
+            .ok()?;
 
         let mut set: BTreeSet<TileChoice> = BTreeSet::new();
         let baseline = match kind {
@@ -836,7 +837,7 @@ mod tests {
                 "baseline missing for {}",
                 node.name
             );
-            let key = crate::NodeSignature::for_lowering(&lowering, &g, node).site_key();
+            let key = lowering.site_key(&g, node);
             for c in candidates {
                 let sched = Schedule::new(BTreeMap::from([(key, c)]));
                 let pinned = lowering.clone().with_schedule(sched);
@@ -857,7 +858,7 @@ mod tests {
             .iter()
             .find(|n| n.kind == OpKind::Relu)
             .expect("ResNet has ReLU");
-        let key = crate::NodeSignature::for_lowering(&lowering, &g, node).site_key();
+        let key = lowering.site_key(&g, node);
         let bad = Schedule::new(BTreeMap::from([(
             key,
             TileChoice::Elementwise {

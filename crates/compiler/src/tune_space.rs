@@ -289,7 +289,7 @@ pub fn enumerate_sites(lowering: &crate::OpLowering, graph: &Graph) -> Vec<TuneS
         let Some((baseline, candidates)) = tiler.choices(lowering, graph, node) else {
             continue;
         };
-        let key = crate::NodeSignature::for_lowering(lowering, graph, node).site_key();
+        let key = lowering.site_key(graph, node);
         match sites.get_mut(&key) {
             Some(site) => site.instances += 1,
             None => {

@@ -8,15 +8,16 @@
 //! owns one cache next to its one `GemmUnit`).
 
 use crate::cycles::{GemmReport, GemmUnit, GemmWorkload};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use tandem_model::hash::WordMap;
 
 /// A thread-safe memoization table for [`GemmUnit`] reports, keyed by
-/// `(workload, m_tile)` (layer reports use `m_tile = m`).
+/// `(workload, m_tile)` (layer reports use `m_tile = m`): four words,
+/// hashed one multiply each.
 #[derive(Debug, Default)]
 pub struct GemmReportCache {
-    map: Mutex<HashMap<(GemmWorkload, u64), GemmReport>>,
+    map: Mutex<WordMap<(GemmWorkload, u64), GemmReport>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

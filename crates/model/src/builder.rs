@@ -68,10 +68,11 @@ impl GraphBuilder {
     ///
     /// Panics if the constructed graph violates SSA/def-before-use
     /// invariants (a builder bug).
-    pub fn finish(self) -> Graph {
+    pub fn finish(mut self) -> Graph {
         self.graph
             .validate()
             .expect("builder produced an invalid graph");
+        self.graph.seal();
         self.graph
     }
 
@@ -692,5 +693,28 @@ mod tests {
         assert!(g.validate().is_ok());
         assert_eq!(g.outputs().len(), 1);
         assert!(g.producer(g.outputs()[0]).is_some());
+    }
+
+    #[test]
+    fn finish_digests_structure_not_names() {
+        let build = |name: &str, alpha: f64| {
+            let mut b = GraphBuilder::new(name, 2024);
+            let x = b.input("x", [1, 16]);
+            let y = b.leaky_relu(x, alpha);
+            b.output(y);
+            b.finish()
+        };
+        assert_eq!(
+            build("a", 0.1).content_hash(),
+            build("b", 0.1).content_hash()
+        );
+        assert_ne!(
+            build("a", 0.1).content_hash(),
+            build("a", 0.2).content_hash()
+        );
+        // The empty graph digests the same however it was made.
+        let empty = GraphBuilder::new("e", 2024).finish();
+        assert_eq!(empty.content_hash(), Graph::new("f", 1).content_hash());
+        assert_eq!(empty.content_hash(), Graph::default().content_hash());
     }
 }

@@ -116,7 +116,7 @@ impl Error for GraphError {}
 /// Nodes are stored in a valid topological (execution) order — the
 /// [`GraphBuilder`](crate::GraphBuilder) appends them as the model is
 /// constructed, mirroring how ONNX files serialize their graphs.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// Model name (e.g. `"resnet50"`).
     pub name: String,
@@ -126,16 +126,37 @@ pub struct Graph {
     nodes: Vec<Node>,
     inputs: Vec<TensorId>,
     outputs: Vec<TensorId>,
+    /// [`Graph::content_hash`], kept current by [`Graph::seal`].
+    digest: u64,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new(String::new(), 0)
+    }
 }
 
 impl Graph {
     /// Creates an empty graph.
     pub fn new(name: impl Into<String>, year: u32) -> Self {
-        Graph {
+        let mut graph = Graph {
             name: name.into(),
             year,
-            ..Default::default()
-        }
+            tensors: Vec::new(),
+            nodes: Vec::new(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            digest: 0,
+        };
+        graph.seal();
+        graph
+    }
+
+    /// Recomputes the structural digest after the graph was built. The
+    /// builder calls this once, in [`crate::GraphBuilder::finish`]; the
+    /// graph is immutable structurally from then on.
+    pub(crate) fn seal(&mut self) {
+        self.digest = self.structural_digest();
     }
 
     pub(crate) fn add_tensor(&mut self, name: String, shape: Shape, is_weight: bool) -> TensorId {
@@ -249,7 +270,16 @@ impl Graph {
     /// topology), regardless of display names or release year. Stable
     /// within a process run — used as a memoization key by the NPU
     /// executor's graph-level report cache.
+    ///
+    /// The digest is computed once, when [`crate::GraphBuilder::finish`]
+    /// (or [`Graph::new`], for the empty graph) hands the graph out, so
+    /// this is a field read: a warm graph-cache hit pays nothing to key.
     pub fn content_hash(&self) -> u64 {
+        self.digest
+    }
+
+    /// The SipHash body of [`Graph::content_hash`].
+    fn structural_digest(&self) -> u64 {
         use std::hash::{DefaultHasher, Hash, Hasher};
         let mut h = DefaultHasher::new();
         self.tensors.len().hash(&mut h);

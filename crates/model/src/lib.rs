@@ -30,6 +30,7 @@
 mod builder;
 mod dot;
 mod graph;
+pub mod hash;
 pub mod interp;
 mod op;
 mod roofline;

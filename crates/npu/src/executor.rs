@@ -6,7 +6,7 @@ use crate::knobs::Despecialization;
 use crate::report::{ExecStats, NpuReport};
 use gemm_sim::{GemmConfig, GemmReport, GemmReportCache, GemmUnit, GemmWorkload};
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -16,6 +16,7 @@ use tandem_compiler::{
     TileChoice, TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
+use tandem_model::hash::WordMap;
 use tandem_model::{Graph, Node, NodeId, TensorId};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
@@ -178,15 +179,15 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: CompileCache,
-    verify: Mutex<HashMap<(NodeSignature, VerifyMode), VerifyOutcome>>,
-    gate: Mutex<HashMap<GateKey, bool>>,
+    verify: Mutex<WordMap<(NodeSignature, VerifyMode), VerifyOutcome>>,
+    gate: Mutex<WordMap<GateKey, bool>>,
     gate_hits: AtomicU64,
     gate_misses: AtomicU64,
-    sim: Mutex<HashMap<SimKey, RunReport>>,
+    sim: Mutex<WordMap<SimKey, RunReport>>,
     sim_hits: AtomicU64,
     sim_misses: AtomicU64,
     gemm: GemmReportCache,
-    graph: Mutex<HashMap<GraphKey, NpuReport>>,
+    graph: Mutex<WordMap<GraphKey, NpuReport>>,
     graph_hits: AtomicU64,
     graph_misses: AtomicU64,
 }
@@ -436,9 +437,6 @@ impl Npu {
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
         for block in &blocks {
-            if self.cfg.verify {
-                self.verify_block(graph, block, &mut report);
-            }
             self.run_block(
                 graph,
                 block,
@@ -465,23 +463,6 @@ impl Npu {
         run_indexed(graphs.len(), |i| self.run(graphs[i]))
     }
 
-    /// Statically verifies the compiled tile programs of one block's
-    /// non-GEMM nodes, accumulating the outcome into
-    /// [`NpuReport::verify`]. The summary is a pure function of the graph
-    /// and machine shape, so cached and uncached runs report identically.
-    fn verify_block(&self, graph: &Graph, block: &ExecutionBlock, report: &mut NpuReport) {
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let (programs, errors, diags) = &*self.node_verify_outcome(graph, node);
-            report.verify.programs += programs;
-            report.verify.errors += errors;
-            report
-                .verify
-                .diagnostics
-                .extend(diags.iter().map(|d| format!("{}: {d}", node.name)));
-        }
-    }
-
     /// The gate `tandem-tune` puts in front of every candidate schedule:
     /// `true` when every execution block of `graph`, assembled under this
     /// NPU's schedule, verifies with no error-severity finding in
@@ -498,7 +479,9 @@ impl Npu {
     /// therefore verify only the blocks those sites touch. An
     /// [`Npu::uncached`] runner recompiles and re-verifies every block.
     pub fn verify_schedule(&self, graph: &Graph) -> bool {
-        self.verify_schedule_with(graph, |node| self.lower(graph, node))
+        self.verify_schedule_with(graph, |node| {
+            self.lower(graph, node, self.signature(graph, node).as_ref())
+        })
     }
 
     /// [`Npu::verify_schedule`] with the node lowering supplied by the
@@ -522,8 +505,7 @@ impl Npu {
                 return verdict();
             }
             let sites = block.non_gemm.iter().map(|&id| {
-                let site =
-                    NodeSignature::for_lowering(&self.lowering, graph, graph.node(id)).site_key();
+                let site = self.lowering.site_key(graph, graph.node(id));
                 (site, self.lowering.schedule().get(site))
             });
             let key: GateKey = (block.gemm.is_some(), sites.collect(), self.cfg.verify_mode);
@@ -538,23 +520,47 @@ impl Npu {
         })
     }
 
-    /// Lowers `node` under this NPU's schedule, through the compile
-    /// cache unless this NPU is [`Npu::uncached`].
-    fn lower(&self, graph: &Graph, node: &Node) -> Arc<Result<CompiledOp, CompileError>> {
-        if self.cache_enabled {
-            self.caches.compile.lower_node(&self.lowering, graph, node)
-        } else {
-            Arc::new(self.lowering.lower_node(graph, node))
+    /// The signature every node-level cache keys `node` on, built once
+    /// per node per run; `None` on an [`Npu::uncached`] runner.
+    fn signature(&self, graph: &Graph, node: &Node) -> Option<NodeSignature> {
+        self.cache_enabled
+            .then(|| NodeSignature::for_lowering(&self.lowering, graph, node))
+    }
+
+    /// Lowers `node` under this NPU's schedule: through the compile cache
+    /// when the caller has the node's signature, afresh otherwise.
+    fn lower(
+        &self,
+        graph: &Graph,
+        node: &Node,
+        sig: Option<&NodeSignature>,
+    ) -> Arc<Result<CompiledOp, CompileError>> {
+        match sig {
+            Some(sig) => self
+                .caches
+                .compile
+                .lower_node(&self.lowering, graph, node, sig),
+            None => Arc::new(self.lowering.lower_node(graph, node)),
         }
     }
 
-    /// The per-node body of [`Npu::verify_block`], memoized on the node's
-    /// [`NodeSignature`] unless this NPU is [`Npu::uncached`].
-    fn node_verify_outcome(&self, graph: &Graph, node: &Node) -> VerifyOutcome {
-        let compute = || -> VerifyOutcome {
+    /// Statically verifies the compiled tile programs of one non-GEMM
+    /// node, accumulating the outcome into [`NpuReport::verify`]. The
+    /// summary is a pure function of the graph and machine shape, so
+    /// cached and uncached runs report identically. Memoized on the
+    /// node's signature `sig` (and the verifier mode) when there is one;
+    /// `sig` is handed back for the node's simulation key.
+    fn verify_node(
+        &self,
+        graph: &Graph,
+        node: &Node,
+        sig: Option<NodeSignature>,
+        report: &mut NpuReport,
+    ) -> Option<NodeSignature> {
+        let compute = |sig: Option<&NodeSignature>| -> VerifyOutcome {
             let verifier =
                 Verifier::new(VerifyConfig::from(&self.cfg.tandem).with_mode(self.cfg.verify_mode));
-            let compiled = self.lower(graph, node);
+            let compiled = self.lower(graph, node, sig);
             let mut programs = 0u64;
             let mut errors = 0u64;
             let mut diags = Vec::new();
@@ -572,42 +578,53 @@ impl Npu {
             }
             Arc::new((programs, errors, diags))
         };
-        if !self.cache_enabled {
-            return compute();
-        }
-        let key = (
-            NodeSignature::for_lowering(&self.lowering, graph, node),
-            self.cfg.verify_mode,
-        );
-        if let Some(hit) = self.caches.verify.lock().unwrap().get(&key) {
-            return hit.clone();
-        }
-        let outcome = compute();
-        self.caches
+        let (outcome, sig) = match sig {
+            None => (compute(None), None),
+            Some(sig) => {
+                let key = (sig, self.cfg.verify_mode);
+                let cached = self.caches.verify.lock().unwrap().get(&key).cloned();
+                let outcome = cached.unwrap_or_else(|| {
+                    let outcome = compute(Some(&key.0));
+                    self.caches
+                        .verify
+                        .lock()
+                        .unwrap()
+                        .entry(key.clone())
+                        .or_insert_with(|| outcome.clone());
+                    outcome
+                });
+                (outcome, Some(key.0))
+            }
+        };
+        let (programs, errors, diags) = &*outcome;
+        report.verify.programs += programs;
+        report.verify.errors += errors;
+        report
             .verify
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| outcome.clone());
-        outcome
+            .diagnostics
+            .extend(diags.iter().map(|d| format!("{}: {d}", node.name)));
+        sig
     }
 
     /// Simulates one non-GEMM node's compiled programs in performance
     /// mode, returning its (knob-adjusted) aggregate report. Memoized on
-    /// the node's [`NodeSignature`] (plus the executor knobs) unless this
-    /// NPU is [`Npu::uncached`].
+    /// the node's signature `sig` (plus the executor knobs) when there is
+    /// one; a miss lowers through the compile cache under the same
+    /// signature, so the compile cache is consulted only on `sim` misses.
     fn tandem_node_report(
         &self,
         graph: &Graph,
         node: &Node,
+        sig: Option<NodeSignature>,
         proc: &mut TandemProcessor,
         dram: &mut Dram,
     ) -> RunReport {
-        if !self.cache_enabled {
-            return self.tandem_node_report_uncached(graph, node, proc, dram);
-        }
+        let Some(sig) = sig else {
+            let compiled = self.lower(graph, node, None);
+            return self.simulate_node(node, &compiled, proc, dram);
+        };
         let key = SimKey {
-            sig: NodeSignature::for_lowering(&self.lowering, graph, node),
+            sig,
             knobs: self.cfg.knobs,
             granularity: self.cfg.granularity,
         };
@@ -616,21 +633,22 @@ impl Npu {
             return hit;
         }
         self.caches.sim_misses.fetch_add(1, Ordering::Relaxed);
-        let report = self.tandem_node_report_uncached(graph, node, proc, dram);
+        let compiled = self.lower(graph, node, Some(&key.sig));
+        let report = self.simulate_node(node, &compiled, proc, dram);
         self.caches.sim.lock().unwrap().insert(key, report);
         report
     }
 
-    /// The uncached body of [`Npu::tandem_node_report`].
-    fn tandem_node_report_uncached(
+    /// The simulation body of [`Npu::tandem_node_report`]: runs
+    /// `node`'s lowering `compiled` and applies the knob adjustments.
+    fn simulate_node(
         &self,
-        graph: &Graph,
         node: &Node,
+        compiled: &Result<CompiledOp, CompileError>,
         proc: &mut TandemProcessor,
         dram: &mut Dram,
     ) -> RunReport {
-        let compiled = self.lower(graph, node);
-        let compiled = match compiled.as_ref() {
+        let compiled = match compiled {
             Ok(c) => c,
             Err(_) => return RunReport::default(), // metadata-only ops
         };
@@ -724,48 +742,6 @@ impl Npu {
         }
     }
 
-    /// The schedule's [`TileChoice::GemmTile`] override pinned at
-    /// `node`'s tuning site, if any — the raw m-rows before clamping to
-    /// the accumulator capacity.
-    fn gemm_tile_override(&self, graph: &Graph, node: &Node) -> Option<u64> {
-        if self.cfg.schedule.is_empty() {
-            return None;
-        }
-        let key = NodeSignature::of(
-            graph,
-            node,
-            self.cfg.tandem.lanes,
-            self.cfg.tandem.interim_rows,
-            self.lowering.fixed.q,
-        )
-        .site_key();
-        match self.cfg.schedule.get(key) {
-            Some(TileChoice::GemmTile { m_rows }) => Some(m_rows as u64),
-            _ => None,
-        }
-    }
-
-    /// `true` when the schedule turns on cross-block weight prefetch for
-    /// `node` (a [`TileChoice::Prefetch`] pinned at the node's
-    /// [`prefetch_key`] site).
-    fn prefetch_enabled(&self, graph: &Graph, node: &Node) -> bool {
-        if self.cfg.schedule.is_empty() {
-            return false;
-        }
-        let key = NodeSignature::of(
-            graph,
-            node,
-            self.cfg.tandem.lanes,
-            self.cfg.tandem.interim_rows,
-            self.lowering.fixed.q,
-        )
-        .site_key();
-        matches!(
-            self.cfg.schedule.get(prefetch_key(key)),
-            Some(TileChoice::Prefetch { on: true })
-        )
-    }
-
     /// Enumerates every tuning site of `graph` on this NPU: the
     /// compiler's non-GEMM sites ([`enumerate_sites`]) merged with the
     /// GEMM-side pipelining-granularity sites only this crate can build
@@ -782,14 +758,7 @@ impl Npu {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = NodeSignature::of(
-                graph,
-                node,
-                self.cfg.tandem.lanes,
-                self.cfg.tandem.interim_rows,
-                self.lowering.fixed.q,
-            )
-            .site_key();
+            let key = self.lowering.site_key(graph, node);
             if let Some(&i) = index.get(&key) {
                 sites[i].instances += 1;
                 continue;
@@ -827,14 +796,7 @@ impl Npu {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = NodeSignature::of(
-                graph,
-                node,
-                self.cfg.tandem.lanes,
-                self.cfg.tandem.interim_rows,
-                self.lowering.fixed.q,
-            )
-            .site_key();
+            let key = self.lowering.site_key(graph, node);
             let pkey = prefetch_key(key);
             if let Some(&i) = index.get(&pkey) {
                 sites[i].instances += 1;
@@ -873,16 +835,16 @@ impl Npu {
         block: &ExecutionBlock,
         consumers: &[Vec<NodeId>],
     ) -> u64 {
-        let in_block: HashSet<TensorId> = block
-            .non_gemm
-            .iter()
-            .flat_map(|&id| graph.node(id).outputs.iter().copied())
-            .collect();
-        let gemm_out: HashSet<TensorId> = block
-            .gemm
-            .iter()
-            .flat_map(|&id| graph.node(id).outputs.iter().copied())
-            .collect();
+        // Written inside the block (non-GEMM outputs, or the GEMM output
+        // arriving via the Output BUF): a linear scan, since a block holds
+        // only a handful of nodes.
+        let produced_here = |t: &TensorId| {
+            block
+                .non_gemm
+                .iter()
+                .chain(&block.gemm)
+                .any(|&id| graph.node(id).outputs.contains(t))
+        };
         // Activations live in DRAM as INT8 (the cast stream converts at
         // the boundary), so cross-block traffic is one byte per element.
         let mut bytes = 0u64;
@@ -890,7 +852,7 @@ impl Npu {
             let node = graph.node(id);
             for &input in &node.inputs {
                 let t = graph.tensor(input);
-                if !t.is_weight && !in_block.contains(&input) && !gemm_out.contains(&input) {
+                if !t.is_weight && !produced_here(&input) {
                     bytes += t.shape.elements() as u64;
                 }
             }
@@ -924,7 +886,11 @@ impl Npu {
         let mut tandem_total = RunReport::default();
         for &id in &block.non_gemm {
             let node = graph.node(id);
-            let r = self.tandem_node_report(graph, node, proc, dram);
+            let mut sig = self.signature(graph, node);
+            if self.cfg.verify {
+                sig = self.verify_node(graph, node, sig, report);
+            }
+            let r = self.tandem_node_report(graph, node, sig, proc, dram);
             *report.per_kind_cycles.entry(node.kind).or_default() += r.compute_cycles;
             tandem_total.merge(&r);
         }
@@ -962,9 +928,14 @@ impl Npu {
                 let node = graph.node(id);
                 let w = self.gemm_workload(graph, node);
                 let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
-                let tile_rows = match self.gemm_tile_override(graph, node) {
-                    Some(m_rows) => m_rows.clamp(1, cap),
-                    None => cap,
+                // One site key per GEMM node serves both of its schedule
+                // decisions; none is computed under the empty schedule.
+                let site =
+                    (!self.cfg.schedule.is_empty()).then(|| self.lowering.site_key(graph, node));
+                let pinned = |key: u64| self.cfg.schedule.get(key);
+                let tile_rows = match site.and_then(pinned) {
+                    Some(TileChoice::GemmTile { m_rows }) => (m_rows as u64).clamp(1, cap),
+                    _ => cap,
                 };
                 let tiles = w.m.div_ceil(tile_rows.max(1)).max(1);
                 let m_tile = tile_rows.min(w.m);
@@ -982,7 +953,8 @@ impl Npu {
                 // stream during the previous block's idle-channel window
                 // (`*exposed`), shrinking the first tile's weight load.
                 // The total traffic is unchanged — only its placement.
-                let hidden = if self.prefetch_enabled(graph, node) {
+                let prefetch = site.and_then(|s| pinned(prefetch_key(s)));
+                let hidden = if prefetch == Some(TileChoice::Prefetch { on: true }) {
                     let gcfg = self.gemm.config();
                     let weight_bytes = w.k * w.n;
                     let half = (gcfg.scratchpad_bytes / 2) as u64;
@@ -1458,7 +1430,8 @@ impl Npu {
     ) {
         let mut at = start;
         for &id in &block.non_gemm {
-            let compiled = self.lower(graph, graph.node(id));
+            let node = graph.node(id);
+            let compiled = self.lower(graph, node, self.signature(graph, node).as_ref());
             let Ok(c) = compiled.as_ref() else { continue };
             for (prog, reps) in &c.tiles {
                 let one = {

@@ -2,8 +2,9 @@
 //! only — every modeled number (cycles, energy, DRAM traffic, per-kind
 //! breakdowns) is bit-identical to the cold, serial, uncached path.
 
-use tandem_model::zoo;
-use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, TileGranularity};
+use std::collections::BTreeMap;
+use tandem_model::{zoo, Graph};
+use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileGranularity};
 
 /// Asserts the full architectural equality plus the headline scalars
 /// (spelled out so a failure names the number that moved).
@@ -114,4 +115,92 @@ fn run_matrix_matches_sweep_points() {
         assert_identical(r, &direct, &format!("job {i}"));
     }
     assert_identical(&reports[1], &reports[2], "repeated config");
+}
+
+/// A random non-empty schedule over the tuning sites of `graphs`: each
+/// site takes a uniformly drawn candidate with probability 1/2
+/// (SplitMix64 from `seed`).
+fn random_schedule(graphs: &[&Graph], seed: u64) -> Schedule {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let npu = Npu::new(NpuConfig::paper());
+    let mut choices = BTreeMap::new();
+    for graph in graphs {
+        for site in npu.tune_sites(graph) {
+            if next() % 2 == 0 {
+                let pick = next() % site.candidates.len() as u64;
+                choices.insert(site.key, site.candidates[pick as usize]);
+            }
+        }
+    }
+    assert!(!choices.is_empty());
+    Schedule::new(choices)
+}
+
+/// The paper configuration under `schedule`, with verification on.
+fn scheduled(schedule: Schedule) -> NpuConfig {
+    NpuConfig {
+        verify: true,
+        schedule,
+        ..NpuConfig::paper()
+    }
+}
+
+#[test]
+fn scheduled_cached_runs_equal_uncached_runs() {
+    let graphs = [zoo::resnet50(), zoo::bert_base(64)];
+    let refs: Vec<&Graph> = graphs.iter().collect();
+    let cfg = scheduled(random_schedule(&refs, 7));
+    let uncached: Vec<_> = graphs
+        .iter()
+        .map(|g| Npu::uncached(cfg.clone()).run(g))
+        .collect();
+    for (graph, reference) in graphs.iter().zip(&uncached) {
+        let name = &graph.name;
+        assert!(reference.verify.programs > 0, "{name}: verify ran");
+        // A cold sibling: the scheduled runner starts on empty caches.
+        let cold = Npu::new(NpuConfig::paper()).sibling(cfg.clone()).run(graph);
+        assert_identical(&cold, reference, &format!("{name}: cold sibling"));
+        // A sibling of a hub other candidates already warmed: every
+        // node-level cache holds entries of nearby schedules.
+        let hub = Npu::new(NpuConfig::paper());
+        hub.run(graph);
+        for seed in 1..4 {
+            hub.sibling(scheduled(random_schedule(&[graph], seed)))
+                .run(graph);
+        }
+        let warm = hub.sibling(cfg.clone()).run(graph);
+        assert_identical(&warm, reference, &format!("{name}: warmed-hub sibling"));
+    }
+    let parallel = Npu::new(cfg).run_many(&refs);
+    for (i, (p, u)) in parallel.iter().zip(&uncached).enumerate() {
+        assert_identical(p, u, &format!("run_many graph {i}"));
+    }
+}
+
+#[test]
+fn the_compile_cache_is_consulted_only_on_sim_misses() {
+    for graph in [zoo::resnet50(), zoo::bert_base(64)] {
+        for schedule in [Schedule::empty(), random_schedule(&[&graph], 11)] {
+            let cfg = NpuConfig {
+                verify: false,
+                schedule,
+                ..NpuConfig::paper()
+            };
+            let s = Npu::new(cfg).run(&graph).stats;
+            assert!(s.sim_misses > 0 && s.sim_hits > 0, "{}", graph.name);
+            assert_eq!(
+                s.compile_hits + s.compile_misses,
+                s.sim_misses,
+                "{}: compile lookups on a cold run",
+                graph.name
+            );
+        }
+    }
 }
