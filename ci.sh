@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken or private intra-doc links fail the gate. `--lib` because the
+# tandem_tune binary's doc page would collide with the tandem-tune crate's.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> cargo build --release"
 cargo build --release
 

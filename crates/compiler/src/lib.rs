@@ -37,7 +37,7 @@ pub use schedule::{
     schedule_block, schedule_graph, schedule_graph_opts, schedule_graph_with, CompileOptions,
     ScheduledBlock,
 };
-pub use signature::{CompileCache, NodeSignature};
+pub use signature::NodeSignature;
 pub use tiling::{TilePlan, Tiler};
 pub use tune_space::{
     enumerate_sites, prefetch_key, stable_hash, Schedule, StableHasher, TileChoice, TuneSite,

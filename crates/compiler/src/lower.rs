@@ -1169,8 +1169,9 @@ impl OpLowering {
 
     /// [`OpLowering::lower_node`] under an already-looked-up schedule
     /// `choice` for `node`'s site (the one [`OpLowering::choice_for`]
-    /// returns).
-    pub(crate) fn lower_node_as(
+    /// returns, or [`crate::NodeSignature::choice`] of the node's
+    /// signature).
+    pub fn lower_node_as(
         &self,
         graph: &Graph,
         node: &Node,

@@ -74,8 +74,9 @@ pub struct ScheduledBlock {
 /// ```
 ///
 /// `lower` supplies each non-GEMM node's tile programs: an uncached
-/// [`OpLowering::lower_node`] in [`schedule_graph_opts`], a memoized
-/// [`crate::CompileCache::lower_node`] in the NPU's verify gate.
+/// [`OpLowering::lower_node`] in [`schedule_graph_opts`], a lowering
+/// memoized on the node's [`crate::NodeSignature`] in the NPU's verify
+/// gate.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Block signatures and the compilation cache.
+//! Block signatures: the key of the compilation cache.
 //!
 //! The paper's own characterization (Figure 4) shows the benchmark zoo is
 //! dominated by *repeated* subgraphs — ResNet-50's 16 bottlenecks,
@@ -7,16 +7,14 @@
 //! identical tile programs. [`NodeSignature`] captures exactly the inputs
 //! of that function — operator kind, input/output shapes, the relevant
 //! attributes, and the lanes/interim-rows/fixed-point configuration — and
-//! [`CompileCache`] memoizes [`OpLowering::lower_node`] on it, so each
-//! distinct block shape compiles once per process instead of once per
-//! node per run.
+//! the NPU memoizes [`OpLowering::lower_node`] on it, so each distinct
+//! block shape compiles once per process instead of once per node per
+//! run.
 
-use crate::lower::{CompileError, CompiledOp, OpLowering};
+use crate::lower::OpLowering;
 use crate::tune_space::{StableHasher, TileChoice};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tandem_model::hash::{WordHasher, WordMap};
+use tandem_model::hash::WordHasher;
 use tandem_model::{Graph, Node};
 
 /// Everything [`OpLowering::lower_node`] can observe about a node: the
@@ -204,84 +202,6 @@ fn site_key_of(words: &[u64]) -> u64 {
     h.finish()
 }
 
-/// A thread-safe memoization table for [`OpLowering::lower_node`].
-///
-/// Compilation errors are cached alongside successes (`Unsupported` for
-/// metadata-only operators is the common case), so the executor's
-/// error path is memoized too. The cache is keyed on [`NodeSignature`],
-/// which embeds the machine shape — one cache can safely serve several
-/// lowering configurations, though in practice each NPU owns one.
-#[derive(Debug, Default)]
-pub struct CompileCache {
-    map: Mutex<WordMap<NodeSignature, Arc<Result<CompiledOp, CompileError>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CompileCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Memoized [`OpLowering::lower_node`]: returns the cached lowering
-    /// of `node`, compiling on first sight. `sig` must be
-    /// [`NodeSignature::for_lowering`] of `node` under `lowering`; the
-    /// caller built it for its own cache key, and a miss lowers under the
-    /// schedule choice it carries.
-    pub fn lower_node(
-        &self,
-        lowering: &OpLowering,
-        graph: &Graph,
-        node: &Node,
-        sig: &NodeSignature,
-    ) -> Arc<Result<CompiledOp, CompileError>> {
-        debug_assert_eq!(*sig, NodeSignature::for_lowering(lowering, graph, node));
-        if let Some(hit) = self.map.lock().unwrap().get(sig) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock: concurrent misses on the same
-        // signature may compile twice, but lowering is deterministic so
-        // either result is the same value.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(lowering.lower_node_as(graph, node, sig.choice()));
-        self.map
-            .lock()
-            .unwrap()
-            .entry(sig.clone())
-            .or_insert_with(|| Arc::clone(&compiled));
-        compiled
-    }
-
-    /// Number of distinct signatures compiled.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (= compilations) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Drops all cached lowerings and resets the counters.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,25 +225,6 @@ mod tests {
             "{} signatures for {non_gemm} non-GEMM nodes",
             sigs.len()
         );
-    }
-
-    #[test]
-    fn cache_compiles_each_signature_once() {
-        let g = zoo::resnet50();
-        let lowering = OpLowering::new(32, 512);
-        let cache = CompileCache::new();
-        for node in g.nodes() {
-            let sig = NodeSignature::for_lowering(&lowering, &g, node);
-            let cached = cache.lower_node(&lowering, &g, node, &sig);
-            let fresh = lowering.lower_node(&g, node);
-            assert_eq!(*cached, fresh, "node {}", node.name);
-        }
-        assert_eq!(cache.hits() + cache.misses(), g.nodes().len() as u64);
-        assert_eq!(cache.misses(), cache.len() as u64);
-        assert!(cache.hits() > cache.misses(), "ResNet repeats its blocks");
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 
     #[test]

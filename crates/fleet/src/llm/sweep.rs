@@ -6,9 +6,8 @@ use crate::llm::engine::{LlmConfig, LlmFleet, LlmMode};
 use crate::llm::model::{DecodeModel, LlmModelSpec};
 use crate::llm::workload::LlmWorkloadSpec;
 use crate::report::FleetReport;
-use crate::sweep::run_cells;
 use std::fmt::Write as _;
-use tandem_npu::Npu;
+use tandem_npu::{par_map, Npu};
 
 /// One LLM sweep: every batching mode crossed with every fleet size,
 /// all serving the same materialized request trace, so rows are
@@ -79,7 +78,7 @@ pub fn llm_sweep_tables(
             cells.push((m, s));
         }
     }
-    run_cells(cells.len(), jobs, |i| {
+    par_map(cells.len(), jobs, |i| {
         let (mode, size) = cells[i];
         LlmFleet::new(spec.cell_config(mode, size), tables).serve(&requests)
     })

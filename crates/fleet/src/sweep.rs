@@ -6,9 +6,7 @@ use crate::policy::Policy;
 use crate::report::FleetReport;
 use crate::workload::{Catalog, WorkloadSpec};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use tandem_npu::Npu;
+use tandem_npu::{par_map, Npu};
 
 /// One sweep: every policy crossed with every fleet size (and,
 /// optionally, every shared-HBM budget), all serving the same workload,
@@ -85,7 +83,7 @@ pub fn sweep(catalog: &Catalog, spec: &SweepSpec, jobs: usize) -> Vec<FleetRepor
             }
         }
     }
-    run_cells(cells.len(), jobs, |i| {
+    par_map(cells.len(), jobs, |i| {
         let (policy, size, budget) = cells[i];
         let fleet = Fleet::with_members(spec.cell_config(size, budget), pool[..size].to_vec());
         fleet.serve(catalog, &spec.workload, policy)
@@ -134,47 +132,6 @@ pub fn render_serve_json(sections: &[(String, Vec<FleetReport>)]) -> String {
     }
     out.push_str("\n}\n");
     out
-}
-
-/// Claim-counter fan-out: workers grab the next unclaimed cell index,
-/// results land in per-index slots, so output order never depends on
-/// scheduling. Shared with the LLM sweep ([`crate::llm`]).
-pub(crate) fn run_cells<F>(n: usize, jobs: usize, run: F) -> Vec<FleetReport>
-where
-    F: Fn(usize) -> FleetReport + Sync,
-{
-    let workers = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(n);
-    if workers <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<FleetReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every cell index was claimed by a worker")
-        })
-        .collect()
 }
 
 #[cfg(test)]

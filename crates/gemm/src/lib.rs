@@ -18,12 +18,10 @@
 
 pub mod functional;
 
-mod cache;
 mod config;
 mod cycles;
 mod energy;
 
-pub use cache::GemmReportCache;
 pub use config::GemmConfig;
 pub use cycles::{GemmReport, GemmUnit, GemmWorkload};
 pub use energy::GemmEnergyModel;

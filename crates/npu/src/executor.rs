@@ -3,20 +3,20 @@
 
 use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
+use crate::par::par_map;
 use crate::report::{ExecStats, NpuReport};
-use gemm_sim::{GemmConfig, GemmReport, GemmReportCache, GemmUnit, GemmWorkload};
+use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use tandem_compiler::{
-    enumerate_sites, prefetch_key, schedule_block, stable_hash, BlockKind, CompileCache,
-    CompileError, CompiledOp, ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule,
-    TileChoice, TuneSite,
+    enumerate_sites, prefetch_key, schedule_block, stable_hash, BlockKind, CompileError,
+    CompiledOp, ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule, TileChoice,
+    TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
-use tandem_model::hash::WordMap;
+use tandem_model::hash::Memo;
 use tandem_model::{Graph, Node, NodeId, TensorId};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
@@ -96,8 +96,8 @@ impl NpuConfig {
     /// the shared graph-level report cache, so [`Npu::sibling`]s that
     /// differ only in schedule or verify settings never answer each
     /// other's runs. The unit geometries enter through their headline
-    /// dimensions; full equality is the sibling contract (asserted
-    /// there).
+    /// dimensions only: siblings share caches only when both units are
+    /// configured identically.
     fn digest(&self) -> u64 {
         stable_hash(&(
             self.schedule.digest(),
@@ -128,15 +128,6 @@ struct SimKey {
     granularity: TileGranularity,
 }
 
-/// The memoization state shared by every clone of an [`Npu`] (and by all
-/// [`Npu::run_many`] workers): compiled lowerings, per-node simulation
-/// reports, and GEMM cycle-model reports.
-///
-/// Caching is sound because every cached value is a pure function of its
-/// key: lowering depends only on the [`NodeSignature`], performance-mode
-/// simulation produces identical [`RunReport`]s for the same program, the
-/// knob adjustments are deterministic arithmetic on that report, and the
-/// GEMM cycle model is closed-form in `(workload, tile)`.
 /// Memoization key of a whole-graph report: the graph's structural
 /// digest, hardened against (already astronomically unlikely) hash
 /// collisions by the graph's node and tensor counts, plus the
@@ -176,20 +167,24 @@ type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
 /// block drew.
 type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
 
+/// The memoization state shared by every clone of an [`Npu`], by its
+/// same-silicon siblings and by all [`Npu::run_many`] workers.
+///
+/// Caching is sound because every cached value is a pure function of its
+/// key under one Tandem and one GEMM unit configuration: lowering depends
+/// only on the [`NodeSignature`] (compilation errors are memoized too),
+/// performance-mode simulation produces identical [`RunReport`]s for the
+/// same program, the knob adjustments are deterministic arithmetic on
+/// that report, and the GEMM cycle model is closed-form in `(workload,
+/// m_tile)`; layer reports use `m_tile = m`.
 #[derive(Debug, Default)]
 struct NpuCaches {
-    compile: CompileCache,
-    verify: Mutex<WordMap<(NodeSignature, VerifyMode), VerifyOutcome>>,
-    gate: Mutex<WordMap<GateKey, bool>>,
-    gate_hits: AtomicU64,
-    gate_misses: AtomicU64,
-    sim: Mutex<WordMap<SimKey, RunReport>>,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
-    gemm: GemmReportCache,
-    graph: Mutex<WordMap<GraphKey, NpuReport>>,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
+    compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
+    verify: Memo<(NodeSignature, VerifyMode), VerifyOutcome>,
+    gate: Memo<GateKey, bool>,
+    sim: Memo<SimKey, RunReport>,
+    gemm: Memo<(GemmWorkload, u64), GemmReport>,
+    graph: Memo<GraphKey, NpuReport>,
 }
 
 /// The NPU-Tandem end-to-end model runner.
@@ -210,49 +205,25 @@ pub struct Npu {
 impl Npu {
     /// Creates an NPU with the given configuration.
     pub fn new(cfg: NpuConfig) -> Self {
-        let gemm = GemmUnit::new(cfg.gemm.clone());
-        let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
-            .with_schedule(cfg.schedule.clone());
-        Npu {
-            cfg_digest: cfg.digest(),
-            cfg,
-            gemm,
-            lowering,
-            caches: Arc::new(NpuCaches::default()),
-            cache_enabled: true,
-        }
+        Self::with_caches(cfg, Arc::default(), true)
     }
 
-    /// A runner over the *same silicon* with different executor settings
-    /// — schedule, verify, knobs, granularity — sharing this NPU's
-    /// caches. The autotuner scores hundreds of candidate schedules
-    /// against one graph; siblings let every candidate reuse the
-    /// compile/simulate work of `(site, choice)` decisions already paid
-    /// for by earlier candidates, while the config digest in every graph
-    /// cache key keeps their reports apart. The Tandem and GEMM unit
-    /// configurations must equal this NPU's (debug-asserted): the GEMM
-    /// report cache is keyed on `(workload, tile)` under one fixed unit
-    /// geometry.
+    /// A runner with different executor settings — schedule, verify,
+    /// knobs, granularity — sharing this NPU's caches when it runs on the
+    /// *same silicon*. The autotuner scores hundreds of candidate
+    /// schedules against one graph; siblings let every candidate reuse
+    /// the compile/simulate work of `(site, choice)` decisions already
+    /// paid for by earlier candidates, while the config digest in every
+    /// graph cache key keeps their reports apart. The node-level keys
+    /// assume one Tandem and one GEMM unit configuration, so a sibling
+    /// whose units differ from this NPU's gets caches of its own.
     pub fn sibling(&self, cfg: NpuConfig) -> Npu {
-        debug_assert_eq!(
-            self.cfg.tandem, cfg.tandem,
-            "siblings share one Tandem configuration"
-        );
-        debug_assert_eq!(
-            self.cfg.gemm, cfg.gemm,
-            "siblings share one GEMM unit configuration"
-        );
-        let gemm = GemmUnit::new(cfg.gemm.clone());
-        let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
-            .with_schedule(cfg.schedule.clone());
-        Npu {
-            cfg_digest: cfg.digest(),
-            cfg,
-            gemm,
-            lowering,
-            caches: Arc::clone(&self.caches),
-            cache_enabled: self.cache_enabled,
-        }
+        let caches = if cfg.tandem == self.cfg.tandem && cfg.gemm == self.cfg.gemm {
+            Arc::clone(&self.caches)
+        } else {
+            Arc::default()
+        };
+        Self::with_caches(cfg, caches, self.cache_enabled)
     }
 
     /// Creates an NPU whose runs bypass the compilation and simulation
@@ -260,33 +231,26 @@ impl Npu {
     /// identical to the cached path; only wall-time differs. Used by the
     /// benchmarks and the determinism tests as the reference path.
     pub fn uncached(cfg: NpuConfig) -> Self {
+        Self::with_caches(cfg, Arc::default(), false)
+    }
+
+    fn with_caches(cfg: NpuConfig, caches: Arc<NpuCaches>, cache_enabled: bool) -> Self {
+        let gemm = GemmUnit::new(cfg.gemm.clone());
+        let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
+            .with_schedule(cfg.schedule.clone());
         Npu {
-            cache_enabled: false,
-            ..Self::new(cfg)
+            cfg_digest: cfg.digest(),
+            cfg,
+            gemm,
+            lowering,
+            caches,
+            cache_enabled,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &NpuConfig {
         &self.cfg
-    }
-
-    /// `[compile hits, compile misses, sim hits, sim misses, gemm hits,
-    /// gemm misses, graph hits, graph misses, gate hits, gate misses]`,
-    /// cumulative over the caches' lifetime.
-    fn cache_counters(&self) -> [u64; 10] {
-        [
-            self.caches.compile.hits(),
-            self.caches.compile.misses(),
-            self.caches.sim_hits.load(Ordering::Relaxed),
-            self.caches.sim_misses.load(Ordering::Relaxed),
-            self.caches.gemm.hits(),
-            self.caches.gemm.misses(),
-            self.caches.graph_hits.load(Ordering::Relaxed),
-            self.caches.graph_misses.load(Ordering::Relaxed),
-            self.caches.gate_hits.load(Ordering::Relaxed),
-            self.caches.gate_misses.load(Ordering::Relaxed),
-        ]
     }
 
     /// Runs `graph` end-to-end (batch 1 inference) and reports latency,
@@ -306,24 +270,9 @@ impl Npu {
                 graph.tensors().len(),
                 self.cfg_digest,
             );
-            let cached = self.caches.graph.lock().unwrap().get(&key).cloned();
-            match cached {
-                Some(hit) => {
-                    self.caches.graph_hits.fetch_add(1, Ordering::Relaxed);
-                    hit
-                }
-                None => {
-                    self.caches.graph_misses.fetch_add(1, Ordering::Relaxed);
-                    let fresh = self.run_core(graph);
-                    self.caches
-                        .graph
-                        .lock()
-                        .unwrap()
-                        .entry(key)
-                        .or_insert_with(|| fresh.clone());
-                    fresh
-                }
-            }
+            self.caches
+                .graph
+                .get_or_insert_with(&key, || self.run_core(graph))
         } else {
             self.run_core(graph)
         };
@@ -355,19 +304,19 @@ impl Npu {
     /// [`ExecStats::delta`] for contamination-free accounting — the
     /// per-report `stats` deltas also count concurrent workers' lookups.
     pub fn stats(&self) -> ExecStats {
-        let c = self.cache_counters();
+        let c = &*self.caches;
         ExecStats {
             wall_s: 0.0,
-            compile_hits: c[0],
-            compile_misses: c[1],
-            sim_hits: c[2],
-            sim_misses: c[3],
-            gemm_hits: c[4],
-            gemm_misses: c[5],
-            graph_hits: c[6],
-            graph_misses: c[7],
-            gate_hits: c[8],
-            gate_misses: c[9],
+            compile_hits: c.compile.hits(),
+            compile_misses: c.compile.misses(),
+            sim_hits: c.sim.hits(),
+            sim_misses: c.sim.misses(),
+            gemm_hits: c.gemm.hits(),
+            gemm_misses: c.gemm.misses(),
+            graph_hits: c.graph.hits(),
+            graph_misses: c.graph.misses(),
+            gate_hits: c.gate.hits(),
+            gate_misses: c.gate.misses(),
         }
     }
 
@@ -395,8 +344,8 @@ impl Npu {
     }
 
     /// Builds one NPU per configuration for a simulated fleet, sharing
-    /// one cache set among members with *equal* configurations (exactly
-    /// like [`run_matrix`] does for its jobs) so a model compiled on one
+    /// one cache set among members with *equal* configurations (the
+    /// NPUs [`run_matrix`] runs its jobs on) so a model compiled on one
     /// member is warm on its twins. `Npu` is `Send + Sync` — the caches
     /// live behind `Arc`-ed locks — so the returned members can be moved
     /// to worker threads or driven round-robin from one event loop.
@@ -460,7 +409,7 @@ impl Npu {
     /// simulate once. Reports come back in input order and are identical
     /// to `graphs.iter().map(|g| self.run(g))`.
     pub fn run_many(&self, graphs: &[&Graph]) -> Vec<NpuReport> {
-        run_indexed(graphs.len(), |i| self.run(graphs[i]))
+        par_map(graphs.len(), 0, |i| self.run(graphs[i]))
     }
 
     /// The gate `tandem-tune` puts in front of every candidate schedule:
@@ -509,14 +458,7 @@ impl Npu {
                 (site, self.lowering.schedule().get(site))
             });
             let key: GateKey = (block.gemm.is_some(), sites.collect(), self.cfg.verify_mode);
-            if let Some(&hit) = self.caches.gate.lock().unwrap().get(&key) {
-                self.caches.gate_hits.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-            self.caches.gate_misses.fetch_add(1, Ordering::Relaxed);
-            let ok = verdict();
-            self.caches.gate.lock().unwrap().insert(key, ok);
-            ok
+            self.caches.gate.get_or_insert_with(&key, verdict)
         })
     }
 
@@ -536,10 +478,16 @@ impl Npu {
         sig: Option<&NodeSignature>,
     ) -> Arc<Result<CompiledOp, CompileError>> {
         match sig {
-            Some(sig) => self
-                .caches
-                .compile
-                .lower_node(&self.lowering, graph, node, sig),
+            Some(sig) => {
+                debug_assert_eq!(
+                    *sig,
+                    NodeSignature::for_lowering(&self.lowering, graph, node)
+                );
+                // A miss lowers under the choice the signature carries.
+                self.caches.compile.get_or_insert_with(sig, || {
+                    Arc::new(self.lowering.lower_node_as(graph, node, sig.choice()))
+                })
+            }
             None => Arc::new(self.lowering.lower_node(graph, node)),
         }
     }
@@ -582,17 +530,10 @@ impl Npu {
             None => (compute(None), None),
             Some(sig) => {
                 let key = (sig, self.cfg.verify_mode);
-                let cached = self.caches.verify.lock().unwrap().get(&key).cloned();
-                let outcome = cached.unwrap_or_else(|| {
-                    let outcome = compute(Some(&key.0));
-                    self.caches
-                        .verify
-                        .lock()
-                        .unwrap()
-                        .entry(key.clone())
-                        .or_insert_with(|| outcome.clone());
-                    outcome
-                });
+                let outcome = self
+                    .caches
+                    .verify
+                    .get_or_insert_with(&key, || compute(Some(&key.0)));
                 (outcome, Some(key.0))
             }
         };
@@ -628,15 +569,10 @@ impl Npu {
             knobs: self.cfg.knobs,
             granularity: self.cfg.granularity,
         };
-        if let Some(&hit) = self.caches.sim.lock().unwrap().get(&key) {
-            self.caches.sim_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.caches.sim_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = self.lower(graph, node, Some(&key.sig));
-        let report = self.simulate_node(node, &compiled, proc, dram);
-        self.caches.sim.lock().unwrap().insert(key, report);
-        report
+        self.caches.sim.get_or_insert_with(&key, || {
+            let compiled = self.lower(graph, node, Some(&key.sig));
+            self.simulate_node(node, &compiled, proc, dram)
+        })
     }
 
     /// The simulation body of [`Npu::tandem_node_report`]: runs
@@ -677,7 +613,9 @@ impl Npu {
     /// [`GemmUnit::tile_report`], memoized unless this NPU is uncached.
     fn gemm_tile_report(&self, w: GemmWorkload, m_tile: u64) -> GemmReport {
         if self.cache_enabled {
-            self.caches.gemm.tile_report(&self.gemm, w, m_tile)
+            self.caches
+                .gemm
+                .get_or_insert_with(&(w, m_tile), || self.gemm.tile_report(w, m_tile))
         } else {
             self.gemm.tile_report(w, m_tile)
         }
@@ -1464,57 +1402,15 @@ fn largest_divisor_le(n: u64, cap: u64) -> u64 {
     (1..=cap).rev().find(|&d| n.is_multiple_of(d)).unwrap_or(1)
 }
 
-/// Runs `n` jobs across the available cores with scoped threads and a
-/// shared claim counter, collecting results in job order. Falls back to a
-/// serial loop when only one worker is warranted.
-fn run_indexed<F>(n: usize, run: F) -> Vec<NpuReport>
-where
-    F: Fn(usize) -> NpuReport + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if workers <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<NpuReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every job index was claimed by a worker")
-        })
-        .collect()
-}
-
 /// Runs a heterogeneous `(configuration, graph)` job matrix in parallel,
 /// returning reports in job order. Jobs with equal configurations share
 /// one NPU (and therefore its caches), so a sweep that varies only the
 /// model — or repeats configurations — pays each distinct block shape
 /// once.
 pub fn run_matrix(jobs: &[(NpuConfig, &Graph)]) -> Vec<NpuReport> {
-    let mut npus: Vec<Npu> = Vec::with_capacity(jobs.len());
-    for (cfg, _) in jobs {
-        match npus.iter().find(|n| n.config() == cfg) {
-            Some(prev) => npus.push(prev.clone()),
-            None => npus.push(Npu::new(cfg.clone())),
-        }
-    }
-    run_indexed(jobs.len(), |i| npus[i].run(jobs[i].1))
+    let configs: Vec<NpuConfig> = jobs.iter().map(|(cfg, _)| cfg.clone()).collect();
+    let npus = Npu::fleet(&configs);
+    par_map(jobs.len(), 0, |i| npus[i].run(jobs[i].1))
 }
 
 #[cfg(test)]
@@ -1708,6 +1604,46 @@ mod tests {
         }
         // The real lowering passes on a runner of its own.
         assert!(Npu::new(npu.config().clone()).verify_schedule(&g));
+    }
+
+    #[test]
+    fn memoized_lowerings_equal_fresh_ones() {
+        let g = zoo::resnet50();
+        let npu = Npu::new(NpuConfig::paper());
+        for node in g.nodes() {
+            let cached = npu.lower(&g, node, npu.signature(&g, node).as_ref());
+            let fresh = npu.lowering.lower_node(&g, node);
+            assert_eq!(*cached, fresh, "node {}", node.name);
+        }
+        let s = npu.stats();
+        assert_eq!(s.compile_hits + s.compile_misses, g.nodes().len() as u64);
+        assert!(
+            s.compile_hits > s.compile_misses,
+            "ResNet repeats its blocks"
+        );
+    }
+
+    #[test]
+    fn memoized_gemm_reports_equal_direct_evaluation() {
+        let npu = Npu::new(NpuConfig::paper());
+        let unit = GemmUnit::new(GemmConfig::paper());
+        let mut keys = std::collections::HashSet::new();
+        for w in [
+            GemmWorkload::new(3136, 576, 64),
+            GemmWorkload::new(196, 4608, 512),
+            GemmWorkload::from_conv(28, 28, 128, 128, 3),
+        ] {
+            for m_tile in [w.m, 64, 16] {
+                keys.insert((w, m_tile));
+                for _ in 0..2 {
+                    assert_eq!(npu.gemm_tile_report(w, m_tile), unit.tile_report(w, m_tile));
+                }
+            }
+            assert_eq!(npu.gemm_layer_report(w), unit.layer_report(w));
+        }
+        let s = npu.stats();
+        assert_eq!(s.gemm_misses, keys.len() as u64);
+        assert_eq!(s.gemm_hits, 7 * 3 - s.gemm_misses);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   branch-based loops, software address calculation, FIFO coupling,
 //!   special-function units), generating Figures 6, 8, 18 and 19;
 //! * signature-keyed compilation/simulation caches and scoped-thread
-//!   parallel sweeps ([`Npu::run_many`], [`run_matrix`]) that keep the
-//!   figure harness fast while staying bit-identical to the serial
-//!   uncached path ([`Npu::uncached`]); per-run wall-time and hit/miss
-//!   counters surface in [`ExecStats`].
+//!   parallel sweeps ([`Npu::run_many`], [`run_matrix`], on the one
+//!   ordered fan-out [`par_map`] the fleet and tuner sweeps use too) that
+//!   keep the figure harness fast while staying bit-identical to the
+//!   serial uncached path ([`Npu::uncached`]); per-run wall-time and
+//!   hit/miss counters surface in [`ExecStats`].
 //!
 //! ```
 //! use tandem_npu::{Npu, NpuConfig};
@@ -41,6 +42,7 @@ mod dispatch;
 pub mod dse;
 mod executor;
 mod knobs;
+mod par;
 mod report;
 
 pub use controller::{ControllerEvent, ControllerState, ExecutionController};
@@ -48,6 +50,7 @@ pub use dispatch::{dispatch_block, DispatchedBlock};
 pub use dse::{pareto_frontier, sweep, DesignPoint, DseResult};
 pub use executor::{run_matrix, Npu, NpuConfig, ServiceDemand, TileGranularity};
 pub use knobs::Despecialization;
+pub use par::par_map;
 
 // Re-exported so the autotuner (and other schedule-carrying callers) can
 // fill [`NpuConfig::schedule`] and consume [`Npu::tune_sites`] without

@@ -204,3 +204,22 @@ fn the_compile_cache_is_consulted_only_on_sim_misses() {
         }
     }
 }
+
+#[test]
+fn sibling_on_other_silicon_equals_an_uncached_run() {
+    // The node-level cache keys cover only part of the unit
+    // configurations: a sibling with a slower GEMM DRAM channel and a
+    // faster Tandem clock must not be answered from the hub's caches.
+    let graph = zoo::resnet50();
+    let hub = Npu::new(NpuConfig::paper());
+    hub.run(&graph);
+    let mut cfg = NpuConfig::paper();
+    cfg.gemm.dram_bytes_per_cycle /= 4.0;
+    cfg.tandem.freq_ghz *= 2.0;
+    let sibling = hub.sibling(cfg.clone()).run(&graph);
+    assert_identical(
+        &sibling,
+        &Npu::uncached(cfg).run(&graph),
+        "other-silicon sibling",
+    );
+}

@@ -24,12 +24,10 @@
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
-use tandem_npu::Npu;
+use tandem_npu::{par_map, Npu};
 use tandem_verify::VerifyMode;
 
 /// Search-driver options.
@@ -248,8 +246,8 @@ pub fn tune_in_space(
             .collect();
         // Phase 1 — the verify gate, in parallel, results in input order.
         let t0 = Instant::now();
-        let gated = par_map(&fresh, opts.jobs, |c| {
-            let sibling = eval.sibling(c);
+        let gated = par_map(fresh.len(), opts.jobs, |i| {
+            let sibling = eval.sibling(&fresh[i]);
             let ok = eval.verify_ok(&sibling);
             (sibling, ok)
         });
@@ -266,7 +264,7 @@ pub fn tune_in_space(
         }
         // Phase 2 — score the survivors on the same siblings.
         let t1 = Instant::now();
-        let scores = par_map(&to_score, opts.jobs, |(_, sibling)| eval.score(sibling));
+        let scores = par_map(to_score.len(), opts.jobs, |i| eval.score(&to_score[i].1));
         let sim_wall_s = t1.elapsed().as_secs_f64();
         for (&(c, _), &cycles) in to_score.iter().zip(&scores) {
             memo.insert(c.digest(), Some(cycles));
@@ -422,47 +420,4 @@ pub fn tune_in_space(
         generations: stats,
         accepted: accepted_log,
     }
-}
-
-/// Maps `f` over `items` on `jobs` scoped threads (0 = all cores),
-/// collecting results in input order — worker scheduling can never
-/// reorder or change them.
-fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-    .min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(f(&items[i]));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("every item index was claimed by a worker")
-        })
-        .collect()
 }

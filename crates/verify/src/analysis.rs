@@ -18,11 +18,11 @@
 //!   be too coarse (a gap in a strided stream must not count as
 //!   "overwritten").
 //!
-//! The [`Walker`] is the shared transfer function: it interprets
+//! The `Walker` is the shared transfer function: it interprets
 //! iterator-table configuration, IMM BUF writes, Code Repeater levels
 //! and Permute Engine state exactly the way
 //! `tandem_core::TandemProcessor` does, and hands each loop nest (and
-//! other interesting events) to a [`Visitor`]. The scratchpad-safety
+//! other interesting events) to a `Visitor`. The scratchpad-safety
 //! pass and the dead-traffic pass are both visitors over the same walk,
 //! so the machine-state abstraction exists exactly once.
 
