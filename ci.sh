@@ -39,13 +39,12 @@ echo "==> tandem-profile (cycle-attribution traces: ResNet-50, BERT)"
 cargo run --release -q --bin tandem_profile -- resnet50 artifacts/resnet50.trace.json
 cargo run --release -q --bin tandem_profile -- bert artifacts/bert.trace.json
 
-# Executor caches: bench_exec re-asserts that cold and warm cached runs
-# report exactly what Npu::uncached reports, on every zoo model. Its
-# timings go to artifacts/; the committed BENCH_EXEC.json baseline is not
-# rewritten here, and no timing is gated beyond the binary's own
-# warm-speedup sanity bar.
-echo "==> bench-exec (cached == uncached on the zoo)"
-cargo run --release -q --bin bench_exec -- artifacts/BENCH_EXEC_SMOKE.json
+# Paper figures: `cargo test` pins `tandem figure all` to the golden in a
+# debug build; this re-checks the release build byte for byte, so a
+# release-only divergence in a modeled number fails here.
+echo "==> tandem figure all (release output == tests/golden/figures_all.txt)"
+cargo run --release -q --bin tandem -- figure all > artifacts/figures_all.txt
+diff -u tests/golden/figures_all.txt artifacts/figures_all.txt
 
 # Multi-NPU serving sweep: policies × fleet sizes over the zoo; the
 # SERVE.json artifact is byte-deterministic for a fixed seed.

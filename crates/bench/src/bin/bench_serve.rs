@@ -1,8 +1,7 @@
 //! Fleet-engine throughput benchmark: requests simulated per
 //! wall-second and peak RSS, across serving regimes.
 //!
-//! Where `bench_exec` tracks the single-NPU executor, this tracks the
-//! *serving engine* — the streaming-statistics path
+//! It tracks the *serving engine* — the streaming-statistics path
 //! (`FleetConfig::retain_records = false`) whose memory stays flat in
 //! the request count. Three scenarios:
 //!

@@ -7,12 +7,16 @@
 //!     --knobs regfile,loops,addr,fifo,special
 //!                                       de-specialize (Figure 6/18 ablations)
 //!     --iso-a100                        216x scale-up (Figure 21 setting)
-//!     --seq <n>                         sequence length for BERT/GPT-2
+//!     --seq <n>                         sequence length (n >= 1) for BERT/GPT-2
 //! tandem asm <file.tasm>                assemble + run a Tandem program
 //!                                       functionally, print the report
+//! tandem figure <id>|all                print one paper table/figure, or
+//!                                       all of them in paper order
 //! ```
 
 use std::process::ExitCode;
+use tandem_bench::experiments::{self, EXPERIMENTS};
+use tandem_bench::Suite;
 use tandem_core::{Dram, TandemConfig, TandemProcessor};
 use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
@@ -21,7 +25,8 @@ use tandem_npu::{Despecialization, Npu, NpuConfig, TileGranularity};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tandem models\n  tandem run <model> [--layer-granularity] \
-         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm>"
+         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm>\n  \
+         tandem figure <id>|all"
     );
     ExitCode::from(2)
 }
@@ -87,7 +92,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             "--seq" => {
                 i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
+                let Some(n) = args.get(i).and_then(|s| s.parse().ok()).filter(|&n| n > 0) else {
+                    eprintln!("--seq takes a positive integer");
                     return usage();
                 };
                 seq = n;
@@ -202,6 +208,26 @@ fn cmd_asm(args: &[String]) -> ExitCode {
     }
 }
 
+fn cmd_figure(args: &[String]) -> ExitCode {
+    let selected: Vec<_> = match args {
+        [id] if id == "all" => EXPERIMENTS.iter().collect(),
+        [id] => match experiments::find(id) {
+            Some(e) => vec![e],
+            None => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+                eprintln!("unknown figure `{id}`; valid ids: all, {}", ids.join(", "));
+                return ExitCode::from(2);
+            }
+        },
+        _ => return usage(),
+    };
+    let suite = Suite::load();
+    for e in selected {
+        print!("{}", experiments::text(&(e.render)(&suite)));
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -220,6 +246,7 @@ fn main() -> ExitCode {
         }
         Some("run") => cmd_run(&args[1..]),
         Some("asm") => cmd_asm(&args[1..]),
+        Some("figure") => cmd_figure(&args[1..]),
         _ => usage(),
     }
 }

@@ -1,25 +1,13 @@
 //! Figure/table reproductions. One function per paper table or figure;
-//! each returns a printable [`Table`](crate::table::Table) whose rows are
-//! the same series the paper reports (with the paper's headline values
-//! quoted in the notes for side-by-side comparison).
+//! each returns a printable [`Table`](crate::table::Table) (Figure 4: one
+//! per model) whose rows are the same series the paper reports (with the
+//! paper's headline values quoted in the notes for side-by-side
+//! comparison). [`EXPERIMENTS`](crate::experiments::EXPERIMENTS) lists
+//! them in paper order.
 
-mod breakdowns;
-mod characterization;
-mod gpus;
-mod headline;
-mod specialization;
-mod vpu;
-
-pub use breakdowns::{
-    fig24_tandem_breakdown, fig24b_cycle_attribution, fig25_energy_breakdown, fig26_area,
-};
-pub use characterization::{
-    fig01_operator_types, fig02_cumulative_ops, fig03_runtime_breakdown, fig05_roofline,
-    table1_operator_classes, table2_design_classes, table3_config,
-};
-pub use gpus::{fig20_perf_per_watt, fig21_a100, fig22_a100_breakdown, fig23_nongemm_speedup};
-pub use headline::{
-    fig14_speedup_baselines, fig15_energy_baselines, fig16_gemmini, fig17_gemmini_breakdown,
-};
-pub use specialization::{fig06_specialization_overheads, fig08_utilization};
-pub use vpu::{fig18_vpu_speedup, fig19_vpu_energy};
+pub mod breakdowns;
+pub mod characterization;
+pub mod gpus;
+pub mod headline;
+pub mod specialization;
+pub mod vpu;

@@ -4,20 +4,20 @@
 //! Tandem Processor paper's evaluation (§2, §8). Each `fig*`/`table*`
 //! function regenerates the corresponding result — same benchmarks, same
 //! baselines, same series — and prints it next to the paper's reported
-//! value. `EXPERIMENTS.md` at the repository root records the full
-//! paper-vs-measured comparison.
+//! value. [`experiments::EXPERIMENTS`] lists them in paper order with the
+//! paper's claims and the bands their headline numbers must stay in;
+//! the table in `EXPERIMENTS.md` at the repository root is generated from
+//! it.
 //!
-//! Run a single experiment:
+//! Run a single experiment, or all of them:
 //! ```text
-//! cargo run -p tandem-bench --release --bin fig14_speedup_baselines
-//! ```
-//! or everything at once via the `figures` bench target:
-//! ```text
-//! cargo bench -p tandem-bench --bench figures
+//! cargo run --release --bin tandem -- figure fig14
+//! cargo run --release --bin tandem -- figure all
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod figures;
 pub mod suite;
 pub mod table;

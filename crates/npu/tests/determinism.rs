@@ -3,7 +3,8 @@
 //! breakdowns) is bit-identical to the cold, serial, uncached path.
 
 use std::collections::BTreeMap;
-use tandem_model::{zoo, Graph};
+use tandem_model::zoo::{self, Benchmark};
+use tandem_model::Graph;
 use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileGranularity};
 
 /// Asserts the full architectural equality plus the headline scalars
@@ -24,14 +25,18 @@ fn assert_identical(a: &tandem_npu::NpuReport, b: &tandem_npu::NpuReport, what: 
 
 #[test]
 fn warm_run_equals_cold_run() {
-    for (name, graph) in [
-        ("resnet50", zoo::resnet50()),
-        ("bert_base", zoo::bert_base(64)),
-    ] {
+    for bench in Benchmark::ALL {
+        let name = bench.name();
+        let graph = bench.graph();
+        let uncached = Npu::uncached(NpuConfig::paper()).run(&graph);
         let npu = Npu::new(NpuConfig::paper());
         let cold = npu.run(&graph);
-        let warm = npu.run(&graph);
-        assert_identical(&cold, &warm, name);
+        let warm = (0..3)
+            .map(|_| npu.run(&graph))
+            .min_by(|a, b| a.stats.wall_s.total_cmp(&b.stats.wall_s))
+            .expect("three warm runs");
+        assert_identical(&cold, &uncached, &format!("{name}: cold"));
+        assert_identical(&warm, &uncached, &format!("{name}: warm"));
         assert!(
             cold.stats.sim_misses > 0,
             "{name}: cold run must simulate something"
@@ -41,6 +46,16 @@ fn warm_run_equals_cold_run() {
             "{name}: warm run must hit the simulation cache everywhere"
         );
         assert!(warm.stats.hit_rate() > 0.99, "{name}: warm hit rate");
+        // A warm run is one graph-cache hit: measured at several hundred
+        // times faster than the uncached path, so a 2x bar is noise-proof.
+        if matches!(bench, Benchmark::Resnet50 | Benchmark::Bert) {
+            assert!(
+                uncached.stats.wall_s >= 2.0 * warm.stats.wall_s,
+                "{name}: warm {:?} s not 2x faster than uncached {:?} s",
+                warm.stats.wall_s,
+                uncached.stats.wall_s
+            );
+        }
     }
 }
 
@@ -84,16 +99,19 @@ fn caches_respect_knobs_and_granularity() {
 
 #[test]
 fn run_many_matches_serial_runs() {
-    let graphs = [zoo::resnet50(), zoo::bert_base(64), zoo::mobilenetv2()];
-    let refs: Vec<&tandem_model::Graph> = graphs.iter().collect();
-    let parallel = Npu::new(NpuConfig::paper()).run_many(&refs);
+    let graphs: Vec<Graph> = Benchmark::ALL.iter().map(|b| b.graph()).collect();
+    let refs: Vec<&Graph> = graphs.iter().collect();
+    let npu = Npu::new(NpuConfig::paper());
+    let cold = npu.run_many(&refs);
+    let warm = npu.run_many(&refs);
     let serial: Vec<_> = graphs
         .iter()
         .map(|g| Npu::uncached(NpuConfig::paper()).run(g))
         .collect();
-    assert_eq!(parallel.len(), serial.len());
-    for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
-        assert_identical(p, s, &format!("graph {i}"));
+    assert_eq!(cold.len(), serial.len());
+    for (i, ((c, w), s)) in cold.iter().zip(&warm).zip(&serial).enumerate() {
+        assert_identical(c, s, &format!("cold graph {i}"));
+        assert_identical(w, s, &format!("warm graph {i}"));
     }
 }
 
