@@ -22,13 +22,14 @@ echo "==> cargo test -q"
 cargo test -q
 
 # Static verification of the full zoo in both loop-summarization modes.
-# The budget holds the widened (production) mode to autotuner-gate speed:
-# the full-zoo widened verify measured ~17ms locally, so 250ms leaves
-# >10x headroom for slow CI runners while still catching a regression to
-# per-iteration cost. Exits non-zero on any post-dedup error, on any
-# widened/exact divergence, or when over budget.
+# The budget holds the widened (production) mode to autotuner-gate speed.
+# tandem_lint times it as the best of five passes over the zoo; that
+# measured a median of 8.3 ms over 11 runs on a 2-vCPU host, and the
+# budget is at most 3x the median, so a 3x regression fails here. Over
+# budget, the step prints the wall per pass, largest first. It also exits
+# non-zero on any post-dedup error or any widened/exact divergence.
 echo "==> tandem-lint (static verification of the model zoo)"
-cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 250
+cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 24
 
 # Trace outputs land in artifacts/ (gitignored), not the repo root.
 mkdir -p artifacts

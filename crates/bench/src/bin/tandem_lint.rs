@@ -9,6 +9,9 @@
 //! any divergence is itself reported as an error. Per-model and
 //! per-pass wall-times land in the JSON report so CI can hold the
 //! widened mode to the autotuner-readiness time budget (`--budget-ms`).
+//! The widened wall of each model is the best of five full passes over
+//! its blocks; over budget, the run prints the wall per pass, largest
+//! first.
 //!
 //! The quantity the mode actually changes — the loop-summarization
 //! (bounds-resolve) phase of the scratchpad pass — is timed separately
@@ -28,7 +31,10 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
 use tandem_model::zoo::Benchmark;
-use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
+use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode, VerifyRun};
+
+/// Full widened passes over each model; the fastest one is reported.
+const TIMING_REPS: usize = 5;
 
 /// One deduplicated finding: the first block it appeared in, the
 /// rendered diagnostic, its multiplicity, and its severity.
@@ -92,12 +98,23 @@ fn lint_model(lowering: &OpLowering, bench: Benchmark) -> ModelOutcome {
         rules: BTreeMap::new(),
         findings: BTreeMap::new(),
     };
-    for (bi, sb) in blocks.iter().enumerate() {
-        outcome.instructions += sb.program.len();
-
-        let wstart = Instant::now();
-        let wrun = widened.verify_timed(&sb.program);
-        outcome.widened += wstart.elapsed();
+    // The widened timing is the best of TIMING_REPS full passes over the
+    // model's blocks, so one slow stretch of a shared host does not trip
+    // the budget; the findings are deterministic across passes.
+    let mut widened_runs = Vec::new();
+    for _ in 0..TIMING_REPS {
+        let start = Instant::now();
+        let runs: Vec<VerifyRun> = blocks
+            .iter()
+            .map(|sb| widened.verify_timed(&sb.program))
+            .collect();
+        let wall = start.elapsed();
+        if widened_runs.is_empty() || wall < outcome.widened {
+            outcome.widened = wall;
+            widened_runs = runs;
+        }
+    }
+    for wrun in &widened_runs {
         for p in &wrun.passes {
             let e = outcome.passes.entry(p.name).or_insert((Duration::ZERO, 0));
             e.0 += p.wall;
@@ -106,6 +123,10 @@ fn lint_model(lowering: &OpLowering, bench: Benchmark) -> ModelOutcome {
                 outcome.summarize_widened += p.wall;
             }
         }
+    }
+
+    for (bi, (sb, wrun)) in blocks.iter().zip(&widened_runs).enumerate() {
+        outcome.instructions += sb.program.len();
 
         let estart = Instant::now();
         let erun = exact.verify_timed(&sb.program);
@@ -346,10 +367,20 @@ fn main() {
     if !within_budget {
         eprintln!(
             "FAIL: widened verification took {:.2}ms, over the {}ms budget — \
-             too slow to gate the autotuner",
+             too slow to gate the autotuner; wall per pass (loop-summaries is \
+             part of scratchpad):",
             widened_total.as_secs_f64() * 1e3,
             budget_ms.unwrap_or_default(),
         );
+        let mut passes: BTreeMap<&str, Duration> = BTreeMap::new();
+        for (name, (wall, _)) in outcomes.iter().flat_map(|o| &o.passes) {
+            *passes.entry(name).or_default() += *wall;
+        }
+        let mut passes: Vec<_> = passes.into_iter().collect();
+        passes.sort_by_key(|&(_, wall)| std::cmp::Reverse(wall));
+        for (name, wall) in passes {
+            eprintln!("  {name:<16} {:>8.2}ms", wall.as_secs_f64() * 1e3);
+        }
         std::process::exit(1);
     }
     if total_errors > 0 || !all_agree {

@@ -16,7 +16,9 @@
 //! * [`RowSet`] — the concrete row footprint of a stream over a bounded
 //!   window, used by the dead-traffic lints where interval hulls would
 //!   be too coarse (a gap in a strided stream must not count as
-//!   "overwritten").
+//!   "overwritten"). Those lints read footprints as maximal runs
+//!   ([`Stream::row_runs`]); a stream whose levels leave no gap is its
+//!   hull, one run, and needs no bitset at all.
 //!
 //! The `Walker` is the shared transfer function: it interprets
 //! iterator-table configuration, IMM BUF writes, Code Repeater levels
@@ -228,6 +230,36 @@ impl RowSet {
         })
     }
 
+    /// The maximal runs `[lo, hi]` of consecutive rows in the set,
+    /// ascending. Word-level: a run is measured with `trailing_ones`, one
+    /// step per word it spans, so the cost is O(window words + runs),
+    /// not O(rows).
+    pub fn runs(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
+        let bits = &self.bits;
+        let mut wi = 0;
+        // Word `wi` with the bits already handed out cleared.
+        let mut rem = bits.first().copied().unwrap_or(0);
+        std::iter::from_fn(move || {
+            while rem == 0 {
+                wi += 1;
+                rem = *bits.get(wi)?;
+            }
+            let start = wi * 64 + rem.trailing_zeros() as usize;
+            // A run reaching the top of a word continues into the next.
+            let mut end = start;
+            while let Some(&w) = bits.get(end / 64) {
+                let ones = (w >> (end % 64)).trailing_ones() as usize;
+                end += ones;
+                if ones == 0 || !end.is_multiple_of(64) {
+                    break;
+                }
+            }
+            wi = end / 64;
+            rem = bits.get(wi).map_or(0, |&w| w & (u64::MAX << (end % 64)));
+            Some((self.offset + start as i64, self.offset + end as i64 - 1))
+        })
+    }
+
     /// The set shifted by `delta` rows (rows leaving the window are
     /// dropped; callers size the window so that cannot happen for
     /// in-analysis streams). Word-level: O(window words), not O(rows).
@@ -322,8 +354,10 @@ pub(crate) struct IterEntry {
 
 /// One configured Code Repeater level.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Level {
+pub struct Level {
+    /// Iteration count (`0` behaves like one iteration).
     pub count: u32,
+    /// The iterators this level advances, per operand slot.
     pub bindings: LoopBindings,
 }
 
@@ -333,9 +367,37 @@ pub(crate) struct Level {
 /// never allocates — this runs per operand per body instruction and is
 /// the inner loop of the widened mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stream {
+pub struct Stream {
+    /// Row addressed at loop counters all zero.
     pub base: i64,
+    /// Rows advanced per iteration of each level, outermost first.
     pub strides: [i64; MAX_LOOP_LEVELS],
+}
+
+/// A stream's row footprint as maximal runs of consecutive rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RowRuns {
+    /// The footprint is exactly its interval hull: one run.
+    Hull {
+        /// Smallest row.
+        lo: i64,
+        /// Largest row.
+        hi: i64,
+    },
+    /// A footprint with gaps, materialized as a bitset.
+    Gapped(RowSet),
+}
+
+impl RowRuns {
+    /// The runs `[lo, hi]`, ascending and pairwise non-adjacent.
+    pub fn iter(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
+        let (hull, set) = match self {
+            RowRuns::Hull { lo, hi } => (Some((*lo, *hi)), None),
+            RowRuns::Gapped(set) => (None, Some(set)),
+        };
+        hull.into_iter()
+            .chain(set.into_iter().flat_map(RowSet::runs))
+    }
 }
 
 impl Stream {
@@ -397,17 +459,53 @@ impl Stream {
         // Every partial sum of per-level contributions lies inside the
         // full interval (each level's contribution spans 0), so the hull
         // is a safe bitset window for the shift-based expansion.
-        let (lo, hi) = self.interval_widened(levels).bounds()?;
-        let width = usize::try_from(hi - lo + 1).ok()?;
-        if width > RowSet::MAX_WINDOW {
-            return None;
-        }
+        let (lo, width) = self.window(levels)?;
         let mut set = RowSet::window(lo, width);
         set.insert(self.base);
         for (level, &stride) in levels.iter().zip(&self.strides) {
             set.advance(level.count, stride);
         }
         Some(set)
+    }
+
+    /// The same footprint as [`Stream::row_set`], as maximal runs. The
+    /// footprint is a sum of arithmetic progressions, one per level
+    /// (`{0, s, …, (count−1)·s}`). Summed in order of increasing |s|, a
+    /// level whose |s| is at most the width covered so far only extends
+    /// a contiguous run, so when every level passes that test the
+    /// footprint is exactly its interval hull and no bitset is built.
+    /// Otherwise the bitset is materialized and read back run by run.
+    pub fn row_runs(&self, levels: &[Level]) -> Option<RowRuns> {
+        let (lo, width) = self.window(levels)?;
+        let mut steps = [(0u64, 0u64); MAX_LOOP_LEVELS];
+        let mut n = 0;
+        for (level, &stride) in levels.iter().zip(&self.strides) {
+            if stride != 0 && level.count > 1 {
+                steps[n] = (stride.unsigned_abs(), level.count as u64 - 1);
+                n += 1;
+            }
+        }
+        let steps = &mut steps[..n];
+        steps.sort_unstable();
+        let mut covered = 1u64;
+        for &(step, extra) in steps.iter() {
+            if step > covered {
+                return self.row_set(levels).map(RowRuns::Gapped);
+            }
+            covered += step * extra;
+        }
+        Some(RowRuns::Hull {
+            lo,
+            hi: lo + width as i64 - 1,
+        })
+    }
+
+    /// `(lo, width)` of the stream's interval hull, or `None` when it is
+    /// wider than [`RowSet::MAX_WINDOW`].
+    fn window(&self, levels: &[Level]) -> Option<(i64, usize)> {
+        let (lo, hi) = self.interval_widened(levels).bounds()?;
+        let width = usize::try_from(hi - lo + 1).ok()?;
+        (width <= RowSet::MAX_WINDOW).then_some((lo, width))
     }
 }
 

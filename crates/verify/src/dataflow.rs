@@ -16,6 +16,7 @@
 use crate::analysis::{Level, Pass, PassStat, Stream, StreamNote, VerifyMode, Visitor, Walker};
 use crate::diag::{Diagnostic, Rule};
 use crate::VerifyConfig;
+use std::ops::Range;
 use tandem_isa::{Instruction, Namespace, Operand, Program, IMM_BUF_SLOTS};
 
 /// The scratchpad-safety pass (bounds, IMM discipline, WAW) plus the
@@ -35,14 +36,14 @@ pub(crate) struct ScratchpadPass {
     pub mode: VerifyMode,
 }
 
-/// One deferred bounds check: `stream` of `op` over the levels of nest
-/// `nest` (an index into the collected level sets).
+/// One deferred bounds check: `stream` of `op` over the levels of its
+/// nest (a range of the collected levels).
 struct BoundsQuery {
     pc: usize,
     op: Operand,
     stream: Stream,
     write: bool,
-    nest: usize,
+    levels: Range<usize>,
 }
 
 impl Pass for ScratchpadPass {
@@ -60,20 +61,19 @@ impl Pass for ScratchpadPass {
         let mut v = ScratchpadVisitor {
             cfg,
             diags,
-            level_sets: Vec::new(),
+            levels: Vec::new(),
+            nest_levels: 0..0,
             queries: Vec::new(),
         };
         Walker::walk(cfg, program, &mut v);
         let ScratchpadVisitor {
-            level_sets,
-            queries,
-            ..
+            levels, queries, ..
         } = v;
 
         let before = diags.len();
         let start = std::time::Instant::now();
         for q in &queries {
-            let levels = &level_sets[q.nest];
+            let levels = &levels[q.levels.clone()];
             let iv = match self.mode {
                 VerifyMode::Widened => q.stream.interval_widened(levels),
                 VerifyMode::Exact => q.stream.interval_exact(levels),
@@ -111,8 +111,10 @@ impl Pass for ScratchpadPass {
 struct ScratchpadVisitor<'a> {
     cfg: &'a VerifyConfig,
     diags: &'a mut Vec<Diagnostic>,
-    /// One snapshot of the live Code Repeater levels per nest seen.
-    level_sets: Vec<Vec<Level>>,
+    /// The live Code Repeater levels of every nest seen, back to back.
+    levels: Vec<Level>,
+    /// The current nest's range of `levels`.
+    nest_levels: Range<usize>,
     /// Deferred bounds checks, resolved after the walk in the
     /// configured mode.
     queries: Vec<BoundsQuery>,
@@ -150,15 +152,15 @@ impl ScratchpadVisitor<'_> {
         stream
     }
 
-    /// Defers a bounds check to the resolve phase. `nest` indexes the
-    /// level snapshot pushed by the current [`Visitor::nest`] call.
+    /// Defers a bounds check to the resolve phase, over the levels of
+    /// the nest the current [`Visitor::nest`] call pushed.
     fn queue_bounds(&mut self, pc: usize, op: Operand, stream: Stream, write: bool) {
         self.queries.push(BoundsQuery {
             pc,
             op,
             stream,
             write,
-            nest: self.level_sets.len() - 1,
+            levels: self.nest_levels.clone(),
         });
     }
 
@@ -192,20 +194,21 @@ impl Visitor for ScratchpadVisitor<'_> {
     /// currently configured levels (empty levels = single issue).
     fn nest(&mut self, walker: &Walker, body_start: usize, body: &[Instruction]) {
         let levels = walker.levels();
-        self.level_sets.push(levels.to_vec());
+        self.nest_levels = self.levels.len()..self.levels.len() + levels.len();
+        self.levels.extend_from_slice(levels);
         for (i, instr) in body.iter().enumerate() {
             let pc = body_start + i;
             let dst = instr.destination().expect("loop bodies are compute-only");
             let (src1, src2) = instr.sources().expect("compute has sources");
 
-            let mut src_streams: Vec<Stream> = Vec::with_capacity(2);
+            let mut src_streams = [None; 2];
             for (slot, src) in [(1usize, Some(src1)), (2usize, src2)] {
                 let Some(src) = src else { continue };
                 if src.namespace() == Namespace::Imm {
                     self.check_imm_read(walker, pc, src);
                 } else if let Some(s) = self.stream(walker, pc, src, slot) {
                     self.queue_bounds(pc, src, s, false);
-                    src_streams.push(s);
+                    src_streams[slot - 1] = Some(s);
                 }
             }
 
@@ -248,13 +251,13 @@ impl Visitor for ScratchpadVisitor<'_> {
                             && walker.iter_entry(src).offset as i64 == dst_stream.base)
                 })
             });
-            if consumed || src_streams.contains(&dst_stream) {
+            if consumed || src_streams.contains(&Some(dst_stream)) {
                 continue;
             }
             for (li, level) in levels.iter().enumerate() {
                 if level.count > 1
                     && dst_stream.strides[li] == 0
-                    && src_streams.iter().any(|s| s.strides[li] != 0)
+                    && src_streams.iter().flatten().any(|s| s.strides[li] != 0)
                 {
                     self.diags.push(Diagnostic::new(
                         pc,

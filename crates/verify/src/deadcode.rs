@@ -8,24 +8,31 @@
 //!
 //! The pass rides the shared [`Walker`] and tracks, per namespace, the
 //! set of rows whose most recent write has not been read yet, using the
-//! exact [`RowSet`] footprint of each nest's streams (an interval hull
-//! would close over the gaps of a strided store and mis-flag the rows
-//! in between). Soundness of the *lint* direction: a store is only
-//! called dead when a later store provably covers the row with no
-//! possible intervening read — rows a nest reads are cleared both
-//! before its writes (an earlier nest's store it consumes) and after
-//! them (a same-nest store consumed by the same or a later iteration),
-//! a stream too wide to materialize ([`RowSet::MAX_WINDOW`])
-//! degrades to a namespace barrier, and `TILE_LD_ST` / `PERMUTE START`
-//! (whose data effects this pass does not model) clear all pending
-//! state. Rows still pending at the end of the program are *live-out* —
-//! the Data Access Engine stores result tiles after the program ends —
-//! and are never reported.
+//! exact footprint of each nest's streams (an interval hull would close
+//! over the gaps of a strided store and mis-flag the rows in between).
+//! It works on maximal row runs `[lo, hi]`, not single rows. Each
+//! footprint comes from [`crate::analysis::Stream::row_runs`]: one run
+//! when the stream is contiguous (every compiled zoo stream is), else
+//! the runs of its [`RowSet`] bitset. A read is then one `fill` per run;
+//! a write is one scan per run that charges each earlier store once per
+//! stretch of rows it still held; and the rows a nest reads are kept as
+//! runs for the re-clear after its writes.
+//!
+//! Soundness of the *lint* direction: a store is only called dead when
+//! a later store provably covers the row with no possible intervening
+//! read — rows a nest reads are cleared both before its writes (an
+//! earlier nest's store it consumes) and after them (a same-nest store
+//! consumed by the same or a later iteration), a stream too wide to
+//! materialize ([`RowSet::MAX_WINDOW`]) degrades to a namespace barrier,
+//! and `TILE_LD_ST` / `PERMUTE START` (whose data effects this pass does
+//! not model) clear all pending state. Rows still pending at the end of
+//! the program are *live-out* — the Data Access Engine stores result
+//! tiles after the program ends — and are never reported.
 
 use crate::analysis::{Pass, PassStat, Visitor, Walker};
 use crate::diag::{Diagnostic, Rule};
 use crate::VerifyConfig;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use tandem_isa::{Instruction, Namespace, Program, IMM_BUF_SLOTS};
 
 /// The dead-store / redundant-IMM-traffic lint pass.
@@ -46,7 +53,7 @@ impl Pass for DeadTrafficPass {
         let mut v = DeadTrafficVisitor {
             cfg,
             pending: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
-            dead: BTreeMap::new(),
+            dead: vec![None; program.len()],
             imm: [ImmSlot::default(); IMM_BUF_SLOTS],
             diags,
         };
@@ -71,16 +78,24 @@ fn tracked_index(ns: Namespace) -> Option<usize> {
     TRACKED.iter().position(|&t| t == ns)
 }
 
+/// The run `[lo, hi]` clipped to the `rows` rows of a namespace, as a
+/// cell range (`None` when nothing of it is in range).
+fn clamp(lo: i64, hi: i64, rows: usize) -> Option<Range<usize>> {
+    let lo = lo.max(0);
+    let hi = hi.min(rows as i64 - 1);
+    (lo <= hi).then(|| lo as usize..hi as usize + 1)
+}
+
 struct DeadTrafficVisitor<'a> {
     cfg: &'a VerifyConfig,
     /// Per tracked namespace, one dense cell per row: `0` = no pending
     /// store, else `pc + 1` of the store whose value the row still holds
-    /// unread. Dense indexing keeps the per-row work of this pass O(1) —
-    /// it runs over every row of every nest and dominated verify wall
-    /// time as a `BTreeMap`.
+    /// unread. A run of rows is a contiguous slice, so clearing it is one
+    /// `fill` and a store's kills are counted over slice stretches.
     pending: [Vec<u32>; 3],
-    /// Store pc → (namespace, rows killed before any read).
-    dead: BTreeMap<usize, (Namespace, u64)>,
+    /// Per pc: the namespace and number of rows of that store killed
+    /// before any read (`None` while nothing of it was killed).
+    dead: Vec<Option<(Namespace, u64)>>,
     imm: [ImmSlot; IMM_BUF_SLOTS],
     diags: &'a mut Vec<Diagnostic>,
 }
@@ -116,7 +131,8 @@ impl DeadTrafficVisitor<'_> {
     /// the IMM writes whose value was never consumed.
     fn finish(&mut self) {
         let lanes = self.cfg.lanes as u64;
-        for (&pc, &(ns, rows)) in &self.dead {
+        for (pc, &dead) in self.dead.iter().enumerate() {
+            let Some((ns, rows)) = dead else { continue };
             self.diags.push(Diagnostic::with_wasted(
                 pc,
                 Rule::DeadStore,
@@ -152,67 +168,50 @@ impl Visitor for DeadTrafficVisitor<'_> {
         // Phase 1 — reads. Applied before the nest's writes: any row a
         // source stream can touch counts as consumed, which is the
         // conservative direction for a lint (never flags a store some
-        // iteration interleaving might still read). The rows are also
+        // iteration interleaving might still read). The runs are also
         // remembered so phase 3 can re-clear them *after* the nest's
         // writes: a store in this body whose row the body also reads is
         // consumed by the same iteration (read after the store) or the
         // next one (read before it) and must never be left pending.
-        let mut read_rows: Vec<(usize, usize)> = Vec::new();
+        let mut read_runs: Vec<(usize, Range<usize>)> = Vec::new();
         let mut read_barrier = [false; 3];
         for instr in body {
             let Some((src1, src2)) = instr.sources() else {
                 continue;
             };
-            for (slot, src) in [(1usize, Some(src1)), (2usize, src2)] {
-                let Some(src) = src else { continue };
-                if src.namespace() == Namespace::Imm {
-                    self.imm_read(src.index() as usize);
+            let mut reads = [(1usize, Some(src1)), (2usize, src2), (0usize, None)];
+            // Read-modify-write functions consume their destination too.
+            if instr.reads_destination() {
+                reads[2].1 = instr.destination();
+            }
+            for (slot, op) in reads {
+                let Some(op) = op else { continue };
+                if op.namespace() == Namespace::Imm {
+                    // An IMM destination is the scratchpad pass's error,
+                    // not a read of the slot.
+                    if slot != 0 {
+                        self.imm_read(op.index() as usize);
+                    }
                     continue;
                 }
-                let Some(idx) = tracked_index(src.namespace()) else {
+                let Some(idx) = tracked_index(op.namespace()) else {
                     continue;
                 };
-                let (stream, _notes) = walker.stream(src, slot);
-                match stream.and_then(|s| s.row_set(levels)) {
-                    Some(rows) => {
-                        for row in rows.rows() {
-                            if let Ok(r) = usize::try_from(row) {
-                                if let Some(cell) = self.pending[idx].get_mut(r) {
-                                    *cell = 0;
-                                    read_rows.push((idx, r));
-                                }
+                let (stream, _notes) = walker.stream(op, slot);
+                match stream.and_then(|s| s.row_runs(levels)) {
+                    Some(runs) => {
+                        for (lo, hi) in runs.iter() {
+                            if let Some(r) = clamp(lo, hi, self.pending[idx].len()) {
+                                self.pending[idx][r.clone()].fill(0);
+                                read_runs.push((idx, r));
                             }
                         }
                     }
                     // Unknown footprint: could read anything in the
                     // namespace.
                     None => {
-                        self.barrier_ns(src.namespace());
+                        self.barrier_ns(op.namespace());
                         read_barrier[idx] = true;
-                    }
-                }
-            }
-            // Read-modify-write functions consume their destination too.
-            if instr.reads_destination() {
-                if let Some(dst) = instr.destination() {
-                    if let Some(idx) = tracked_index(dst.namespace()) {
-                        let (stream, _notes) = walker.stream(dst, 0);
-                        match stream.and_then(|s| s.row_set(levels)) {
-                            Some(rows) => {
-                                for row in rows.rows() {
-                                    if let Ok(r) = usize::try_from(row) {
-                                        if let Some(cell) = self.pending[idx].get_mut(r) {
-                                            *cell = 0;
-                                            read_rows.push((idx, r));
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                self.barrier_ns(dst.namespace());
-                                read_barrier[idx] = true;
-                            }
-                        }
                     }
                 }
             }
@@ -228,39 +227,38 @@ impl Visitor for DeadTrafficVisitor<'_> {
                 continue;
             };
             let (stream, _notes) = walker.stream(dst, 0);
-            match stream.and_then(|s| s.row_set(levels)) {
-                Some(rows) => {
-                    let marker = pc as u32 + 1;
-                    for row in rows.rows() {
-                        // Out-of-range rows are the bounds checker's
-                        // finding, not traffic.
-                        let Some(cell) = usize::try_from(row)
-                            .ok()
-                            .and_then(|r| self.pending[idx].get_mut(r))
-                        else {
-                            continue;
-                        };
-                        let prev = std::mem::replace(cell, marker);
-                        if prev != 0 && prev != marker {
-                            let e = self
-                                .dead
-                                .entry(prev as usize - 1)
-                                .or_insert((dst.namespace(), 0));
-                            e.1 += 1;
-                        }
-                    }
-                }
+            let Some(runs) = stream.and_then(|s| s.row_runs(levels)) else {
                 // Unknown footprint: this store may cover anything, but
                 // nothing is *provably* dead — drop all pending state.
-                None => self.barrier_ns(dst.namespace()),
+                self.barrier_ns(dst.namespace());
+                continue;
+            };
+            let marker = pc as u32 + 1;
+            for (lo, hi) in runs.iter() {
+                // Out-of-range rows are the bounds checker's finding,
+                // not traffic.
+                let Some(r) = clamp(lo, hi, self.pending[idx].len()) else {
+                    continue;
+                };
+                let cells = &mut self.pending[idx][r];
+                // One kill count per stretch of rows holding the same
+                // earlier store.
+                for stretch in cells.chunk_by(|a, b| a == b) {
+                    let prev = stretch[0];
+                    if prev != 0 && prev != marker {
+                        let e = self.dead[prev as usize - 1].get_or_insert((dst.namespace(), 0));
+                        e.1 += stretch.len() as u64;
+                    }
+                }
+                cells.fill(marker);
             }
         }
         // Phase 3 — rows the body reads never stay pending: a same-nest
         // store to such a row is (or may be, across iterations) consumed
         // by that read. Store-over-store kills inside the nest were
         // already charged in phase 2.
-        for &(idx, row) in &read_rows {
-            self.pending[idx][row] = 0;
+        for (idx, r) in read_runs {
+            self.pending[idx][r].fill(0);
         }
         for (idx, &b) in read_barrier.iter().enumerate() {
             if b {

@@ -640,6 +640,123 @@ fn full_32bit_imm_write_pair_is_one_write_not_a_kill() {
     );
 }
 
+#[test]
+fn intra_nest_producer_consumer_store_is_not_dead() {
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 }); // 0
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 0,
+        addr: 5,
+    }); // 1
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index: 1,
+        addr: 9,
+    }); // 2
+    p.push(Instruction::LoopSetIter {
+        loop_id: 0,
+        count: 2,
+    }); // 3
+    p.push(Instruction::LoopSetIndex {
+        bindings: LoopBindings::none(),
+    }); // 4
+    p.push(Instruction::LoopSetNumInst {
+        loop_id: 0,
+        count: 2,
+    }); // 5
+        // Body: pc 6 stores row 5 and pc 7 reads it into row 9, so every
+        // iteration consumes the value the store just wrote.
+    p.push(Instruction::alu(AluFunc::Add, i1(0), imm(0), imm(0))); // 6
+    p.push(Instruction::alu(AluFunc::Add, i1(1), i1(0), imm(0))); // 7
+                                                                  // A later overwrite of row 5 must not make pc 6 dead.
+    p.push(Instruction::alu(AluFunc::Add, i1(0), imm(0), imm(0))); // 8
+    let r = verify(&p);
+    assert!(
+        !r.diagnostics.iter().any(|d| d.rule == Rule::DeadStore),
+        "store at pc 6 is read at pc 7 every iteration, yet: {r}"
+    );
+}
+
+/// Pushes a one-level nest: `count` iterations of one store through
+/// Interim1 iterator `index`, based at `base` with stride `stride`.
+fn push_strided_store(p: &mut Program, index: u8, base: u16, stride: i16, count: u16) {
+    p.push(Instruction::IterConfigBase {
+        ns: Namespace::Interim1,
+        index,
+        addr: base,
+    });
+    p.push(Instruction::IterConfigStride {
+        ns: Namespace::Interim1,
+        index,
+        stride,
+    });
+    p.push(Instruction::LoopSetIter { loop_id: 0, count });
+    p.push(Instruction::LoopSetIndex {
+        bindings: LoopBindings {
+            dst: Some(i1(index)),
+            src1: None,
+            src2: None,
+        },
+    });
+    p.push(Instruction::alu(AluFunc::Add, i1(index), imm(0), imm(0)));
+}
+
+/// The DeadStore findings of `r` as `(pc, wasted words)`.
+fn dead_stores(r: &VerifyReport) -> Vec<(usize, Option<u64>)> {
+    r.diagnostics
+        .iter()
+        .filter(|d| d.rule == Rule::DeadStore)
+        .map(|d| (d.pc, d.wasted_words))
+        .collect()
+}
+
+#[test]
+fn gapped_store_kills_only_the_rows_it_writes() {
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 }); // 0
+    push_strided_store(&mut p, 0, 0, 1, 8); // 1..=5: pc 5 stores rows 0..=7
+    push_strided_store(&mut p, 1, 0, 2, 4); // 6..=10: pc 10 stores rows 0, 2, 4, 6
+    let r = verify(&p);
+    // Rows 1, 3, 5 and 7 sit in the gaps of the strided store: they stay
+    // live-out, so only 4 rows × 8 lanes of pc 5 are wasted.
+    assert_eq!(dead_stores(&r), vec![(5, Some(32))], "{r}");
+    assert!(r.is_clean(), "{r}");
+}
+
+#[test]
+fn footprint_is_clipped_at_the_namespace_edge() {
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 }); // 0
+    push_strided_store(&mut p, 0, 60, 1, 10); // pc 5: rows 60..=69 of 64
+    push_strided_store(&mut p, 1, 58, 1, 10); // pc 10: rows 58..=67 of 64
+    let r = verify(&p);
+    assert_diag(&r, Rule::OobWrite, 5);
+    assert_diag(&r, Rule::OobWrite, 10);
+    // Only the in-range overlap, rows 60..=63, is killed.
+    assert_eq!(dead_stores(&r), vec![(5, Some(32))], "{r}");
+}
+
+#[test]
+fn one_store_kills_two_earlier_stores_with_a_count_each() {
+    let mut p = Program::new();
+    p.push(Instruction::ImmWriteLow { index: 0, value: 1 }); // 0
+    push_strided_store(&mut p, 0, 0, 1, 4); // pc 5: rows 0..=3
+    push_strided_store(&mut p, 1, 4, 1, 6); // pc 10: rows 4..=9
+    push_strided_store(&mut p, 2, 2, 1, 6); // pc 15: rows 2..=7
+    let r = verify(&p);
+    // pc 15 kills rows 2..=3 of pc 5 and rows 4..=7 of pc 10.
+    assert_eq!(dead_stores(&r), vec![(5, Some(16)), (10, Some(32))], "{r}");
+    let texts: Vec<&str> = r
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == Rule::DeadStore)
+        .map(|d| d.message.as_str())
+        .collect();
+    assert!(texts[0].contains("writes 2 row(s)"), "{r}");
+    assert!(texts[1].contains("writes 4 row(s)"), "{r}");
+}
+
 // --- widened vs exact agreement on a known overflow ---
 
 /// The two summarization modes must catch the same scratchpad overflow

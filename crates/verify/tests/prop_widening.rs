@@ -1,7 +1,6 @@
 //! Property tests for the widened loop summarization, with shrinking
-//! (the same hand-rolled harness as `tandem-isa`'s encode/decode
-//! properties: seeded xorshift64* generation, minimal counterexamples,
-//! zero external dependencies).
+//! (the shared harness in `common/`: seeded xorshift64* generation,
+//! minimal counterexamples, zero external dependencies).
 //!
 //! The contract under test is the soundness side of
 //! `VerifyMode::Widened`: on any program — including adversarial random
@@ -12,135 +11,11 @@
 //! agree bit-for-bit, which the second property and the 7-model zoo
 //! test pin down.
 
-use tandem_isa::{
-    AluFunc, Instruction, LoopBindings, Namespace, Operand, Program, SyncEdge, SyncKind, SyncUnit,
-};
+mod common;
+
+use common::{arb_program, Rng};
+use tandem_isa::Program;
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode, VerifyReport};
-
-/// xorshift64* — deterministic, dependency-free randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
-
-fn arb_namespace(rng: &mut Rng) -> Namespace {
-    Namespace::ALL[rng.below(4) as usize]
-}
-
-/// A small operand pool (indices 0..8) so random programs actually
-/// collide on iterators, rows and IMM slots.
-fn arb_operand(rng: &mut Rng) -> Operand {
-    Operand::new(arb_namespace(rng), rng.below(8) as u8)
-}
-
-/// One instruction of a random verification workload. Loop counts stay
-/// ≤ 6 and level ids ≤ 2 (at most 3 live levels, ≤ 216 iterations per
-/// nest) so the exact oracle's per-iteration walk stays cheap even over
-/// thousands of generated programs.
-fn arb_instruction(rng: &mut Rng) -> Instruction {
-    match rng.below(16) {
-        0 | 1 => Instruction::IterConfigBase {
-            ns: arb_namespace(rng),
-            index: rng.below(8) as u8,
-            // tiny machine: 64 Interim rows — bases past capacity are
-            // generated on purpose so the bounds rules fire.
-            addr: rng.below(96) as u16,
-        },
-        2 | 3 => Instruction::IterConfigStride {
-            ns: arb_namespace(rng),
-            index: rng.below(8) as u8,
-            stride: rng.below(9) as i16 - 4,
-        },
-        4 => Instruction::ImmWriteLow {
-            index: rng.below(8) as u8,
-            value: rng.next_u64() as i16,
-        },
-        5 => Instruction::ImmWriteHigh {
-            index: rng.below(8) as u8,
-            value: rng.next_u64() as u16,
-        },
-        6 | 7 => Instruction::LoopSetIter {
-            loop_id: rng.below(3) as u8,
-            count: rng.below(7) as u16,
-        },
-        8 => Instruction::LoopSetIndex {
-            bindings: LoopBindings {
-                dst: rng.bool().then(|| arb_operand(rng)),
-                src1: rng.bool().then(|| arb_operand(rng)),
-                src2: rng.bool().then(|| arb_operand(rng)),
-            },
-        },
-        9 => Instruction::LoopSetNumInst {
-            loop_id: rng.below(3) as u8,
-            count: rng.below(4) as u16,
-        },
-        10 => Instruction::sync(
-            if rng.bool() {
-                SyncUnit::Simd
-            } else {
-                SyncUnit::Gemm
-            },
-            if rng.bool() {
-                SyncEdge::End
-            } else {
-                SyncEdge::Start
-            },
-            if rng.bool() {
-                SyncKind::Buf
-            } else {
-                SyncKind::Exec
-            },
-            rng.below(4) as u8,
-        ),
-        11 => Instruction::PermuteSetBase {
-            is_dst: rng.bool(),
-            ns: arb_namespace(rng),
-            addr: rng.below(700) as u16,
-        },
-        12 => Instruction::PermuteStart {
-            cross_lane: rng.bool(),
-        },
-        _ => {
-            let func = AluFunc::ALL[rng.below(AluFunc::ALL.len() as u64) as usize];
-            let dst = arb_operand(rng);
-            let src1 = arb_operand(rng);
-            let src2 = if matches!(func, AluFunc::Not | AluFunc::Move) {
-                src1
-            } else {
-                arb_operand(rng)
-            };
-            Instruction::alu(func, dst, src1, src2)
-        }
-    }
-}
-
-fn arb_program(rng: &mut Rng) -> Program {
-    let mut p = Program::new();
-    for _ in 0..4 + rng.below(28) {
-        p.push(arb_instruction(rng));
-    }
-    p
-}
 
 fn verify(mode: VerifyMode, p: &Program) -> VerifyReport {
     Verifier::new(VerifyConfig::tiny().with_mode(mode)).verify(p)
@@ -153,41 +28,14 @@ fn errors(r: &VerifyReport) -> usize {
         .count()
 }
 
-/// Runs `prop` over `cases` random programs; on failure, shrinks the
-/// program by deleting instructions (one at a time, to a local fixpoint)
-/// before panicking with the minimal counterexample.
 fn forall_programs(seed: u64, cases: usize, prop: impl Fn(&Program) -> bool) {
-    let mut rng = Rng::new(seed);
-    for case in 0..cases {
-        let program = arb_program(&mut rng);
-        if prop(&program) {
-            continue;
-        }
-        let mut minimal = program.clone();
-        'shrinking: loop {
-            for skip in 0..minimal.len() {
-                let mut candidate = Program::new();
-                for (i, instr) in minimal.iter().enumerate() {
-                    if i != skip {
-                        candidate.push(*instr);
-                    }
-                }
-                if !prop(&candidate) {
-                    minimal = candidate;
-                    continue 'shrinking;
-                }
-            }
-            break;
-        }
-        panic!(
-            "property failed (seed {seed}, case {case}, {} instrs)\n  minimal program:\n{}\n  \
-             widened:\n{}\n  exact:\n{}",
-            minimal.len(),
-            minimal,
-            verify(VerifyMode::Widened, &minimal),
-            verify(VerifyMode::Exact, &minimal),
-        );
-    }
+    common::forall_programs(seed, cases, arb_program, prop, |p| {
+        format!(
+            "  widened:\n{}\n  exact:\n{}",
+            verify(VerifyMode::Widened, p),
+            verify(VerifyMode::Exact, p)
+        )
+    });
 }
 
 /// Soundness: widening may only over-approximate — it must never *miss*
