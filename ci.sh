@@ -79,8 +79,11 @@ cargo run --release -q --bin bench_serve -- --smoke
 # byte-deterministic, so the committed smoke_floor_cycles_* values in
 # BENCH_TUNE.json are exact: the step fails if any model's smoke search
 # lands above its floor (a schedule lever or the search got worse) or if
-# the searches blow the committed wall budget. The smoke output goes to
-# artifacts/ so the committed full-mode baseline stays the floor source.
+# the searches blow the committed wall budget (smoke_budget_s, 0.30 s:
+# 3x the median smoke wall of 0.10 s over 18 runs on a 2-vCPU host; over
+# budget, the step prints each model's wall, largest first). The smoke
+# output goes to artifacts/ so the committed full-mode baseline stays the
+# floor source.
 echo "==> tandem-tune (schedule autotuner, smoke + regression floors)"
 cargo run --release -q --bin tandem_tune -- --smoke --out artifacts/BENCH_TUNE_SMOKE.json
 

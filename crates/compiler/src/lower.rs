@@ -164,8 +164,7 @@ impl OpLowering {
     /// The key of `node`'s tuning site on this machine shape
     /// ([`crate::NodeSignature::site_key`]).
     pub fn site_key(&self, graph: &Graph, node: &Node) -> u64 {
-        crate::NodeSignature::of(graph, node, self.lanes, self.interim_rows, self.fixed.q)
-            .site_key()
+        crate::signature::site_key(graph, node, self.lanes, self.interim_rows, self.fixed.q)
     }
 
     fn builder(&self) -> TileProgramBuilder {

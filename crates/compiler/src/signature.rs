@@ -14,6 +14,7 @@
 use crate::lower::OpLowering;
 use crate::tune_space::{StableHasher, TileChoice};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use tandem_model::hash::WordHasher;
 use tandem_model::{Graph, Node};
 
@@ -39,10 +40,14 @@ use tandem_model::{Graph, Node};
 /// exact values. The map hash over the words and the schedule choice is
 /// computed once, at construction: a cache probe hashes one word and
 /// compares the buffers only when the hashes agree.
+///
+/// The words are shared: cloning a signature, or re-keying it under
+/// another choice with [`NodeSignature::with_choice`], copies no words
+/// and rehashes only the choice.
 #[derive(Debug, Clone)]
 pub struct NodeSignature {
     /// The flattened key (layout above).
-    words: Vec<u64>,
+    words: Arc<[u64]>,
     /// The tuner's pinned decision at this node's site, if the lowering
     /// carries a [`crate::Schedule`] that overrides it. Part of the key —
     /// two schedules produce different programs for the same node, so
@@ -50,6 +55,8 @@ pub struct NodeSignature {
     /// them — but excluded from [`NodeSignature::site_key`], which names
     /// the site the choice applies to.
     choice: Option<TileChoice>,
+    /// [`WordHasher`] state after `words`, before `choice`.
+    words_state: WordHasher,
     /// [`WordHasher`] digest of `words` and `choice`.
     hash: u64,
 }
@@ -72,14 +79,33 @@ impl NodeSignature {
     /// Computes the signature of `node` for a machine with `lanes` lanes,
     /// `interim_rows` scratchpad rows, and `q` fractional bits.
     pub fn of(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u32) -> Self {
-        Self::sealed(key_words(graph, node, lanes, interim_rows, q), None)
+        let mut words = Vec::new();
+        key_words(&mut words, graph, node, lanes, interim_rows, q);
+        Self::sealed(&words)
+    }
+
+    /// [`NodeSignature::of`] every non-GEMM node of `graph`, by node
+    /// index (`None` for the GEMM nodes, which the Tandem compiler never
+    /// lowers), built through one scratch buffer.
+    pub fn of_graph(graph: &Graph, lanes: usize, interim_rows: usize, q: u32) -> Vec<Option<Self>> {
+        let mut words = Vec::new();
+        graph
+            .nodes()
+            .iter()
+            .map(|node| {
+                node.kind.class().is_non_gemm().then(|| {
+                    key_words(&mut words, graph, node, lanes, interim_rows, q);
+                    Self::sealed(&words)
+                })
+            })
+            .collect()
     }
 
     /// The signature of `node` under `lowering`'s machine shape,
     /// including the schedule choice pinned at the node's site (if any).
     /// The site key is computed only under a non-empty schedule.
     pub fn for_lowering(lowering: &OpLowering, graph: &Graph, node: &Node) -> Self {
-        let words = key_words(
+        let sig = Self::of(
             graph,
             node,
             lowering.lanes(),
@@ -87,24 +113,39 @@ impl NodeSignature {
             lowering.fixed.q,
         );
         let schedule = lowering.schedule();
-        let choice = if schedule.is_empty() {
-            None
-        } else {
-            schedule.get(site_key_of(&words))
-        };
-        Self::sealed(words, choice)
+        if schedule.is_empty() {
+            return sig;
+        }
+        let choice = schedule.get(sig.site_key());
+        sig.with_choice(choice)
     }
 
-    fn sealed(words: Vec<u64>, choice: Option<TileChoice>) -> Self {
+    /// The choice-free signature of `words`.
+    fn sealed(words: &[u64]) -> Self {
         let mut h = WordHasher::default();
-        for &w in &words {
+        for &w in words {
             h.write_u64(w);
         }
+        let mut sealed = h;
+        None::<TileChoice>.hash(&mut sealed);
+        NodeSignature {
+            words: Arc::from(words),
+            choice: None,
+            words_state: h,
+            hash: sealed.finish(),
+        }
+    }
+
+    /// This signature under the schedule choice `choice`: the same words,
+    /// shared, and the hash of the words extended by the choice.
+    pub fn with_choice(&self, choice: Option<TileChoice>) -> Self {
+        let mut h = self.words_state;
         choice.hash(&mut h);
         NodeSignature {
-            hash: h.finish(),
-            words,
+            words: Arc::clone(&self.words),
             choice,
+            words_state: self.words_state,
+            hash: h.finish(),
         }
     }
 
@@ -123,8 +164,16 @@ impl NodeSignature {
     }
 }
 
-/// The flat key of [`NodeSignature`], sized exactly in one allocation.
-fn key_words(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u32) -> Vec<u64> {
+/// Writes the flat key of [`NodeSignature`] into `words`, replacing its
+/// contents.
+fn key_words(
+    words: &mut Vec<u64>,
+    graph: &Graph,
+    node: &Node,
+    lanes: usize,
+    interim_rows: usize,
+    q: u32,
+) {
     let dims = |id| graph.tensor(id).shape.dims();
     let a = &node.attrs;
     let len = 15
@@ -139,7 +188,8 @@ fn key_words(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u
             .iter()
             .map(|&t| dims(t).len() + 1)
             .sum::<usize>();
-    let mut words = Vec::with_capacity(len);
+    words.clear();
+    words.reserve(len);
     words.extend([node.kind as u64, node.inputs.len() as u64]);
     for &id in &node.inputs {
         let t = graph.tensor(id);
@@ -170,7 +220,19 @@ fn key_words(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u
         u64::from(q),
     ]);
     debug_assert_eq!(words.len(), len);
-    words
+}
+
+/// [`NodeSignature::site_key`] of `node`, without building the signature.
+pub(crate) fn site_key(
+    graph: &Graph,
+    node: &Node,
+    lanes: usize,
+    interim_rows: usize,
+    q: u32,
+) -> u64 {
+    let mut words = Vec::new();
+    key_words(&mut words, graph, node, lanes, interim_rows, q);
+    site_key_of(&words)
 }
 
 /// FNV-1a over the byte stream a derived `Hash` of the original nested

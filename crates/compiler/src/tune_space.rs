@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use tandem_model::{Graph, NodeId, OpClass};
+use tandem_model::{Graph, Node, NodeId, OpClass};
 
 /// One explicit compiler decision at a tuning site. Every variant maps to
 /// one operator family of [`crate::Tiler`]; the fields are exactly the
@@ -275,10 +275,16 @@ pub struct TuneSite {
 
 /// Enumerates the non-GEMM tuning sites of `graph` under `lowering`'s
 /// machine shape: one [`TuneSite`] per distinct choice-free signature, in
-/// first-appearance order. GEMM-side sites (tile pipelining granularity)
-/// are owned by `tandem-npu`, which knows the systolic geometry, and are
-/// merged there.
-pub fn enumerate_sites(lowering: &crate::OpLowering, graph: &Graph) -> Vec<TuneSite> {
+/// first-appearance order. `site_key` returns a node's
+/// [`crate::OpLowering::site_key`] (the NPU reads it from its per-graph
+/// plan instead of hashing again). GEMM-side sites (tile pipelining
+/// granularity) are owned by `tandem-npu`, which knows the systolic
+/// geometry, and are merged there.
+pub fn enumerate_sites(
+    lowering: &crate::OpLowering,
+    graph: &Graph,
+    site_key: impl Fn(&Node) -> u64,
+) -> Vec<TuneSite> {
     let tiler = crate::Tiler::new(lowering.lanes(), lowering.interim_rows());
     let mut order: Vec<u64> = Vec::new();
     let mut sites: BTreeMap<u64, TuneSite> = BTreeMap::new();
@@ -289,7 +295,7 @@ pub fn enumerate_sites(lowering: &crate::OpLowering, graph: &Graph) -> Vec<TuneS
         let Some((baseline, candidates)) = tiler.choices(lowering, graph, node) else {
             continue;
         };
-        let key = lowering.site_key(graph, node);
+        let key = site_key(node);
         match sites.get_mut(&key) {
             Some(site) => site.instances += 1,
             None => {

@@ -143,7 +143,7 @@ fn every_site_candidate_verifies_clean() {
     let g = mixed_graph();
     for (lanes, rows) in [(32usize, 512usize), (8, 64)] {
         let lowering = OpLowering::new(lanes, rows);
-        let sites = enumerate_sites(&lowering, &g);
+        let sites = enumerate_sites(&lowering, &g, |n| lowering.site_key(&g, n));
         assert!(
             sites.len() >= 4,
             "expected several tuning sites on {lanes}×{rows}, got {}",
@@ -170,7 +170,7 @@ fn random_schedules_verify_clean() {
     let g = mixed_graph();
     for (lanes, rows) in [(32usize, 512usize), (8, 64)] {
         let lowering = OpLowering::new(lanes, rows);
-        let sites = enumerate_sites(&lowering, &g);
+        let sites = enumerate_sites(&lowering, &g, |n| lowering.site_key(&g, n));
         let mut rng = SplitMix64(xtrial_seed(lanes as u64, rows as u64));
         for _ in 0..24 {
             let mut choices = BTreeMap::new();

@@ -242,27 +242,12 @@ impl Graph {
         self.nodes.iter().find(|n| n.outputs.contains(&tensor))
     }
 
-    /// The nodes consuming `tensor`.
-    ///
-    /// Scans every node — when querying many tensors, build a
-    /// [`Graph::consumer_index`] once instead.
+    /// The nodes consuming `tensor` (scans every node).
     pub fn consumers(&self, tensor: TensorId) -> Vec<&Node> {
         self.nodes
             .iter()
             .filter(|n| n.inputs.contains(&tensor))
             .collect()
-    }
-
-    /// Consumers of every tensor at once, indexed by [`TensorId::index`]:
-    /// one O(edges) pass instead of an O(nodes) scan per tensor.
-    pub fn consumer_index(&self) -> Vec<Vec<NodeId>> {
-        let mut index = vec![Vec::new(); self.tensors.len()];
-        for node in &self.nodes {
-            for input in &node.inputs {
-                index[input.index()].push(node.id);
-            }
-        }
-        index
     }
 
     /// A structural digest of the graph: two graphs with equal hashes

@@ -1,11 +1,12 @@
 //! [`Memo`] — the simulator's one in-process memo table — and
 //! [`WordHasher`], its hasher.
 //!
-//! The NPU's six caches (compile, verify, gate, simulation, GEMM report
-//! and whole-graph report) are each one [`Memo`], looked up once per node
-//! or block per run, so their hashing is on the hot path of every cached
-//! run. Their keys are either a few machine words or carry a hash
-//! precomputed when the key was built (`tandem_compiler::NodeSignature`).
+//! The NPU's caches (compile, verify, gate, simulation, GEMM report,
+//! whole-graph report and per-graph plan) are each one [`Memo`], looked
+//! up once per node, block or graph per run, so their hashing is on the
+//! hot path of every cached run. Their keys are either a few machine
+//! words or carry a hash precomputed when the key was built
+//! (`tandem_compiler::NodeSignature`).
 //! Walking such a key through SipHash costs more than the map probe
 //! itself; this hasher folds each written word in with one multiply and
 //! avalanches once in `finish`.

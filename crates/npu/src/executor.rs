@@ -4,6 +4,7 @@
 use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
 use crate::par::par_map;
+use crate::plan::{gemm_workload, GraphPlan, PlannedBlock};
 use crate::report::{ExecStats, NpuReport};
 use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
 use std::borrow::Borrow;
@@ -12,12 +13,11 @@ use std::sync::Arc;
 use std::time::Instant;
 use tandem_compiler::{
     enumerate_sites, prefetch_key, schedule_block, stable_hash, BlockKind, CompileError,
-    CompiledOp, ExecutionBlock, NodeSignature, OpLowering, Partitioner, Schedule, TileChoice,
-    TuneSite,
+    CompiledOp, ExecutionBlock, NodeSignature, OpLowering, Schedule, TileChoice, TuneSite,
 };
 use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProcessor};
 use tandem_model::hash::Memo;
-use tandem_model::{Graph, Node, NodeId, TensorId};
+use tandem_model::{Graph, Node};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
 
@@ -135,6 +135,10 @@ struct SimKey {
 /// schedules share the cache map but never a report.
 type GraphKey = (u64, usize, usize, u64);
 
+/// Memoization key of a [`GraphPlan`]: the graph part of a [`GraphKey`]
+/// plus the machine shape the plan's signatures are built for.
+type PlanKey = (u64, usize, usize, (usize, usize));
+
 /// The cycle-and-traffic demand of one batch-1 run of a graph, as
 /// returned by [`Npu::estimate_demand`] — the serving layer's input to
 /// the shared-HBM contention model: `dram_bytes / (total_cycles /
@@ -170,6 +174,11 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
 /// The memoization state shared by every clone of an [`Npu`], by its
 /// same-silicon siblings and by all [`Npu::run_many`] workers.
 ///
+/// `plan` holds what no schedule can change about each graph — its
+/// blocks, their DRAM bytes and GEMM workloads, and its node signatures
+/// and site keys — so a sibling under a new schedule re-derives none of
+/// it. Its hits and misses are not part of [`ExecStats`].
+///
 /// Caching is sound because every cached value is a pure function of its
 /// key under one Tandem and one GEMM unit configuration: lowering depends
 /// only on the [`NodeSignature`] (compilation errors are memoized too),
@@ -185,6 +194,7 @@ struct NpuCaches {
     sim: Memo<SimKey, RunReport>,
     gemm: Memo<(GemmWorkload, u64), GemmReport>,
     graph: Memo<GraphKey, NpuReport>,
+    plan: Memo<PlanKey, Arc<GraphPlan>>,
 }
 
 /// The NPU-Tandem end-to-end model runner.
@@ -370,8 +380,7 @@ impl Npu {
 
     /// The uncached whole-graph execution body, with tracing.
     fn run_core_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
-        let blocks = Partitioner::new().partition(graph);
-        let consumers = graph.consumer_index();
+        let plan = self.plan(graph);
         let mut report = NpuReport {
             gemm_mac_slots: (self.cfg.gemm.rows * self.cfg.gemm.cols) as u64,
             tandem_lanes: self.cfg.tandem.lanes as u64,
@@ -385,11 +394,11 @@ impl Npu {
         // Trailing idle window of the previous block's GEMM DRAM channel:
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
-        for block in &blocks {
+        for planned in &plan.blocks {
             self.run_block(
                 graph,
-                block,
-                &consumers,
+                &plan,
+                planned,
                 &mut proc,
                 &mut dram,
                 &mut report,
@@ -428,15 +437,26 @@ impl Npu {
     /// therefore verify only the blocks those sites touch. An
     /// [`Npu::uncached`] runner recompiles and re-verifies every block.
     pub fn verify_schedule(&self, graph: &Graph) -> bool {
-        self.verify_schedule_with(graph, |node| {
-            self.lower(graph, node, self.signature(graph, node).as_ref())
+        let plan = self.plan(graph);
+        self.verify_schedule_with(graph, &plan, |node| {
+            self.lower(
+                graph,
+                node,
+                plan.signature(graph, &self.lowering, node.id).as_ref(),
+            )
         })
     }
 
-    /// [`Npu::verify_schedule`] with the node lowering supplied by the
-    /// caller. The memo key still comes from this NPU's lowering, so a
-    /// foreign `lower` must only ever run on a runner of its own.
-    fn verify_schedule_with<R>(&self, graph: &Graph, mut lower: impl FnMut(&Node) -> R) -> bool
+    /// [`Npu::verify_schedule`] over `graph`'s `plan`, with the node
+    /// lowering supplied by the caller. The memo key still comes from
+    /// this NPU's schedule, so a foreign `lower` must only ever run on a
+    /// runner of its own.
+    fn verify_schedule_with<R>(
+        &self,
+        graph: &Graph,
+        plan: &GraphPlan,
+        mut lower: impl FnMut(&Node) -> R,
+    ) -> bool
     where
         R: Borrow<Result<CompiledOp, CompileError>>,
     {
@@ -444,29 +464,42 @@ impl Npu {
             VerifyConfig::for_lowering(self.lowering.lanes(), self.lowering.interim_rows())
                 .with_mode(self.cfg.verify_mode),
         );
-        let blocks = Partitioner::new().partition(graph);
-        blocks.iter().enumerate().all(|(i, block)| {
+        let site_keys = self
+            .cache_enabled
+            .then(|| plan.site_keys(graph, &self.lowering));
+        plan.blocks.iter().enumerate().all(|(i, planned)| {
+            let block = &planned.block;
             let mut verdict = || {
                 schedule_block(graph, block, (i % 32) as u8, &mut lower)
                     .is_ok_and(|sb| verifier.verify(&sb.program).is_clean())
             };
-            if !self.cache_enabled {
+            let Some(site_keys) = site_keys else {
                 return verdict();
-            }
+            };
             let sites = block.non_gemm.iter().map(|&id| {
-                let site = self.lowering.site_key(graph, graph.node(id));
-                (site, self.lowering.schedule().get(site))
+                let site = site_keys[id.index()];
+                (site, self.cfg.schedule.get(site))
             });
             let key: GateKey = (block.gemm.is_some(), sites.collect(), self.cfg.verify_mode);
             self.caches.gate.get_or_insert_with(&key, verdict)
         })
     }
 
-    /// The signature every node-level cache keys `node` on, built once
-    /// per node per run; `None` on an [`Npu::uncached`] runner.
-    fn signature(&self, graph: &Graph, node: &Node) -> Option<NodeSignature> {
-        self.cache_enabled
-            .then(|| NodeSignature::for_lowering(&self.lowering, graph, node))
+    /// `graph`'s [`GraphPlan`]: from the shared plan memo, or built
+    /// afresh (without signatures) on an [`Npu::uncached`] runner.
+    fn plan(&self, graph: &Graph) -> Arc<GraphPlan> {
+        if !self.cache_enabled {
+            return Arc::new(GraphPlan::build(graph, &self.lowering, false));
+        }
+        let key: PlanKey = (
+            graph.content_hash(),
+            graph.nodes().len(),
+            graph.tensors().len(),
+            (self.lowering.lanes(), self.lowering.interim_rows()),
+        );
+        self.caches.plan.get_or_insert_with(&key, || {
+            Arc::new(GraphPlan::build(graph, &self.lowering, true))
+        })
     }
 
     /// Lowers `node` under this NPU's schedule: through the compile cache
@@ -649,59 +682,31 @@ impl Npu {
         r
     }
 
-    /// GEMM workload of a GEMM-class node.
-    fn gemm_workload(&self, graph: &Graph, node: &Node) -> GemmWorkload {
-        use tandem_model::OpKind::*;
-        match node.kind {
-            Conv => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let cin = graph.tensor(node.inputs[0]).shape.dim(1);
-                GemmWorkload::from_conv(
-                    out.dim(2) as u64,
-                    out.dim(3) as u64,
-                    cin as u64,
-                    out.dim(1) as u64,
-                    node.attrs.kernel as u64,
-                )
-            }
-            MatMul => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let k = graph.tensor(node.inputs[0]).shape.dim(-1) as u64;
-                let n = out.dim(-1) as u64;
-                let m = out.elements() as u64 / n;
-                GemmWorkload::new(m, k, n)
-            }
-            Gemm => {
-                let out = &graph.tensor(node.outputs[0]).shape;
-                let k = graph.tensor(node.inputs[0]).shape.dim(-1) as u64;
-                GemmWorkload::new(out.dim(0) as u64, k, out.dim(-1) as u64)
-            }
-            other => unreachable!("{other} is not a GEMM operator"),
-        }
-    }
-
     /// Enumerates every tuning site of `graph` on this NPU: the
     /// compiler's non-GEMM sites ([`enumerate_sites`]) merged with the
     /// GEMM-side pipelining-granularity sites only this crate can build
     /// — their candidate m-tiles depend on the systolic geometry through
     /// [`GemmUnit::max_tile_rows`]. Site keys and candidate lists are
     /// schedule-independent, so the result is identical whatever
-    /// schedule this NPU currently runs under.
+    /// schedule this NPU currently runs under. The keys are read from the
+    /// graph's plan on this NPU's caches: each is hashed once per graph.
     pub fn tune_sites(&self, graph: &Graph) -> Vec<TuneSite> {
         use std::collections::BTreeSet;
-        let mut sites = enumerate_sites(&self.lowering, graph);
+        let plan = self.plan(graph);
+        let site_keys = plan.site_keys(graph, &self.lowering);
+        let mut sites = enumerate_sites(&self.lowering, graph, |n| site_keys[n.id.index()]);
         let mut index: HashMap<u64, usize> =
             sites.iter().enumerate().map(|(i, s)| (s.key, i)).collect();
         for node in graph.nodes() {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = self.lowering.site_key(graph, node);
+            let key = site_keys[node.id.index()];
             if let Some(&i) = index.get(&key) {
                 sites[i].instances += 1;
                 continue;
             }
-            let w = self.gemm_workload(graph, node);
+            let w = gemm_workload(graph, node);
             // The hand-rolled executor always takes the largest tile the
             // accumulator holds; the candidates walk down from it and add
             // the largest *exact divisor* of M (no ragged last tile).
@@ -734,13 +739,12 @@ impl Npu {
             if node.kind.class() != tandem_model::OpClass::Gemm {
                 continue;
             }
-            let key = self.lowering.site_key(graph, node);
-            let pkey = prefetch_key(key);
+            let pkey = prefetch_key(site_keys[node.id.index()]);
             if let Some(&i) = index.get(&pkey) {
                 sites[i].instances += 1;
                 continue;
             }
-            let w = self.gemm_workload(graph, node);
+            let w = gemm_workload(graph, node);
             let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
             let weight_bytes = w.k * w.n;
             let resident = weight_bytes <= (self.gemm.config().scratchpad_bytes / 2) as u64;
@@ -763,68 +767,25 @@ impl Npu {
         sites
     }
 
-    /// DRAM traffic of the Tandem side for a block: activations entering
-    /// from outside the block (except the GEMM output, which arrives via
-    /// the Output BUF) and activations leaving it (INT32 words).
-    /// `consumers` is the whole-graph [`Graph::consumer_index`].
-    fn block_tandem_dram_bytes(
-        &self,
-        graph: &Graph,
-        block: &ExecutionBlock,
-        consumers: &[Vec<NodeId>],
-    ) -> u64 {
-        // Written inside the block (non-GEMM outputs, or the GEMM output
-        // arriving via the Output BUF): a linear scan, since a block holds
-        // only a handful of nodes.
-        let produced_here = |t: &TensorId| {
-            block
-                .non_gemm
-                .iter()
-                .chain(&block.gemm)
-                .any(|&id| graph.node(id).outputs.contains(t))
-        };
-        // Activations live in DRAM as INT8 (the cast stream converts at
-        // the boundary), so cross-block traffic is one byte per element.
-        let mut bytes = 0u64;
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            for &input in &node.inputs {
-                let t = graph.tensor(input);
-                if !t.is_weight && !produced_here(&input) {
-                    bytes += t.shape.elements() as u64;
-                }
-            }
-            for &output in &node.outputs {
-                let consumed_outside = consumers[output.index()]
-                    .iter()
-                    .any(|id| !block.non_gemm.contains(id))
-                    || graph.outputs().contains(&output);
-                if consumed_outside {
-                    bytes += graph.tensor(output).shape.elements() as u64;
-                }
-            }
-        }
-        bytes
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn run_block(
         &self,
         graph: &Graph,
-        block: &ExecutionBlock,
-        consumers: &[Vec<NodeId>],
+        plan: &GraphPlan,
+        planned: &PlannedBlock,
         proc: &mut TandemProcessor,
         dram: &mut Dram,
         report: &mut NpuReport,
         sink: &mut dyn TraceSink,
         exposed: &mut u64,
     ) {
+        let block = &planned.block;
         let cursor = report.total_cycles;
         // --- Tandem side: compile + simulate each non-GEMM node ---
         let mut tandem_total = RunReport::default();
         for &id in &block.non_gemm {
             let node = graph.node(id);
-            let mut sig = self.signature(graph, node);
+            let mut sig = plan.signature(graph, &self.lowering, id);
             if self.cfg.verify {
                 sig = self.verify_node(graph, node, sig, report);
             }
@@ -846,7 +807,7 @@ impl Npu {
                 .or_default() += cast.compute_cycles;
             tandem_total.merge(&cast);
         }
-        let tandem_dram_bytes = self.block_tandem_dram_bytes(graph, block, consumers);
+        let tandem_dram_bytes = planned.tandem_dram_bytes;
         let dma_cycles =
             (tandem_dram_bytes as f64 / (self.cfg.tandem.dram_words_per_cycle * 4.0)).ceil() as u64;
         tandem_total.dma_cycles += dma_cycles;
@@ -861,15 +822,14 @@ impl Npu {
         // and this block's first-tile fill after prefetch hiding.
         let mut gemm_dram_busy = 0u64;
         let mut gemm_fill_cycles = 0u64;
-        let (gemm_total_cycles, gemm_tile_cycles, tiles) = match block.gemm {
-            Some(id) => {
+        let (gemm_total_cycles, gemm_tile_cycles, tiles) = match (block.gemm, planned.gemm) {
+            (Some(id), Some(w)) => {
                 let node = graph.node(id);
-                let w = self.gemm_workload(graph, node);
                 let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
                 // One site key per GEMM node serves both of its schedule
-                // decisions; none is computed under the empty schedule.
-                let site =
-                    (!self.cfg.schedule.is_empty()).then(|| self.lowering.site_key(graph, node));
+                // decisions; none is needed under the empty schedule.
+                let site = (!self.cfg.schedule.is_empty())
+                    .then(|| plan.site_keys(graph, &self.lowering)[id.index()]);
                 let pinned = |key: u64| self.cfg.schedule.get(key);
                 let tile_rows = match site.and_then(pinned) {
                     Some(TileChoice::GemmTile { m_rows }) => (m_rows as u64).clamp(1, cap),
@@ -923,7 +883,7 @@ impl Npu {
                     .max(whole.dram_cycles.saturating_sub(hidden));
                 (whole_hidden, tile.overlapped_cycles(), tiles)
             }
-            None => (0, 0, 1),
+            _ => (0, 0, 1),
         };
 
         report.busy.tandem_cycles += tandem_total.compute_cycles;
@@ -1013,6 +973,7 @@ impl Npu {
         if sink.enabled() {
             self.trace_block(
                 graph,
+                plan,
                 block,
                 proc,
                 dram,
@@ -1044,6 +1005,7 @@ impl Npu {
     fn trace_block(
         &self,
         graph: &Graph,
+        plan: &GraphPlan,
         block: &ExecutionBlock,
         proc: &mut TandemProcessor,
         dram: &mut Dram,
@@ -1062,6 +1024,18 @@ impl Npu {
         // loadable in the viewer.
         const DETAIL_TILES: u64 = 32;
         let kind = block.kind();
+        let lowered: Vec<_> = block
+            .non_gemm
+            .iter()
+            .map(|&id| {
+                let node = graph.node(id);
+                self.lower(
+                    graph,
+                    node,
+                    plan.signature(graph, &self.lowering, id).as_ref(),
+                )
+            })
+            .collect();
         let label = match (block.gemm, block.non_gemm.first()) {
             (Some(g), _) => graph.node(g).name.as_str(),
             (None, Some(&n)) => graph.node(n).name.as_str(),
@@ -1138,7 +1112,7 @@ impl Npu {
                         &[],
                     );
                 }
-                self.trace_programs(graph, block, proc, dram, cursor, sink);
+                self.trace_programs(&lowered, proc, dram, cursor, sink);
                 for _ in 0..tiles {
                     ctrl.on_event(ControllerEvent::TandemDone);
                 }
@@ -1221,7 +1195,7 @@ impl Npu {
                     }
                     self.trace_gemm_passes(gemm_detail, cursor, sink);
                     self.trace_dae_stream(tandem_total, cursor + g, sink);
-                    self.trace_programs(graph, block, proc, dram, cursor + g, sink);
+                    self.trace_programs(&lowered, proc, dram, cursor + g, sink);
                     for k in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1285,7 +1259,7 @@ impl Npu {
                         &[("ops", block.non_gemm.len() as u64)],
                     );
                     self.trace_dae_stream(tandem_total, tandem_start, sink);
-                    self.trace_programs(graph, block, proc, dram, tandem_start, sink);
+                    self.trace_programs(&lowered, proc, dram, tandem_start, sink);
                     for _ in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1353,23 +1327,21 @@ impl Npu {
     }
 
     /// Embeds the instruction-level timeline of the block's compiled tile
-    /// programs on the [`Track::Program`] lane starting at `start`: each
+    /// programs (`lowered`, one lowering per non-GEMM node) on the
+    /// [`Track::Program`] lane starting at `start`: each
     /// program's first repetition plays out span by span (config runs,
     /// Code Repeater nests, permutes, DMA bursts, syncs); further
     /// repetitions coalesce into one "tile repeats" span.
     fn trace_programs(
         &self,
-        graph: &Graph,
-        block: &ExecutionBlock,
+        lowered: &[Arc<Result<CompiledOp, CompileError>>],
         proc: &mut TandemProcessor,
         dram: &mut Dram,
         start: u64,
         sink: &mut dyn TraceSink,
     ) {
         let mut at = start;
-        for &id in &block.non_gemm {
-            let node = graph.node(id);
-            let compiled = self.lower(graph, node, self.signature(graph, node).as_ref());
+        for compiled in lowered {
             let Ok(c) = compiled.as_ref() else { continue };
             for (prog, reps) in &c.tiles {
                 let one = {
@@ -1579,8 +1551,9 @@ mod tests {
             other => panic!("expected a verification error, got {other:?}"),
         };
         // … as does the gate, after answering every block up to it.
+        let plan = npu.plan(&g);
         let before = npu.stats();
-        assert!(!npu.verify_schedule_with(&g, &bad));
+        assert!(!npu.verify_schedule_with(&g, &plan, &bad));
         let first = npu.stats().delta(&before);
         assert_eq!(first.gate_hits + first.gate_misses, bad_block + 1);
         assert!(
@@ -1591,13 +1564,13 @@ mod tests {
         // The second call answers from the memo: no lowering, no verify.
         calls.set(0);
         let mid = npu.stats();
-        assert!(!npu.verify_schedule_with(&g, &bad));
+        assert!(!npu.verify_schedule_with(&g, &plan, &bad));
         let second = npu.stats().delta(&mid);
         assert_eq!(second.gate_misses, 0);
         assert_eq!(second.gate_hits, bad_block + 1);
         assert_eq!(calls.get(), 0, "a memoized verdict must not re-lower");
         // The rejection does not depend on the block's sync group.
-        let block = &Partitioner::new().partition(&g)[bad_block as usize];
+        let block = &plan.blocks[bad_block as usize].block;
         for group in [(bad_block % 32) as u8, 0] {
             let sb = schedule_block(&g, block, group, &bad).unwrap();
             assert!(!verifier.verify(&sb.program).is_clean(), "group {group}");
@@ -1610,17 +1583,60 @@ mod tests {
     fn memoized_lowerings_equal_fresh_ones() {
         let g = zoo::resnet50();
         let npu = Npu::new(NpuConfig::paper());
-        for node in g.nodes() {
-            let cached = npu.lower(&g, node, npu.signature(&g, node).as_ref());
+        let plan = npu.plan(&g);
+        // The executor lowers only the non-GEMM nodes; GEMM nodes have no
+        // signature and belong to the systolic array.
+        let non_gemm: Vec<&Node> = g
+            .nodes()
+            .iter()
+            .filter(|n| n.kind.class().is_non_gemm())
+            .collect();
+        for &node in &non_gemm {
+            let cached = npu.lower(
+                &g,
+                node,
+                plan.signature(&g, &npu.lowering, node.id).as_ref(),
+            );
             let fresh = npu.lowering.lower_node(&g, node);
             assert_eq!(*cached, fresh, "node {}", node.name);
         }
         let s = npu.stats();
-        assert_eq!(s.compile_hits + s.compile_misses, g.nodes().len() as u64);
+        assert_eq!(s.compile_hits + s.compile_misses, non_gemm.len() as u64);
         assert!(
             s.compile_hits > s.compile_misses,
             "ResNet repeats its blocks"
         );
+    }
+
+    #[test]
+    fn one_plan_per_graph_serves_every_sibling() {
+        let g = zoo::bert_base(32);
+        let mut cfg = NpuConfig::paper();
+        cfg.verify = false;
+        let hub = Npu::new(cfg.clone());
+        hub.run(&g);
+        let plan = hub.plan(&g);
+        assert!(
+            plan.site_keys.get().is_none(),
+            "an empty-schedule run hashes no site key"
+        );
+        let sites = hub.tune_sites(&g);
+        let pinned = sites.iter().filter_map(|s| {
+            let c = s.candidates.iter().find(|&&c| c != s.baseline)?;
+            Some((s.key, *c))
+        });
+        cfg.schedule = Schedule::new(pinned.collect());
+        let uncached = Npu::uncached(cfg.clone());
+        let sibling = hub.sibling(cfg);
+        assert_eq!(sibling.verify_schedule(&g), uncached.verify_schedule(&g));
+        assert_eq!(sibling.run(&g), uncached.run(&g));
+        // One build; `plan`, `tune_sites`, the gate and the sibling's run
+        // all read it.
+        let memo = &hub.caches.plan;
+        assert_eq!((memo.misses(), memo.hits()), (1, 4));
+        assert_eq!(plan.site_keys.get().map(Vec::len), Some(g.nodes().len()));
+        let bypass = &uncached.caches.plan;
+        assert_eq!(bypass.misses() + bypass.hits(), 0);
     }
 
     #[test]

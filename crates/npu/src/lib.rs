@@ -43,6 +43,7 @@ pub mod dse;
 mod executor;
 mod knobs;
 mod par;
+mod plan;
 mod report;
 
 pub use controller::{ControllerEvent, ControllerState, ExecutionController};

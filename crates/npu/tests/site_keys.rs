@@ -6,9 +6,9 @@
 //! move a key.
 
 use std::hash::{Hash, Hasher};
-use tandem_compiler::{prefetch_key, Fixed, OpLowering, StableHasher, TileChoice};
+use tandem_compiler::{prefetch_key, Fixed, OpLowering, StableHasher, TileChoice, TuneSite};
 use tandem_model::{zoo, Graph, Node, Padding};
-use tandem_npu::{Npu, NpuConfig};
+use tandem_npu::{Npu, NpuConfig, Schedule};
 
 /// The attribute fields of a signature, in their original order.
 #[derive(Hash)]
@@ -69,23 +69,54 @@ fn zoo_models() -> Vec<Graph> {
     models
 }
 
+/// Asserts every site key of `sites` equals the reference.
+fn assert_reference_keys(graph: &Graph, sites: &[TuneSite], cfg: &NpuConfig) {
+    let (lanes, rows, q) = (cfg.tandem.lanes, cfg.tandem.interim_rows, Fixed::DEFAULT.q);
+    assert!(!sites.is_empty(), "{}: no tuning sites", graph.name);
+    for site in sites {
+        let node = graph.node(site.node);
+        let key = reference_key(graph, node, lanes, rows, q);
+        let expected = match site.baseline {
+            TileChoice::Prefetch { .. } => prefetch_key(key),
+            _ => key,
+        };
+        assert_eq!(site.key, expected, "{}: site {}", graph.name, site.name);
+    }
+}
+
 #[test]
 fn tune_site_keys_equal_the_reference() {
     let cfg = NpuConfig::paper();
-    let (lanes, rows, q) = (cfg.tandem.lanes, cfg.tandem.interim_rows, Fixed::DEFAULT.q);
-    let npu = Npu::new(cfg);
+    let npu = Npu::new(cfg.clone());
     for graph in zoo_models() {
-        let sites = npu.tune_sites(&graph);
-        assert!(!sites.is_empty(), "{}: no tuning sites", graph.name);
-        for site in &sites {
-            let node = graph.node(site.node);
-            let key = reference_key(&graph, node, lanes, rows, q);
-            let expected = match site.baseline {
-                TileChoice::Prefetch { .. } => prefetch_key(key),
-                _ => key,
-            };
-            assert_eq!(site.key, expected, "{}: site {}", graph.name, site.name);
-        }
+        assert_reference_keys(&graph, &npu.tune_sites(&graph), &cfg);
+    }
+}
+
+#[test]
+fn tune_sites_read_through_a_filled_plan_equal_fresh_ones() {
+    // A scheduled run fills the graph's plan, site keys included; the
+    // hub's `tune_sites` then reads every key from that plan.
+    let cfg = NpuConfig::paper();
+    for graph in zoo::all_models() {
+        let fresh = Npu::new(cfg.clone()).tune_sites(&graph);
+        let hub = Npu::new(cfg.clone());
+        let pinned = fresh.iter().step_by(2).filter_map(|s| {
+            let c = s.candidates.iter().find(|&&c| c != s.baseline)?;
+            Some((s.key, *c))
+        });
+        let mut scheduled = cfg.clone();
+        scheduled.schedule = Schedule::new(pinned.collect());
+        assert!(!scheduled.schedule.is_empty(), "{}", graph.name);
+        hub.sibling(scheduled).run(&graph);
+        let through_plan = hub.tune_sites(&graph);
+        assert_eq!(
+            format!("{through_plan:?}"),
+            format!("{fresh:?}"),
+            "{}",
+            graph.name
+        );
+        assert_reference_keys(&graph, &through_plan, &cfg);
     }
 }
 

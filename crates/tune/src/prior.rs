@@ -52,7 +52,7 @@ mod tests {
     fn weights_are_positive_and_scale_with_instances() {
         let g = tandem_model::zoo::mobilenetv2();
         let lowering = OpLowering::new(32, 512);
-        let sites = tandem_compiler::enumerate_sites(&lowering, &g);
+        let sites = tandem_compiler::enumerate_sites(&lowering, &g, |n| lowering.site_key(&g, n));
         assert!(!sites.is_empty());
         let w = site_weights(32, 512, &g, &sites);
         assert_eq!(w.len(), sites.len());

@@ -67,8 +67,12 @@ pub fn outcome_json(out: &TuneOutcome, space: &SearchSpace, indent: usize, timin
     if timing {
         let _ = writeln!(
             s,
-            "{pad}  \"timing\": {{\"verify_wall_s\": {:.3}, \"sim_wall_s\": {:.3}}}",
-            out.verify_wall_s, out.sim_wall_s
+            "{pad}  \"timing\": {{\"wall_s\": {:.3}, \"verify_wall_s\": {:.3}, \
+             \"sim_wall_s\": {:.3}, \"bookkeeping_wall_s\": {:.3}}}",
+            out.wall_s,
+            out.verify_wall_s,
+            out.sim_wall_s,
+            out.bookkeeping_wall_s()
         );
     }
     let _ = write!(s, "{pad}}}");

@@ -137,6 +137,9 @@ pub struct TuneOutcome {
     pub verify_wall_s: f64,
     /// Total simulation wall-time.
     pub sim_wall_s: f64,
+    /// Wall-time of the whole search: the gate, the scoring and the
+    /// driver's own bookkeeping ([`TuneOutcome::bookkeeping_wall_s`]).
+    pub wall_s: f64,
     /// Every accepted `(candidate, cycles)` pair, in first-evaluation
     /// order — only filled under [`TuneOptions::record_accepted`].
     pub accepted: Vec<(Candidate, u64)>,
@@ -150,6 +153,12 @@ impl TuneOutcome {
         }
         (self.baseline_cycles.saturating_sub(self.best_cycles)) as f64 * 100.0
             / self.baseline_cycles as f64
+    }
+
+    /// The search wall-time outside the gate and the scoring: candidate
+    /// generation, deduplication, sibling set-up and selection.
+    pub fn bookkeeping_wall_s(&self) -> f64 {
+        self.wall_s - self.verify_wall_s - self.sim_wall_s
     }
 }
 
@@ -210,6 +219,7 @@ pub fn tune_in_space(
     space: &SearchSpace,
     opts: &TuneOptions,
 ) -> TuneOutcome {
+    let t_search = Instant::now();
     let eval = Evaluator {
         npu,
         graph,
@@ -417,6 +427,7 @@ pub fn tune_in_space(
         rejected: memo.values().filter(|v| v.is_none()).count(),
         verify_wall_s: stats.iter().map(|s| s.verify_wall_s).sum(),
         sim_wall_s: stats.iter().map(|s| s.sim_wall_s).sum(),
+        wall_s: t_search.elapsed().as_secs_f64(),
         generations: stats,
         accepted: accepted_log,
     }

@@ -2,10 +2,14 @@
 //! invisible. For tuned candidates sampled from a real search, the
 //! cycles the search recorded (scored through cache-sharing siblings)
 //! must bit-agree with a fresh [`Npu::uncached`] run of the same
-//! configuration.
+//! configuration; on a real transformer, so must every report and
+//! every verify-gate verdict.
 
+use tandem_fleet::SplitMix64;
+use tandem_model::zoo;
 use tandem_npu::{Npu, NpuConfig};
 use tandem_tune::{demo_graph, search_space, tune_in_space, TuneOptions};
+use tandem_verify::VerifyMode;
 
 #[test]
 fn cached_scores_bit_agree_with_uncached_runs() {
@@ -68,4 +72,38 @@ fn baseline_score_matches_unscheduled_run() {
     cfg.verify = false;
     let plain = Npu::uncached(cfg).run(&g).total_cycles;
     assert_eq!(out.baseline_cycles, plain);
+}
+
+#[test]
+fn bert_siblings_of_one_hub_equal_uncached_runs() {
+    // Candidates run one after another on siblings of one hub, so later
+    // ones read the graph plan and the node caches earlier ones filled.
+    let g = zoo::bert_base(32);
+    let hub = Npu::new(NpuConfig::paper());
+    let space = search_space(&hub, &g);
+    let mut rng = SplitMix64::new(32);
+    for i in 0..8 {
+        let cand = space.random(&mut rng);
+        assert!(!cand.is_empty(), "candidate {i} pins no site");
+        let mut cfg = NpuConfig::paper();
+        cfg.verify = false;
+        cfg.verify_mode = VerifyMode::Widened;
+        cfg.schedule = cand.schedule();
+        let sibling = hub.sibling(cfg.clone());
+        let uncached = Npu::uncached(cfg);
+        let before = hub.stats();
+        assert_eq!(
+            sibling.verify_schedule(&g),
+            uncached.verify_schedule(&g),
+            "candidate {i}: gate verdict"
+        );
+        assert_eq!(sibling.run(&g), uncached.run(&g), "candidate {i}: report");
+        let s = hub.stats().delta(&before);
+        if i > 0 {
+            assert!(
+                s.sim_hits > 0 && s.gate_hits > 0,
+                "candidate {i} reused nothing: {s:?}"
+            );
+        }
+    }
 }
