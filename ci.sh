@@ -69,10 +69,12 @@ echo "==> serve-artifact drift check"
 git diff --exit-code -- SERVE.json SERVE_CONTENTION.json SERVE_LLM.json
 
 # Fleet-engine throughput: streaming-statistics serving at CI size.
-# Fails if requests/sec drops below the smoke_floor_rps committed in
-# the baseline BENCH_SERVE.json (the perf regression guard).
-echo "==> bench-serve (fleet engine throughput, smoke + regression floor)"
-cargo run --release -q --bin bench_serve -- --smoke
+# Fails if requests/sec drops below the smoke_floor_rps, or LLM decode
+# tokens/sec below the smoke_floor_llm_tok_ps, committed in the baseline
+# BENCH_SERVE.json (the perf regression guards). The smoke output goes
+# to artifacts/ so host timings never overwrite the committed baseline.
+echo "==> bench-serve (fleet engine throughput, smoke + regression floors)"
+cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_SMOKE.json
 
 # Schedule/tiling autotuner: the CI-sized search per zoo model, scored by
 # the cached simulator and gated by widened tandem-verify. The search is

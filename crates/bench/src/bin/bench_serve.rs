@@ -26,12 +26,12 @@
 //! the LLM scenario's tokens/sec drops below `smoke_floor_llm_tok_ps` —
 //! the regression guards that keep the engines production-fast. Floors
 //! are read from the committed baseline (override with `--floor N`;
-//! `--baseline PATH` points elsewhere), and are set far below typical
-//! throughput so only a real regression — not CI-machine noise — trips
-//! them.
+//! `--baseline PATH` points elsewhere). Each sits at most 3x below the
+//! median of repeated smoke runs, so a 3x slowdown trips it.
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use tandem_bench::read_floor;
 use tandem_fleet::llm::{DecodeModel, LlmConfig, LlmFleet, LlmMode, LlmModelSpec, LlmWorkloadSpec};
 use tandem_fleet::{ArrivalProcess, Catalog, Fleet, FleetConfig, Policy, WorkloadSpec};
 use tandem_npu::{Npu, NpuConfig};
@@ -108,18 +108,6 @@ fn run_scenario(
         tokens_out: 0,
         tok_ps: 0.0,
     }
-}
-
-/// Reads `"<key>": <n>` out of a committed baseline file.
-fn read_floor(path: &str, key: &str) -> Option<f64> {
-    let s = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{key}\":");
-    let rest = s[s.find(&key)? + key.len()..].trim_start();
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
 }
 
 fn main() {
@@ -391,13 +379,12 @@ fn main() {
     }
 }
 
-/// The floor used when no committed baseline is found: deliberately far
-/// below the measured throughput so only order-of-magnitude regressions
-/// (an accidental return to per-request retention, a quadratic event
-/// loop) trip it on shared CI machines.
-const DEFAULT_FLOOR_RPS: f64 = 50_000.0;
+/// The floor used when no committed baseline is found: the committed
+/// `smoke_floor_rps`, 2.98x below the 1.61M req/s median slowest
+/// scenario of 12 smoke runs on a 2-vCPU host.
+const DEFAULT_FLOOR_RPS: f64 = 540_000.0;
 
 /// The tokens/sec floor for the `llm_decode` scenario when no committed
-/// baseline carries one. Same philosophy as [`DEFAULT_FLOOR_RPS`]:
-/// order-of-magnitude headroom below measured throughput.
-const DEFAULT_FLOOR_LLM_TOK_PS: f64 = 100_000.0;
+/// baseline carries one: the committed `smoke_floor_llm_tok_ps`, 2.99x
+/// below the 5.81M tok/s median of the same 12 runs.
+const DEFAULT_FLOOR_LLM_TOK_PS: f64 = 1_940_000.0;

@@ -26,6 +26,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use tandem_bench::read_floor;
 use tandem_model::zoo::Benchmark;
 use tandem_npu::{Npu, NpuConfig};
 use tandem_tune::{outcome_json, search_space, tune_in_space, TuneOptions, TuneOutcome};
@@ -54,18 +55,6 @@ fn slug(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Reads `"<key>": <n>` out of a committed baseline file.
-fn read_floor(path: &str, key: &str) -> Option<f64> {
-    let s = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{key}\":");
-    let rest = s[s.find(&key)? + key.len()..].trim_start();
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
 }
 
 fn main() {

@@ -32,6 +32,20 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Reads the number after `"<key>":` in the file at `path` — a floor or
+/// budget committed in a `BENCH_*.json` baseline. `None` when the file
+/// or the key is missing or the value is not a plain decimal.
+pub fn read_floor(path: &str, key: &str) -> Option<f64> {
+    let s = std::fs::read_to_string(path).ok()?;
+    let key = format!("\"{key}\":");
+    let rest = s[s.find(&key)? + key.len()..].trim_start();
+    let num: String = rest
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect();
+    num.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

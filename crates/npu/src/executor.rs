@@ -19,7 +19,7 @@ use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProces
 use tandem_model::hash::Memo;
 use tandem_model::{Graph, Node};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
-use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode};
+use tandem_verify::{Severity, Verifier, VerifyConfig};
 
 /// Coordination granularity between the GEMM unit and the Tandem
 /// Processor (paper §3.5 and Figure 8).
@@ -52,11 +52,6 @@ pub struct NpuConfig {
     /// program and record the outcome in [`NpuReport::verify`]. Defaults
     /// to on in debug builds, off (opt-in) in release builds.
     pub verify: bool,
-    /// Loop-summarization mode for the verifier: the exact
-    /// per-iteration oracle in debug builds, the O(program-size) widened
-    /// summaries in release builds. The two report identical
-    /// diagnostics; they differ only in wall-time.
-    pub verify_mode: VerifyMode,
     /// Tuner schedule overriding per-site tile decisions — the
     /// compiler's non-GEMM sites *and* the GEMM-side pipelining
     /// granularity ([`TileChoice::GemmTile`]), which only this crate can
@@ -75,11 +70,6 @@ impl NpuConfig {
             granularity: TileGranularity::Tile,
             static_power_w: 2.0,
             verify: cfg!(debug_assertions),
-            verify_mode: if cfg!(debug_assertions) {
-                VerifyMode::Exact
-            } else {
-                VerifyMode::Widened
-            },
             schedule: Schedule::empty(),
         }
     }
@@ -102,7 +92,6 @@ impl NpuConfig {
         stable_hash(&(
             self.schedule.digest(),
             self.verify,
-            self.verify_mode,
             self.granularity,
             self.knobs,
             self.static_power_w.to_bits(),
@@ -160,16 +149,16 @@ pub struct ServiceDemand {
 type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
 
 /// Memoization key of one execution block's [`Npu::verify_schedule`]
-/// verdict: whether the block has a GEMM region, the signature of each
-/// non-GEMM node in block order, and the verifier mode. A signature
-/// enters as its site key plus the schedule's choice there — the same
-/// identity a [`Schedule`] maps choices by, without a copy of every
-/// shape per entry. That is everything the assembled program depends on
+/// verdict: whether the block has a GEMM region and the signature of
+/// each non-GEMM node in block order. A signature enters as its site
+/// key plus the schedule's choice there — the same identity a
+/// [`Schedule`] maps choices by, without a copy of every shape per
+/// entry. That is everything the assembled program depends on
 /// except its sync group id: every sync in a block carries the same
 /// group, and the verifier's sync and deadlock passes only compare
 /// groups for equality, so the verdict cannot depend on which group the
 /// block drew.
-type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
+type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 
 /// The memoization state shared by every clone of an [`Npu`], by its
 /// same-silicon siblings and by all [`Npu::run_many`] workers.
@@ -189,7 +178,7 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>, VerifyMode);
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
-    verify: Memo<(NodeSignature, VerifyMode), VerifyOutcome>,
+    verify: Memo<NodeSignature, VerifyOutcome>,
     gate: Memo<GateKey, bool>,
     sim: Memo<SimKey, RunReport>,
     gemm: Memo<(GemmWorkload, u64), GemmReport>,
@@ -208,6 +197,9 @@ pub struct Npu {
     cfg_digest: u64,
     gemm: GemmUnit,
     lowering: OpLowering,
+    /// The widened verifier for this machine shape, shared by the
+    /// per-node verify pass and the schedule gate.
+    verifier: Verifier,
     caches: Arc<NpuCaches>,
     cache_enabled: bool,
 }
@@ -248,11 +240,16 @@ impl Npu {
         let gemm = GemmUnit::new(cfg.gemm.clone());
         let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows)
             .with_schedule(cfg.schedule.clone());
+        let verifier = Verifier::new(VerifyConfig::for_lowering(
+            cfg.tandem.lanes,
+            cfg.tandem.interim_rows,
+        ));
         Npu {
             cfg_digest: cfg.digest(),
             cfg,
             gemm,
             lowering,
+            verifier,
             caches,
             cache_enabled,
         }
@@ -423,16 +420,15 @@ impl Npu {
 
     /// The gate `tandem-tune` puts in front of every candidate schedule:
     /// `true` when every execution block of `graph`, assembled under this
-    /// NPU's schedule, verifies with no error-severity finding in
-    /// [`NpuConfig::verify_mode`]. The verdict equals
-    /// `schedule_graph_opts(…, CompileOptions { verify: true, .. })
-    /// .is_ok()` under the same schedule and mode; the differential gate
-    /// tests assert this.
+    /// NPU's schedule, verifies with no error-severity finding. The
+    /// verdict equals `schedule_graph_opts(…, CompileOptions { verify:
+    /// true, .. }).is_ok()` under the same schedule; the differential
+    /// gate tests assert this.
     ///
     /// Each block's verdict is memoized in the caches this NPU shares
-    /// with its siblings, keyed on whether the block has a GEMM region,
-    /// its non-GEMM node signatures and the mode (not its sync group),
-    /// and a miss assembles the block through the compile cache.
+    /// with its siblings, keyed on whether the block has a GEMM region
+    /// and its non-GEMM node signatures (not its sync group), and a miss
+    /// assembles the block through the compile cache.
     /// Candidates that differ from an already-gated one at a few sites
     /// therefore verify only the blocks those sites touch. An
     /// [`Npu::uncached`] runner recompiles and re-verifies every block.
@@ -460,10 +456,6 @@ impl Npu {
     where
         R: Borrow<Result<CompiledOp, CompileError>>,
     {
-        let verifier = Verifier::new(
-            VerifyConfig::for_lowering(self.lowering.lanes(), self.lowering.interim_rows())
-                .with_mode(self.cfg.verify_mode),
-        );
         let site_keys = self
             .cache_enabled
             .then(|| plan.site_keys(graph, &self.lowering));
@@ -471,7 +463,7 @@ impl Npu {
             let block = &planned.block;
             let mut verdict = || {
                 schedule_block(graph, block, (i % 32) as u8, &mut lower)
-                    .is_ok_and(|sb| verifier.verify(&sb.program).is_clean())
+                    .is_ok_and(|sb| self.verifier.verify(&sb.program).is_clean())
             };
             let Some(site_keys) = site_keys else {
                 return verdict();
@@ -480,7 +472,7 @@ impl Npu {
                 let site = site_keys[id.index()];
                 (site, self.cfg.schedule.get(site))
             });
-            let key: GateKey = (block.gemm.is_some(), sites.collect(), self.cfg.verify_mode);
+            let key: GateKey = (block.gemm.is_some(), sites.collect());
             self.caches.gate.get_or_insert_with(&key, verdict)
         })
     }
@@ -529,8 +521,8 @@ impl Npu {
     /// node, accumulating the outcome into [`NpuReport::verify`]. The
     /// summary is a pure function of the graph and machine shape, so
     /// cached and uncached runs report identically. Memoized on the
-    /// node's signature `sig` (and the verifier mode) when there is one;
-    /// `sig` is handed back for the node's simulation key.
+    /// node's signature `sig` when there is one; `sig` is handed back
+    /// for the node's simulation key.
     fn verify_node(
         &self,
         graph: &Graph,
@@ -539,8 +531,6 @@ impl Npu {
         report: &mut NpuReport,
     ) -> Option<NodeSignature> {
         let compute = |sig: Option<&NodeSignature>| -> VerifyOutcome {
-            let verifier =
-                Verifier::new(VerifyConfig::from(&self.cfg.tandem).with_mode(self.cfg.verify_mode));
             let compiled = self.lower(graph, node, sig);
             let mut programs = 0u64;
             let mut errors = 0u64;
@@ -548,7 +538,7 @@ impl Npu {
             if let Ok(c) = compiled.as_ref() {
                 for (prog, _) in &c.tiles {
                     programs += 1;
-                    let rep = verifier.verify(prog);
+                    let rep = self.verifier.verify(prog);
                     errors += rep
                         .diagnostics
                         .iter()
@@ -562,12 +552,11 @@ impl Npu {
         let (outcome, sig) = match sig {
             None => (compute(None), None),
             Some(sig) => {
-                let key = (sig, self.cfg.verify_mode);
                 let outcome = self
                     .caches
                     .verify
-                    .get_or_insert_with(&key, || compute(Some(&key.0)));
-                (outcome, Some(key.0))
+                    .get_or_insert_with(&sig, || compute(Some(&sig)));
+                (outcome, Some(sig))
             }
         };
         let (programs, errors, diags) = &*outcome;
@@ -1528,9 +1517,7 @@ mod tests {
         // tiles every softmax for a machine with 8x the Interim BUF rows:
         // those tiles address rows the real machine does not have.
         let g = zoo::bert_base(128);
-        let mut cfg = NpuConfig::paper();
-        cfg.verify_mode = VerifyMode::Widened;
-        let npu = Npu::new(cfg);
+        let npu = Npu::new(NpuConfig::paper());
         let tandem = &npu.config().tandem;
         let oversized = OpLowering::new(tandem.lanes, tandem.interim_rows * 8);
         let calls = Cell::new(0u64);
@@ -1542,11 +1529,7 @@ mod tests {
             }
         };
         // The whole-graph path rejects one block …
-        let verifier = Verifier::new(
-            VerifyConfig::for_lowering(tandem.lanes, tandem.interim_rows)
-                .with_mode(VerifyMode::Widened),
-        );
-        let bad_block = match schedule_graph_with(&g, Some(&verifier), &bad) {
+        let bad_block = match schedule_graph_with(&g, Some(&npu.verifier), &bad) {
             Err(tandem_compiler::CompileError::Verification { block, .. }) => block as u64,
             other => panic!("expected a verification error, got {other:?}"),
         };
@@ -1573,7 +1556,10 @@ mod tests {
         let block = &plan.blocks[bad_block as usize].block;
         for group in [(bad_block % 32) as u8, 0] {
             let sb = schedule_block(&g, block, group, &bad).unwrap();
-            assert!(!verifier.verify(&sb.program).is_clean(), "group {group}");
+            assert!(
+                !npu.verifier.verify(&sb.program).is_clean(),
+                "group {group}"
+            );
         }
         // The real lowering passes on a runner of its own.
         assert!(Npu::new(npu.config().clone()).verify_schedule(&g));

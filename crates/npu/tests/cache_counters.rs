@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use tandem_model::zoo;
 use tandem_npu::{ExecStats, Npu, NpuConfig, Schedule, TileChoice};
-use tandem_verify::VerifyMode;
 
 /// `[compile hits, compile misses, sim hits, sim misses, gemm hits, gemm
 /// misses, graph hits, graph misses, gate hits, gate misses]`.
@@ -35,12 +34,11 @@ fn delta(npu: &Npu, step: impl FnOnce()) -> [u64; 10] {
     counts(&npu.stats().delta(&before))
 }
 
-/// The paper machine with verification pinned off and widened, so the
-/// counts do not depend on the build profile's defaults.
+/// The paper machine with verification pinned off, so the counts do not
+/// depend on the build profile's default.
 fn base_config() -> NpuConfig {
     let mut cfg = NpuConfig::paper();
     cfg.verify = false;
-    cfg.verify_mode = VerifyMode::Widened;
     cfg
 }
 

@@ -11,7 +11,7 @@
 
 use tandem_compiler::{OpLowering, TuneSite};
 use tandem_model::{Graph, OpClass};
-use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
+use tandem_verify::{Verifier, VerifyConfig};
 
 /// One mutation weight per site (parallel to `sites`, each ≥ 1):
 /// `1 + instances + wasted_words(baseline lowering) × instances`,
@@ -24,9 +24,7 @@ pub fn site_weights(
     sites: &[TuneSite],
 ) -> Vec<u64> {
     let lowering = OpLowering::new(lanes, interim_rows);
-    let verifier = Verifier::new(
-        VerifyConfig::for_lowering(lanes, interim_rows).with_mode(VerifyMode::Widened),
-    );
+    let verifier = Verifier::new(VerifyConfig::for_lowering(lanes, interim_rows));
     sites
         .iter()
         .map(|site| {

@@ -11,11 +11,11 @@
 //! the only nondeterministic fields.
 //!
 //! Each candidate is evaluated on one [`Npu::sibling`] of a cache hub,
-//! configured with the candidate's schedule and the widened verifier.
-//! The sibling first gates the candidate with [`Npu::verify_schedule`]:
-//! every execution block is assembled through the hub's compile cache
-//! and verified, and a candidate with any error-severity finding is
-//! rejected before it is scored. Block verdicts are memoized in the hub
+//! configured with the candidate's schedule. The sibling first gates
+//! the candidate with [`Npu::verify_schedule`]: every execution block
+//! is assembled through the hub's compile cache and verified with the
+//! NPU's widened verifier, and a candidate with any error-severity
+//! finding is rejected before it is scored. Block verdicts are memoized in the hub
 //! on the block's node signatures, so a candidate pays verification only
 //! for the blocks its changed sites touch. The same sibling then scores
 //! the candidate, reusing the per-node simulation of each
@@ -28,7 +28,6 @@ use std::time::Instant;
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
 use tandem_npu::{par_map, Npu};
-use tandem_verify::VerifyMode;
 
 /// Search-driver options.
 #[derive(Debug, Clone)]
@@ -48,9 +47,6 @@ pub struct TuneOptions {
     /// override — the spaces are small and the cache hub makes singles
     /// cheap, so the full coordinate sweep is the default).
     pub max_singles: usize,
-    /// Gate every candidate through widened `tandem-verify` before
-    /// scoring; error findings reject the candidate.
-    pub verify_gate: bool,
     /// Record every accepted `(candidate, cycles)` pair in the outcome
     /// (tests re-verify them; large searches leave this off).
     pub record_accepted: bool,
@@ -65,7 +61,6 @@ impl Default for TuneOptions {
             beam: 6,
             jobs: 0,
             max_singles: 0,
-            verify_gate: true,
             record_accepted: false,
         }
     }
@@ -178,30 +173,22 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
     tune_in_space(npu, graph, &space, opts)
 }
 
-/// Candidate evaluation: the widened verify gate and the cached score,
-/// both pure functions of the candidate, run on one sibling of the hub.
+/// Candidate evaluation: the verify gate and the cached score, both
+/// pure functions of the candidate, run on one sibling of the hub.
 struct Evaluator<'a> {
     npu: &'a Npu,
     graph: &'a Graph,
-    gate: bool,
 }
 
 impl Evaluator<'_> {
     /// The candidate's runner: a sibling sharing the hub's caches, under
-    /// the candidate's schedule, gating in widened mode and scoring with
-    /// the per-node verify pass off.
+    /// the candidate's schedule, scoring with the per-node verify pass
+    /// off.
     fn sibling(&self, cand: &Candidate) -> Npu {
         let mut cfg = self.npu.config().clone();
         cfg.verify = false;
-        cfg.verify_mode = VerifyMode::Widened;
         cfg.schedule = cand.schedule();
         self.npu.sibling(cfg)
-    }
-
-    /// `true` when every block of the candidate's program verifies with
-    /// no error-severity finding (widened mode).
-    fn verify_ok(&self, sibling: &Npu) -> bool {
-        !self.gate || sibling.verify_schedule(self.graph)
     }
 
     /// Simulated end-to-end cycles of the candidate. Bit-equal to an
@@ -220,11 +207,7 @@ pub fn tune_in_space(
     opts: &TuneOptions,
 ) -> TuneOutcome {
     let t_search = Instant::now();
-    let eval = Evaluator {
-        npu,
-        graph,
-        gate: opts.verify_gate,
-    };
+    let eval = Evaluator { npu, graph };
     let mut rng = SplitMix64::new(opts.seed);
     // digest → Some(cycles) accepted / None rejected.
     let mut memo: HashMap<u64, Option<u64>> = HashMap::new();
@@ -258,7 +241,7 @@ pub fn tune_in_space(
         let t0 = Instant::now();
         let gated = par_map(fresh.len(), opts.jobs, |i| {
             let sibling = eval.sibling(&fresh[i]);
-            let ok = eval.verify_ok(&sibling);
+            let ok = sibling.verify_schedule(graph);
             (sibling, ok)
         });
         let verify_wall_s = t0.elapsed().as_secs_f64();

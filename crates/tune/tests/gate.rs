@@ -46,7 +46,6 @@ fn candidates(space: &SearchSpace, seed: u64) -> Vec<Candidate> {
 fn widened(cfg: &NpuConfig, cand: &Candidate) -> NpuConfig {
     let mut cfg = cfg.clone();
     cfg.verify = false;
-    cfg.verify_mode = VerifyMode::Widened;
     cfg.schedule = cand.schedule();
     cfg
 }

@@ -9,7 +9,6 @@ use tandem_fleet::SplitMix64;
 use tandem_model::zoo;
 use tandem_npu::{Npu, NpuConfig};
 use tandem_tune::{demo_graph, search_space, tune_in_space, TuneOptions};
-use tandem_verify::VerifyMode;
 
 #[test]
 fn cached_scores_bit_agree_with_uncached_runs() {
@@ -87,7 +86,6 @@ fn bert_siblings_of_one_hub_equal_uncached_runs() {
         assert!(!cand.is_empty(), "candidate {i} pins no site");
         let mut cfg = NpuConfig::paper();
         cfg.verify = false;
-        cfg.verify_mode = VerifyMode::Widened;
         cfg.schedule = cand.schedule();
         let sibling = hub.sibling(cfg.clone());
         let uncached = Npu::uncached(cfg);

@@ -1,8 +1,7 @@
 //! The abstract-interpretation framework the verifier's analyses are
-//! built on: lattice domains with sound `join`/`widen`, a shared
+//! built on: abstract domains with a sound `join`, a shared
 //! transfer-function walk over the configuration/loop/compute stream,
-//! and a driver that runs registered passes and accounts per-pass
-//! wall-time.
+//! and the per-pass wall-time record the pipeline in `lib.rs` fills.
 //!
 //! Two abstract domains cover every analysis in the crate:
 //!
@@ -62,24 +61,6 @@ impl VerifyMode {
     }
 }
 
-/// A join-semilattice abstract domain.
-///
-/// `join` must be an upper bound (`a ⊑ a ⊔ b`); `widen` must additionally
-/// guarantee termination of ascending chains (it may over-approximate
-/// harder than `join`).
-pub trait Lattice: Clone + PartialEq {
-    /// The least element (empty set / no information).
-    fn bottom() -> Self;
-    /// Least-upper-bound accumulation; returns `true` when `self`
-    /// changed.
-    fn join(&mut self, other: &Self) -> bool;
-    /// Widening: like [`Lattice::join`] but jumps unstable bounds to the
-    /// domain's extremes so fixpoints are reached in bounded steps.
-    fn widen(&mut self, other: &Self) -> bool {
-        self.join(other)
-    }
-}
-
 /// A (possibly empty) integer interval `[lo, hi]` of scratchpad rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AffineInterval {
@@ -124,14 +105,15 @@ impl AffineInterval {
             AffineInterval::Range { lo, hi } => Some((lo, hi)),
         }
     }
-}
 
-impl Lattice for AffineInterval {
-    fn bottom() -> Self {
+    /// The least element: no rows.
+    pub fn bottom() -> Self {
         AffineInterval::Empty
     }
 
-    fn join(&mut self, other: &Self) -> bool {
+    /// Hull accumulation (least upper bound); returns `true` when `self`
+    /// changed.
+    pub fn join(&mut self, other: &Self) -> bool {
         match (*self, *other) {
             (_, AffineInterval::Empty) => false,
             (AffineInterval::Empty, r) => {
@@ -144,21 +126,6 @@ impl Lattice for AffineInterval {
                 *self = AffineInterval::Range { lo: nl, hi: nh };
                 changed
             }
-        }
-    }
-
-    fn widen(&mut self, other: &Self) -> bool {
-        // Classic interval widening: any bound still moving jumps to the
-        // domain extreme so ascending chains stabilize in one step.
-        match (*self, *other) {
-            (AffineInterval::Range { lo, hi }, AffineInterval::Range { lo: ol, hi: oh }) => {
-                let nl = if ol < lo { i64::MIN } else { lo };
-                let nh = if oh > hi { i64::MAX } else { hi };
-                let changed = nl != lo || nh != hi;
-                *self = AffineInterval::Range { lo: nl, hi: nh };
-                changed
-            }
-            _ => self.join(other),
         }
     }
 }
@@ -185,6 +152,38 @@ impl RowSet {
             capacity,
             bits: vec![0; capacity.div_ceil(64)],
         }
+    }
+
+    /// The least element: an empty zero-width window.
+    pub fn bottom() -> Self {
+        RowSet::window(0, 0)
+    }
+
+    /// Union (least upper bound), regrowing the window to the hull of
+    /// both when they differ; returns `true` when `self` changed.
+    pub fn join(&mut self, other: &Self) -> bool {
+        if other.is_empty() {
+            return false;
+        }
+        if self.offset == other.offset && self.capacity == other.capacity {
+            let mut changed = false;
+            for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+                let n = *a | b;
+                changed |= n != *a;
+                *a = n;
+            }
+            return changed;
+        }
+        // Window mismatch: regrow to the hull of both windows.
+        let lo = self.offset.min(other.offset);
+        let hi = (self.offset + self.capacity as i64).max(other.offset + other.capacity as i64);
+        let mut grown = RowSet::window(lo, (hi - lo) as usize);
+        for row in self.rows().chain(other.rows()) {
+            grown.insert(row);
+        }
+        let changed = grown.len() != self.len() || grown.offset != self.offset;
+        *self = grown;
+        changed
     }
 
     /// Inserts `row` (ignored outside the window).
@@ -308,37 +307,6 @@ impl RowSet {
             self.join(&moved);
             covered += step;
         }
-    }
-}
-
-impl Lattice for RowSet {
-    fn bottom() -> Self {
-        RowSet::window(0, 0)
-    }
-
-    fn join(&mut self, other: &Self) -> bool {
-        if other.is_empty() {
-            return false;
-        }
-        if self.offset == other.offset && self.capacity == other.capacity {
-            let mut changed = false;
-            for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-                let n = *a | b;
-                changed |= n != *a;
-                *a = n;
-            }
-            return changed;
-        }
-        // Window mismatch: regrow to the hull of both windows.
-        let lo = self.offset.min(other.offset);
-        let hi = (self.offset + self.capacity as i64).max(other.offset + other.capacity as i64);
-        let mut grown = RowSet::window(lo, (hi - lo) as usize);
-        for row in self.rows().chain(other.rows()) {
-            grown.insert(row);
-        }
-        let changed = grown.len() != self.len() || grown.offset != self.offset;
-        *self = grown;
-        changed
     }
 }
 
@@ -542,8 +510,8 @@ pub(crate) trait Visitor {
     fn barrier(&mut self, _walker: &Walker, _pc: usize) {}
 
     /// A loop-discipline or IMM-slot-range finding from the walk itself.
-    /// Exactly one registered pass should keep these (the scratchpad
-    /// pass); the rest drop them so findings are not duplicated.
+    /// Exactly one pass should keep these (the scratchpad pass); the
+    /// rest drop them so findings are not duplicated.
     fn discipline(&mut self, _diag: Diagnostic) {}
 }
 
@@ -825,7 +793,7 @@ impl Walker {
     }
 }
 
-/// Wall-time and yield of one registered pass over one program. Not part
+/// Wall-time and yield of one pipeline pass over one program. Not part
 /// of [`crate::VerifyReport`] (and so never part of report equality) —
 /// timings are host noise, diagnostics are the deterministic output.
 #[derive(Debug, Clone)]
@@ -836,67 +804,6 @@ pub struct PassStat {
     pub wall: Duration,
     /// Diagnostics the pass contributed.
     pub diagnostics: usize,
-}
-
-/// One registered analysis: a named transfer over the program that
-/// appends diagnostics.
-pub(crate) trait Pass {
-    /// Stable name used in per-pass statistics and `TANDEM_LINT.json`.
-    fn name(&self) -> &'static str;
-    /// Runs the analysis, appending findings to `diags`. A pass may also
-    /// push named sub-phase timings onto `stats` (the driver reports the
-    /// pass's own total separately, so sub-phase wall is *included* in —
-    /// not additional to — the parent's).
-    fn run(
-        &self,
-        cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        stats: &mut Vec<PassStat>,
-    );
-}
-
-/// The pass driver: runs every registered pass in order, timing each.
-pub(crate) struct Driver {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Driver {
-    /// The standard pipeline: encode/decode closure, sync pairing,
-    /// cross-engine deadlock, scratchpad safety (in `mode`), and the
-    /// dead-traffic lints.
-    pub fn standard(mode: VerifyMode) -> Self {
-        Driver {
-            passes: vec![
-                Box::new(crate::ClosurePass),
-                Box::new(crate::sync::SyncPass),
-                Box::new(crate::deadlock::DeadlockPass),
-                Box::new(crate::dataflow::ScratchpadPass { mode }),
-                Box::new(crate::deadcode::DeadTrafficPass),
-            ],
-        }
-    }
-
-    /// Runs every pass over `program`; diagnostics come back sorted by
-    /// program counter (stable, so same-pc findings keep pass order).
-    pub fn run(&self, cfg: &VerifyConfig, program: &Program) -> (Vec<Diagnostic>, Vec<PassStat>) {
-        let mut diags = Vec::new();
-        let mut stats = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            let before = diags.len();
-            let mut sub = Vec::new();
-            let start = std::time::Instant::now();
-            pass.run(cfg, program, &mut diags, &mut sub);
-            stats.push(PassStat {
-                name: pass.name(),
-                wall: start.elapsed(),
-                diagnostics: diags.len() - before,
-            });
-            stats.append(&mut sub);
-        }
-        diags.sort_by_key(|d| d.pc);
-        (diags, stats)
-    }
 }
 
 #[cfg(test)]
@@ -912,21 +819,6 @@ mod tests {
         let mut b = AffineInterval::bottom();
         assert!(b.join(&a));
         assert_eq!(b, a);
-    }
-
-    #[test]
-    fn interval_widen_jumps_to_extremes() {
-        let mut a = AffineInterval::Range { lo: 0, hi: 4 };
-        assert!(a.widen(&AffineInterval::Range { lo: 0, hi: 6 }));
-        assert_eq!(
-            a,
-            AffineInterval::Range {
-                lo: 0,
-                hi: i64::MAX
-            }
-        );
-        // Stable input: widening is a no-op once bounds stop moving.
-        assert!(!a.widen(&AffineInterval::Range { lo: 0, hi: 6 }));
     }
 
     #[test]

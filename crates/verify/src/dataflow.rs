@@ -13,28 +13,11 @@
 //! `Exact` only in wall-time (O(program) vs O(trip count)), a property
 //! the `prop_widening` test suite pins down.
 
-use crate::analysis::{Level, Pass, PassStat, Stream, StreamNote, VerifyMode, Visitor, Walker};
+use crate::analysis::{Level, PassStat, Stream, StreamNote, VerifyMode, Visitor, Walker};
 use crate::diag::{Diagnostic, Rule};
 use crate::VerifyConfig;
 use std::ops::Range;
 use tandem_isa::{Instruction, Namespace, Operand, Program, IMM_BUF_SLOTS};
-
-/// The scratchpad-safety pass (bounds, IMM discipline, WAW) plus the
-/// loop/permute discipline findings the shared walk reports.
-///
-/// Runs in two phases. **Collect**: one symbolic walk emits every
-/// mode-independent finding and records a bounds *query* — `(pc,
-/// operand, stream, levels)` — for each address stream a nest touches.
-/// **Resolve**: the queries are answered with the configured
-/// [`VerifyMode`]'s loop summarization (closed-form interval vs.
-/// per-iteration odometer). Only the resolve phase depends on the mode,
-/// and it is timed separately (the `loop-summaries` sub-stat), so
-/// `TANDEM_LINT.json` can report the summarization cost the mode
-/// actually changes, undiluted by the shared walk.
-pub(crate) struct ScratchpadPass {
-    /// How address streams are summarized.
-    pub mode: VerifyMode,
-}
 
 /// One deferred bounds check: `stream` of `op` over the levels of its
 /// nest (a range of the collected levels).
@@ -46,65 +29,69 @@ struct BoundsQuery {
     levels: Range<usize>,
 }
 
-impl Pass for ScratchpadPass {
-    fn name(&self) -> &'static str {
-        "scratchpad"
-    }
+/// The `scratchpad` pass (bounds, IMM discipline, WAW) plus the
+/// loop/permute discipline findings the shared walk reports.
+///
+/// Runs in two phases. **Collect**: one symbolic walk emits every
+/// mode-independent finding and records a bounds *query* — `(pc,
+/// operand, stream, levels)` — for each address stream a nest touches.
+/// **Resolve**: the queries are answered with `cfg.mode`'s loop
+/// summarization (closed-form interval vs. per-iteration odometer).
+/// Only the resolve phase depends on the mode; it is timed separately
+/// and returned as the `loop-summaries` sub-stat, so `TANDEM_LINT.json`
+/// can report the summarization cost the mode actually changes,
+/// undiluted by the shared walk.
+pub(crate) fn check(
+    cfg: &VerifyConfig,
+    program: &Program,
+    diags: &mut Vec<Diagnostic>,
+) -> PassStat {
+    let mut v = ScratchpadVisitor {
+        cfg,
+        diags,
+        levels: Vec::new(),
+        nest_levels: 0..0,
+        queries: Vec::new(),
+    };
+    Walker::walk(cfg, program, &mut v);
+    let ScratchpadVisitor {
+        levels, queries, ..
+    } = v;
 
-    fn run(
-        &self,
-        cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        stats: &mut Vec<PassStat>,
-    ) {
-        let mut v = ScratchpadVisitor {
-            cfg,
-            diags,
-            levels: Vec::new(),
-            nest_levels: 0..0,
-            queries: Vec::new(),
+    let before = diags.len();
+    let start = std::time::Instant::now();
+    for q in &queries {
+        let levels = &levels[q.levels.clone()];
+        let iv = match cfg.mode {
+            VerifyMode::Widened => q.stream.interval_widened(levels),
+            VerifyMode::Exact => q.stream.interval_exact(levels),
         };
-        Walker::walk(cfg, program, &mut v);
-        let ScratchpadVisitor {
-            levels, queries, ..
-        } = v;
-
-        let before = diags.len();
-        let start = std::time::Instant::now();
-        for q in &queries {
-            let levels = &levels[q.levels.clone()];
-            let iv = match self.mode {
-                VerifyMode::Widened => q.stream.interval_widened(levels),
-                VerifyMode::Exact => q.stream.interval_exact(levels),
+        let Some((lo, hi)) = iv.bounds() else {
+            continue;
+        };
+        let rows = cfg.rows(q.op.namespace()) as i64;
+        if lo < 0 || hi >= rows {
+            let (rule, what) = if q.write {
+                (Rule::OobWrite, "writes")
+            } else {
+                (Rule::OobRead, "reads")
             };
-            let Some((lo, hi)) = iv.bounds() else {
-                continue;
-            };
-            let rows = cfg.rows(q.op.namespace()) as i64;
-            if lo < 0 || hi >= rows {
-                let (rule, what) = if q.write {
-                    (Rule::OobWrite, "writes")
-                } else {
-                    (Rule::OobRead, "reads")
-                };
-                diags.push(Diagnostic::new(
-                    q.pc,
-                    rule,
-                    format!(
-                        "operand {} {what} rows [{lo}, {hi}] but namespace {} has \
-                         {rows} rows",
-                        q.op,
-                        q.op.namespace()
-                    ),
-                ));
-            }
+            diags.push(Diagnostic::new(
+                q.pc,
+                rule,
+                format!(
+                    "operand {} {what} rows [{lo}, {hi}] but namespace {} has \
+                     {rows} rows",
+                    q.op,
+                    q.op.namespace()
+                ),
+            ));
         }
-        stats.push(PassStat {
-            name: "loop-summaries",
-            wall: start.elapsed(),
-            diagnostics: diags.len() - before,
-        });
+    }
+    PassStat {
+        name: "loop-summaries",
+        wall: start.elapsed(),
+        diagnostics: diags.len() - before,
     }
 }
 

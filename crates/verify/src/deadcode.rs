@@ -29,37 +29,24 @@
 //! the program are *live-out* — the Data Access Engine stores result
 //! tiles after the program ends — and are never reported.
 
-use crate::analysis::{Pass, PassStat, Visitor, Walker};
+use crate::analysis::{Visitor, Walker};
 use crate::diag::{Diagnostic, Rule};
 use crate::VerifyConfig;
 use std::ops::Range;
 use tandem_isa::{Instruction, Namespace, Program, IMM_BUF_SLOTS};
 
-/// The dead-store / redundant-IMM-traffic lint pass.
-pub(crate) struct DeadTrafficPass;
-
-impl Pass for DeadTrafficPass {
-    fn name(&self) -> &'static str {
-        "dead-traffic"
-    }
-
-    fn run(
-        &self,
-        cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        _stats: &mut Vec<PassStat>,
-    ) {
-        let mut v = DeadTrafficVisitor {
-            cfg,
-            pending: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
-            dead: vec![None; program.len()],
-            imm: [ImmSlot::default(); IMM_BUF_SLOTS],
-            diags,
-        };
-        Walker::walk(cfg, program, &mut v);
-        v.finish();
-    }
+/// The `dead-traffic` pass: the dead-store / redundant-IMM-traffic
+/// lints.
+pub(crate) fn check(cfg: &VerifyConfig, program: &Program, diags: &mut Vec<Diagnostic>) {
+    let mut v = DeadTrafficVisitor {
+        cfg,
+        pending: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
+        dead: vec![None; program.len()],
+        imm: [ImmSlot::default(); IMM_BUF_SLOTS],
+        diags,
+    };
+    Walker::walk(cfg, program, &mut v);
+    v.finish();
 }
 
 /// Lifecycle of one IMM BUF slot.

@@ -23,10 +23,8 @@
 //! (pairing errors already reported by `sync-pairing` would make the
 //! graph meaningless), so the two passes never double-report.
 
-use crate::analysis::{Pass, PassStat};
 use crate::diag::{Diagnostic, Rule};
 use crate::sync::unit_name;
-use crate::VerifyConfig;
 use tandem_isa::{Instruction, Program, SyncEdge, SyncKind, SyncUnit};
 
 /// One well-formed execution region of the sync stream.
@@ -38,119 +36,105 @@ struct Region {
     releases: Vec<(u8, usize)>,
 }
 
-/// The happens-before deadlock pass.
-pub(crate) struct DeadlockPass;
+/// The `sync-deadlock` pass: the happens-before deadlock analysis.
+pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
+    let Some(regions) = extract_regions(program) else {
+        return; // malformed stream — sync-pairing owns those findings
+    };
+    let n = regions.len();
 
-impl Pass for DeadlockPass {
-    fn name(&self) -> &'static str {
-        "sync-deadlock"
+    // Adjacency: dispatch serialization i → i+1, plus wait edges
+    // GEMM(g) → SIMD region releasing g. The wait source is the
+    // nearest GEMM(g) *before* the consumer when one exists,
+    // otherwise the earliest GEMM(g) anywhere (whose later position
+    // is exactly the cycle being diagnosed).
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in 1..n {
+        edges[i - 1].push(i);
     }
-
-    fn run(
-        &self,
-        _cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        _stats: &mut Vec<PassStat>,
-    ) {
-        let Some(regions) = extract_regions(program) else {
-            return; // malformed stream — sync-pairing owns those findings
-        };
-        let n = regions.len();
-
-        // Adjacency: dispatch serialization i → i+1, plus wait edges
-        // GEMM(g) → SIMD region releasing g. The wait source is the
-        // nearest GEMM(g) *before* the consumer when one exists,
-        // otherwise the earliest GEMM(g) anywhere (whose later position
-        // is exactly the cycle being diagnosed).
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 1..n {
-            edges[i - 1].push(i);
+    for (ri, region) in regions.iter().enumerate() {
+        if region.unit != SyncUnit::Simd {
+            continue;
         }
-        for (ri, region) in regions.iter().enumerate() {
-            if region.unit != SyncUnit::Simd {
-                continue;
-            }
-            for &(group, release_pc) in &region.releases {
-                let producer = regions[..ri]
-                    .iter()
-                    .rposition(|r| r.unit == SyncUnit::Gemm && r.group == group)
-                    .or_else(|| {
-                        regions
-                            .iter()
-                            .position(|r| r.unit == SyncUnit::Gemm && r.group == group)
-                    });
-                match producer {
-                    Some(pi) => edges[pi].push(ri),
-                    None => diags.push(Diagnostic::new(
-                        release_pc,
-                        Rule::SyncDeadlock,
-                        format!(
-                            "region {}/{} waits to hand off Output-BUF group {group}, \
+        for &(group, release_pc) in &region.releases {
+            let producer = regions[..ri]
+                .iter()
+                .rposition(|r| r.unit == SyncUnit::Gemm && r.group == group)
+                .or_else(|| {
+                    regions
+                        .iter()
+                        .position(|r| r.unit == SyncUnit::Gemm && r.group == group)
+                });
+            match producer {
+                Some(pi) => edges[pi].push(ri),
+                None => diags.push(Diagnostic::new(
+                    release_pc,
+                    Rule::SyncDeadlock,
+                    format!(
+                        "region {}/{} waits to hand off Output-BUF group {group}, \
                              but no gemm region ever signals that group — the \
                              completion cannot arrive",
-                            unit_name(region.unit),
-                            region.group,
-                        ),
-                    )),
-                }
+                        unit_name(region.unit),
+                        region.group,
+                    ),
+                )),
             }
         }
+    }
 
-        // Cycle detection: DFS three-coloring over the happens-before
-        // graph; a back edge closes a cycle. Each node is reported at
-        // most once (at the wait that closes its cycle).
-        let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
-        let mut reported = vec![false; n];
-        for start in 0..n {
-            if color[start] != 0 {
-                continue;
-            }
-            // Iterative DFS with an explicit edge cursor.
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            color[start] = 1;
-            while let Some(&(node, cursor)) = stack.last() {
-                if cursor < edges[node].len() {
-                    stack.last_mut().expect("stack is non-empty").1 += 1;
-                    let next = edges[node][cursor];
-                    match color[next] {
-                        0 => {
-                            color[next] = 1;
-                            stack.push((next, 0));
-                        }
-                        // Back edge node → next: the cycle is the
-                        // stack suffix from `next` through `node`.
-                        1 if !reported[next] => {
-                            reported[next] = true;
-                            let members: Vec<String> = stack
-                                .iter()
-                                .skip_while(|&&(v, _)| v != next)
-                                .map(|&(v, _)| {
-                                    format!(
-                                        "{}/{} (pc {})",
-                                        unit_name(regions[v].unit),
-                                        regions[v].group,
-                                        regions[v].start_pc,
-                                    )
-                                })
-                                .collect();
-                            diags.push(Diagnostic::new(
-                                regions[next].start_pc,
-                                Rule::SyncDeadlock,
+    // Cycle detection: DFS three-coloring over the happens-before
+    // graph; a back edge closes a cycle. Each node is reported at
+    // most once (at the wait that closes its cycle).
+    let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
+    let mut reported = vec![false; n];
+    for start in 0..n {
+        if color[start] != 0 {
+            continue;
+        }
+        // Iterative DFS with an explicit edge cursor.
+        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        color[start] = 1;
+        while let Some(&(node, cursor)) = stack.last() {
+            if cursor < edges[node].len() {
+                stack.last_mut().expect("stack is non-empty").1 += 1;
+                let next = edges[node][cursor];
+                match color[next] {
+                    0 => {
+                        color[next] = 1;
+                        stack.push((next, 0));
+                    }
+                    // Back edge node → next: the cycle is the
+                    // stack suffix from `next` through `node`.
+                    1 if !reported[next] => {
+                        reported[next] = true;
+                        let members: Vec<String> = stack
+                            .iter()
+                            .skip_while(|&&(v, _)| v != next)
+                            .map(|&(v, _)| {
                                 format!(
-                                    "happens-before cycle between sync regions \
+                                    "{}/{} (pc {})",
+                                    unit_name(regions[v].unit),
+                                    regions[v].group,
+                                    regions[v].start_pc,
+                                )
+                            })
+                            .collect();
+                        diags.push(Diagnostic::new(
+                            regions[next].start_pc,
+                            Rule::SyncDeadlock,
+                            format!(
+                                "happens-before cycle between sync regions \
                                      [{}] — dispatch order and Output-BUF \
                                      handoff each wait on the other",
-                                    members.join(" → "),
-                                ),
-                            ));
-                        }
-                        _ => {}
+                                members.join(" → "),
+                            ),
+                        ));
                     }
-                } else {
-                    color[node] = 2;
-                    stack.pop();
+                    _ => {}
                 }
+            } else {
+                color[node] = 2;
+                stack.pop();
             }
         }
     }

@@ -46,9 +46,10 @@ mod deadlock;
 mod diag;
 mod sync;
 
-pub use analysis::{AffineInterval, Lattice, PassStat, RowSet, VerifyMode};
+pub use analysis::{AffineInterval, PassStat, RowSet, VerifyMode};
 pub use diag::{Diagnostic, Rule, Severity, VerifyReport};
 
+use std::time::Instant;
 use tandem_core::TandemConfig;
 use tandem_isa::{Namespace, Program};
 
@@ -131,8 +132,7 @@ impl From<&TandemConfig> for VerifyConfig {
 pub struct VerifyRun {
     /// The deterministic findings.
     pub report: VerifyReport,
-    /// Wall-time and diagnostic yield per registered pass, in pipeline
-    /// order.
+    /// Wall-time and diagnostic yield per pass, in pipeline order.
     pub passes: Vec<PassStat>,
 }
 
@@ -153,8 +153,8 @@ impl Verifier {
         &self.cfg
     }
 
-    /// Runs every registered pass over `program` and returns the
-    /// findings in program order.
+    /// Runs the pass pipeline over `program` and returns the findings
+    /// in program order.
     pub fn verify(&self, program: &Program) -> VerifyReport {
         self.verify_timed(program).report
     }
@@ -162,36 +162,50 @@ impl Verifier {
     /// Like [`Verifier::verify`], additionally returning wall-time and
     /// diagnostic counts per pass (for `TANDEM_LINT.json` and the
     /// autotuner budget guard).
+    ///
+    /// The pipeline is fixed: encode/decode closure, sync pairing,
+    /// cross-engine deadlock, scratchpad safety (followed by its
+    /// `loop-summaries` sub-stat, whose wall is part of the scratchpad
+    /// pass's) and the dead-traffic lints. Diagnostics come back stably
+    /// sorted by program counter, so same-pc findings keep pass order.
     pub fn verify_timed(&self, program: &Program) -> VerifyRun {
-        let (diagnostics, passes) =
-            analysis::Driver::standard(self.cfg.mode).run(&self.cfg, program);
+        let (cfg, mut diags) = (&self.cfg, Vec::new());
+        let (closure, ()) = timed("closure", &mut diags, |d| check_closure(program, d));
+        let (pairing, ()) = timed("sync-pairing", &mut diags, |d| sync::check(program, d));
+        let (deadlock, ()) = timed("sync-deadlock", &mut diags, |d| deadlock::check(program, d));
+        let (scratchpad, summaries) = timed("scratchpad", &mut diags, |d| {
+            dataflow::check(cfg, program, d)
+        });
+        let (dead, ()) = timed("dead-traffic", &mut diags, |d| {
+            deadcode::check(cfg, program, d)
+        });
+        diags.sort_by_key(|d| d.pc);
         VerifyRun {
             report: VerifyReport {
                 instructions: program.len(),
-                diagnostics,
+                diagnostics: diags,
             },
-            passes,
+            passes: vec![closure, pairing, deadlock, scratchpad, summaries, dead],
         }
     }
 }
 
-/// Encode/decode closure as a registered pass.
-pub(crate) struct ClosurePass;
-
-impl analysis::Pass for ClosurePass {
-    fn name(&self) -> &'static str {
-        "closure"
-    }
-
-    fn run(
-        &self,
-        _cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        _stats: &mut Vec<analysis::PassStat>,
-    ) {
-        check_closure(program, diags);
-    }
+/// Runs one pipeline pass, appending its findings to `diags`, and
+/// records its wall-time and diagnostic yield.
+fn timed<R>(
+    name: &'static str,
+    diags: &mut Vec<Diagnostic>,
+    pass: impl FnOnce(&mut Vec<Diagnostic>) -> R,
+) -> (PassStat, R) {
+    let before = diags.len();
+    let start = Instant::now();
+    let out = pass(diags);
+    let stat = PassStat {
+        name,
+        wall: start.elapsed(),
+        diagnostics: diags.len() - before,
+    };
+    (stat, out)
 }
 
 /// Encode/decode closure: a verified program must survive the trip

@@ -4,9 +4,7 @@
 //! and no two execution regions may overlap — the Inst. Dispatch unit
 //! routes one contiguous region at a time (paper §4.2, Figure 10).
 
-use crate::analysis::{Pass, PassStat};
 use crate::diag::{Diagnostic, Rule};
-use crate::VerifyConfig;
 use tandem_isa::{Instruction, Program, SyncEdge, SyncKind, SyncUnit};
 
 pub(crate) fn unit_name(unit: SyncUnit) -> &'static str {
@@ -16,25 +14,7 @@ pub(crate) fn unit_name(unit: SyncUnit) -> &'static str {
     }
 }
 
-/// The structural pairing check as a registered pass.
-pub(crate) struct SyncPass;
-
-impl Pass for SyncPass {
-    fn name(&self) -> &'static str {
-        "sync-pairing"
-    }
-
-    fn run(
-        &self,
-        _cfg: &VerifyConfig,
-        program: &Program,
-        diags: &mut Vec<Diagnostic>,
-        _stats: &mut Vec<PassStat>,
-    ) {
-        check(program, diags);
-    }
-}
-
+/// The `sync-pairing` pass: the structural pairing check.
 pub(crate) fn check(program: &Program, diags: &mut Vec<Diagnostic>) {
     // Open execution regions as (unit, group, pc-of-start). The dispatch
     // unit is single-stream, so this behaves as a strict stack; any
