@@ -17,7 +17,10 @@
 //!   iteration-level LLM engine in streaming mode; its throughput is
 //!   decoded tokens per wall-second (iterations are much finer-grained
 //!   than whole-graph requests, so req/s is not comparable) and it is
-//!   guarded by its own `smoke_floor_llm_tok_ps` floor.
+//!   guarded by its own `smoke_floor_llm_tok_ps` floor. Its `wall_s`
+//!   times the engine alone; `tables_s` is the wall of the
+//!   `DecodeModel::build` before it (GPT-2 graph construction plus the
+//!   cycle-model runs the pool's caches do not already hold).
 //!
 //! Writes `BENCH_SERVE.json` (first CLI argument or `--out`). In
 //! `--smoke` mode the request counts shrink to CI size and the run
@@ -72,6 +75,8 @@ struct Row {
     tokens_out: u64,
     /// Decoded tokens per wall-second (LLM scenarios only).
     tok_ps: f64,
+    /// Wall seconds of the decode-table build (LLM scenarios only).
+    tables_s: f64,
 }
 
 fn run_scenario(
@@ -107,6 +112,7 @@ fn run_scenario(
         rss_growth_mb: rss_after_kb.saturating_sub(rss_before_kb) as f64 / 1024.0,
         tokens_out: 0,
         tok_ps: 0.0,
+        tables_s: 0.0,
     }
 }
 
@@ -256,7 +262,9 @@ fn main() {
     // decoded tokens per wall-second.
     {
         let spec_model = LlmModelSpec::gpt2(16, 64);
+        let t_tables = Instant::now();
         let tables = DecodeModel::build(&spec_model, &pool);
+        let tables_s = t_tables.elapsed().as_secs_f64();
         let mut wl = LlmWorkloadSpec {
             rate_rps: 0.0,
             requests: n_llm,
@@ -290,16 +298,30 @@ fn main() {
             rss_growth_mb: rss_after_kb.saturating_sub(rss_before_kb) as f64 / 1024.0,
             tokens_out,
             tok_ps: tokens_out as f64 / wall_s.max(1e-9),
+            tables_s,
         });
     }
 
     println!(
-        "{:<15} {:>11} {:>11} {:>9} {:>8} {:>12} {:>9} {:>8}",
-        "scenario", "requests", "completed", "dropped", "wall s", "req/s", "rss MB", "Δrss MB"
+        "{:<15} {:>11} {:>11} {:>9} {:>8} {:>12} {:>9} {:>8} {:>9}",
+        "scenario",
+        "requests",
+        "completed",
+        "dropped",
+        "wall s",
+        "req/s",
+        "rss MB",
+        "Δrss MB",
+        "tables s"
     );
     for r in &rows {
+        let tables = if r.tokens_out > 0 {
+            format!("{:.3}", r.tables_s)
+        } else {
+            "-".to_string()
+        };
         println!(
-            "{:<15} {:>11} {:>11} {:>9} {:>8.3} {:>12.0} {:>9.1} {:>8.1}",
+            "{:<15} {:>11} {:>11} {:>9} {:>8.3} {:>12.0} {:>9.1} {:>8.1} {:>9}",
             r.name,
             r.requests,
             r.completed,
@@ -308,6 +330,7 @@ fn main() {
             r.rps,
             r.peak_rss_mb,
             r.rss_growth_mb,
+            tables,
         );
     }
     // The LLM row is excluded from the req/s floor — its unit of work
@@ -338,8 +361,8 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let llm_fields = if r.tokens_out > 0 {
             format!(
-                ", \"tokens_out\": {}, \"tok_ps\": {:.0}",
-                r.tokens_out, r.tok_ps
+                ", \"tokens_out\": {}, \"tok_ps\": {:.0}, \"tables_s\": {:.4}",
+                r.tokens_out, r.tok_ps, r.tables_s
             )
         } else {
             String::new()

@@ -54,7 +54,7 @@ impl LlmModelSpec {
 /// *distinct* member configuration (homogeneous fleets pay once), all
 /// through the per-graph caches, so a sweep builds this once and every
 /// cell reads it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeModel {
     name: String,
     block_tokens: usize,

@@ -298,3 +298,18 @@ fn vanishing_budget_parks_iterations_at_the_horizon() {
         }
     }
 }
+
+#[test]
+fn warm_table_build_only_constructs_graphs() {
+    let pool = Npu::fleet(&vec![NpuConfig::paper(); 2]);
+    let cold = DecodeModel::build(&micro_model(), &pool);
+    let before = pool[0].stats();
+    let warm = DecodeModel::build(&micro_model(), &pool);
+    let d = pool[0].stats().delta(&before);
+    assert_eq!(warm, cold, "a warm build returns the cold tables");
+    assert_eq!(d.graph_misses, 0, "{d:?}");
+    assert_eq!(d.sim_misses, 0, "{d:?}");
+    // One whole-graph hit per decode step and per prefill knot; the
+    // second member shares the first one's row.
+    assert_eq!(d.graph_hits, 2 * warm.blocks() as u64, "{d:?}");
+}

@@ -4,6 +4,7 @@
 use crate::graph::{Graph, NodeId, TensorId};
 use crate::op::{OpAttrs, OpClass, OpKind, Padding};
 use crate::shape::Shape;
+use std::fmt::Write;
 
 /// Builds a [`Graph`] node by node, inferring output shapes as it goes.
 ///
@@ -39,9 +40,23 @@ impl GraphBuilder {
         }
     }
 
-    fn fresh_name(&mut self, prefix: &str) -> String {
+    /// `{head}{kind}_{n}` for the next counter value `n`, with `kind`
+    /// lowercased, written into one exact-capacity string.
+    fn fresh_name(&mut self, head: &str, kind: &str) -> String {
         self.counter += 1;
-        format!("{prefix}_{}", self.counter)
+        let digits = self.counter.ilog10() as usize + 1;
+        let mut name = String::with_capacity(head.len() + kind.len() + 1 + digits);
+        name.push_str(head);
+        name.push_str(kind);
+        name[head.len()..].make_ascii_lowercase();
+        write!(name, "_{}", self.counter).expect("writing to a String cannot fail");
+        name
+    }
+
+    /// Shape of `t`, borrowed (the builder's own shape inference reads
+    /// through this; only the output shape it derives is allocated).
+    fn shape_ref(&self, t: TensorId) -> &Shape {
+        &self.graph.tensor(t).shape
     }
 
     /// Declares a graph input activation.
@@ -53,7 +68,7 @@ impl GraphBuilder {
 
     /// Declares a weight/constant tensor (ONNX initializer).
     pub fn weight(&mut self, shape: impl Into<Shape>) -> TensorId {
-        let name = self.fresh_name("w");
+        let name = self.fresh_name("w", "");
         self.graph.add_tensor(name, shape.into(), true)
     }
 
@@ -78,7 +93,7 @@ impl GraphBuilder {
 
     /// Shape of `t`.
     pub fn shape(&self, t: TensorId) -> Shape {
-        self.graph.tensor(t).shape.clone()
+        self.shape_ref(t).clone()
     }
 
     fn emit(
@@ -88,9 +103,9 @@ impl GraphBuilder {
         out_shape: Shape,
         attrs: OpAttrs,
     ) -> TensorId {
-        let out_name = self.fresh_name(&kind.onnx_name().to_lowercase());
+        let out_name = self.fresh_name("", kind.onnx_name());
         let out = self.graph.add_tensor(out_name, out_shape, false);
-        let node_name = self.fresh_name(&format!("n_{}", kind.onnx_name().to_lowercase()));
+        let node_name = self.fresh_name("n_", kind.onnx_name());
         self.graph
             .add_node(kind, node_name, inputs, vec![out], attrs);
         out
@@ -100,17 +115,16 @@ impl GraphBuilder {
         &mut self,
         kind: OpKind,
         inputs: Vec<TensorId>,
-        out_shapes: Vec<Shape>,
+        out_shapes: impl Iterator<Item = Shape>,
         attrs: OpAttrs,
     ) -> (NodeId, Vec<TensorId>) {
         let outs: Vec<TensorId> = out_shapes
-            .into_iter()
             .map(|s| {
-                let name = self.fresh_name(&kind.onnx_name().to_lowercase());
+                let name = self.fresh_name("", kind.onnx_name());
                 self.graph.add_tensor(name, s, false)
             })
             .collect();
-        let node_name = self.fresh_name(&format!("n_{}", kind.onnx_name().to_lowercase()));
+        let node_name = self.fresh_name("n_", kind.onnx_name());
         let id = self
             .graph
             .add_node(kind, node_name, inputs, outs.clone(), attrs);
@@ -135,7 +149,7 @@ impl GraphBuilder {
         stride: usize,
         padding: Padding,
     ) -> TensorId {
-        let in_shape = self.shape(x);
+        let in_shape = self.shape_ref(x);
         assert_eq!(in_shape.rank(), 4, "conv expects NCHW input");
         let (n, c, h, w) = (
             in_shape.dim(0),
@@ -164,7 +178,7 @@ impl GraphBuilder {
         stride: usize,
         padding: Padding,
     ) -> TensorId {
-        let in_shape = self.shape(x);
+        let in_shape = self.shape_ref(x);
         let (n, c, h, w) = (
             in_shape.dim(0),
             in_shape.dim(1),
@@ -187,7 +201,7 @@ impl GraphBuilder {
 
     /// Fully connected layer (`Gemm`): input `[n, in]` → `[n, out]`.
     pub fn fc(&mut self, x: TensorId, out_features: usize) -> TensorId {
-        let in_shape = self.shape(x);
+        let in_shape = self.shape_ref(x);
         assert_eq!(in_shape.rank(), 2, "fc expects a 2-D input");
         let (n, in_features) = (in_shape.dim(0), in_shape.dim(1));
         let wt = self.weight([out_features, in_features]);
@@ -202,8 +216,7 @@ impl GraphBuilder {
 
     /// Batched matrix multiplication with broadcast over leading dims.
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let sa = self.shape(a);
-        let sb = self.shape(b);
+        let (sa, sb) = (self.shape_ref(a), self.shape_ref(b));
         assert!(sa.rank() >= 2 && sb.rank() >= 2, "matmul needs rank >= 2");
         assert_eq!(
             sa.dim(-1),
@@ -229,7 +242,7 @@ impl GraphBuilder {
     /// Projection by a weight matrix: `x · W` with `W: [in, out]`
     /// (transformer linear layer without bias).
     pub fn linear(&mut self, x: TensorId, out_features: usize) -> TensorId {
-        let in_features = self.shape(x).dim(-1);
+        let in_features = self.shape_ref(x).dim(-1);
         let w = self.weight([in_features, out_features]);
         self.matmul(x, w)
     }
@@ -237,7 +250,7 @@ impl GraphBuilder {
     // ----- element-wise math -----
 
     fn binary(&mut self, kind: OpKind, a: TensorId, b: TensorId) -> TensorId {
-        let shape = self.shape(a).broadcast(&self.shape(b));
+        let shape = self.shape_ref(a).broadcast(self.shape_ref(b));
         self.emit(kind, vec![a, b], shape, OpAttrs::default())
     }
 
@@ -280,7 +293,7 @@ impl GraphBuilder {
     }
 
     fn unary(&mut self, kind: OpKind, x: TensorId) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         self.emit(kind, vec![x], shape, OpAttrs::default())
     }
 
@@ -306,7 +319,7 @@ impl GraphBuilder {
 
     /// `x ^ alpha` (constant exponent).
     pub fn pow_const(&mut self, x: TensorId, alpha: f64) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         let e = self.weight(Shape::scalar());
         self.emit(
             OpKind::Pow,
@@ -321,7 +334,7 @@ impl GraphBuilder {
 
     /// `where(cond, a, b)` — element selection.
     pub fn where_op(&mut self, cond: TensorId, a: TensorId, b: TensorId) -> TensorId {
-        let shape = self.shape(a).broadcast(&self.shape(b));
+        let shape = self.shape_ref(a).broadcast(self.shape_ref(b));
         self.emit(OpKind::Where, vec![cond, a, b], shape, OpAttrs::default())
     }
 
@@ -334,7 +347,7 @@ impl GraphBuilder {
 
     /// `leaky_relu(x)` with the given negative slope.
     pub fn leaky_relu(&mut self, x: TensorId, alpha: f64) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         self.emit(
             OpKind::LeakyRelu,
             vec![x],
@@ -348,7 +361,7 @@ impl GraphBuilder {
 
     /// `clip(x, min, max)` (ReLU6 when `0..=6`).
     pub fn clip(&mut self, x: TensorId, min: f64, max: f64) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         self.emit(
             OpKind::Clip,
             vec![x],
@@ -404,7 +417,7 @@ impl GraphBuilder {
 
     /// Max pooling.
     pub fn max_pool(&mut self, x: TensorId, kernel: usize, stride: usize) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
         let oh = Self::spatial_out(h, kernel, stride, Padding::Same);
         let ow = Self::spatial_out(w, kernel, stride, Padding::Same);
@@ -418,7 +431,7 @@ impl GraphBuilder {
 
     /// Average pooling.
     pub fn avg_pool(&mut self, x: TensorId, kernel: usize, stride: usize) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
         let oh = Self::spatial_out(h, kernel, stride, Padding::Same);
         let ow = Self::spatial_out(w, kernel, stride, Padding::Same);
@@ -432,7 +445,7 @@ impl GraphBuilder {
 
     /// Global average pooling: `[n,c,h,w] → [n,c,1,1]`.
     pub fn global_avg_pool(&mut self, x: TensorId) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let (n, c) = (s.dim(0), s.dim(1));
         self.emit(
             OpKind::GlobalAveragePool,
@@ -445,7 +458,7 @@ impl GraphBuilder {
     /// Mean over `axis`, keeping the dimension (as LayerNorm decompositions
     /// do).
     pub fn reduce_mean(&mut self, x: TensorId, axis: isize) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let rank = s.rank() as isize;
         let ax = if axis < 0 { rank + axis } else { axis } as usize;
         let mut dims = s.dims().to_vec();
@@ -460,7 +473,7 @@ impl GraphBuilder {
 
     /// Softmax over `axis`.
     pub fn softmax(&mut self, x: TensorId, axis: isize) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         self.emit(OpKind::Softmax, vec![x], shape, OpAttrs::axis(axis))
     }
 
@@ -468,7 +481,7 @@ impl GraphBuilder {
 
     /// Transpose by `perm`.
     pub fn transpose(&mut self, x: TensorId, perm: &[usize]) -> TensorId {
-        let shape = self.shape(x).permute(perm);
+        let shape = self.shape_ref(x).permute(perm);
         self.emit(
             OpKind::Transpose,
             vec![x],
@@ -487,9 +500,8 @@ impl GraphBuilder {
     /// Panics if the element count changes.
     pub fn reshape(&mut self, x: TensorId, shape: impl Into<Shape>) -> TensorId {
         let new_shape = shape.into();
-        let old = self.shape(x);
         assert_eq!(
-            old.elements(),
+            self.shape_ref(x).elements(),
             new_shape.elements(),
             "reshape must preserve element count"
         );
@@ -498,7 +510,7 @@ impl GraphBuilder {
 
     /// Flatten to 2-D `[n, rest]`.
     pub fn flatten(&mut self, x: TensorId) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let n = s.dim(0);
         let rest = s.elements() / n;
         self.emit(
@@ -512,11 +524,11 @@ impl GraphBuilder {
     /// Concatenation along `axis`.
     pub fn concat(&mut self, xs: &[TensorId], axis: isize) -> TensorId {
         assert!(!xs.is_empty());
-        let first = self.shape(xs[0]);
+        let first = self.shape_ref(xs[0]);
         let rank = first.rank() as isize;
         let ax = if axis < 0 { rank + axis } else { axis } as usize;
         let mut dims = first.dims().to_vec();
-        dims[ax] = xs.iter().map(|&t| self.shape(t).dims()[ax]).sum();
+        dims[ax] = xs.iter().map(|&t| self.shape_ref(t).dims()[ax]).sum();
         self.emit(
             OpKind::Concat,
             xs.to_vec(),
@@ -527,13 +539,13 @@ impl GraphBuilder {
 
     /// Splits into `parts` equal pieces along `axis`.
     pub fn split(&mut self, x: TensorId, parts: usize, axis: isize) -> Vec<TensorId> {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let rank = s.rank() as isize;
         let ax = if axis < 0 { rank + axis } else { axis } as usize;
         assert_eq!(s.dims()[ax] % parts, 0, "split must be even");
         let mut dims = s.dims().to_vec();
         dims[ax] /= parts;
-        let shapes = vec![Shape::from(dims); parts];
+        let shapes = std::iter::repeat_n(Shape::from(dims), parts);
         self.emit_multi(OpKind::Split, vec![x], shapes, OpAttrs::axis(axis))
             .1
     }
@@ -541,10 +553,10 @@ impl GraphBuilder {
     /// Embedding lookup: `Gather(table[vocab, hidden], ids[...]) →
     /// [..., hidden]`.
     pub fn gather(&mut self, table: TensorId, indices: TensorId) -> TensorId {
-        let t = self.shape(table);
-        let idx = self.shape(indices);
-        let mut dims = idx.dims().to_vec();
-        dims.push(t.dim(-1));
+        let idx = self.shape_ref(indices).dims();
+        let mut dims = Vec::with_capacity(idx.len() + 1);
+        dims.extend_from_slice(idx);
+        dims.push(self.shape_ref(table).dim(-1));
         self.emit(
             OpKind::Gather,
             vec![table, indices],
@@ -555,7 +567,7 @@ impl GraphBuilder {
 
     /// Nearest-neighbour spatial upsampling by an integer factor.
     pub fn resize(&mut self, x: TensorId, factor: usize) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
         self.emit(
             OpKind::Resize,
@@ -570,7 +582,7 @@ impl GraphBuilder {
 
     /// Slice keeping `len` entries from `start` along `axis`.
     pub fn slice(&mut self, x: TensorId, axis: isize, start: usize, len: usize) -> TensorId {
-        let s = self.shape(x);
+        let s = self.shape_ref(x);
         let rank = s.rank() as isize;
         let ax = if axis < 0 { rank + axis } else { axis } as usize;
         assert!(start + len <= s.dims()[ax]);
@@ -593,7 +605,7 @@ impl GraphBuilder {
 
     /// Bit shift by a constant (requantization step).
     pub fn bit_shift(&mut self, x: TensorId) -> TensorId {
-        let shape = self.shape(x);
+        let shape = self.shape_ref(x).clone();
         let amount = self.weight(Shape::scalar());
         self.emit(OpKind::BitShift, vec![x, amount], shape, OpAttrs::default())
     }
@@ -605,7 +617,7 @@ impl GraphBuilder {
     /// `mean = ReduceMean(x); d = x - mean; var = ReduceMean(d²);`
     /// `y = d / sqrt(var + eps) * gamma + beta`.
     pub fn layer_norm(&mut self, x: TensorId) -> TensorId {
-        let hidden = self.shape(x).dim(-1);
+        let hidden = self.shape_ref(x).dim(-1);
         let mean = self.reduce_mean(x, -1);
         let d = self.sub(x, mean);
         let sq = self.pow_const(d, 2.0);

@@ -3,7 +3,6 @@
 use crate::op::{OpAttrs, OpKind};
 use crate::shape::Shape;
 use crate::stats::GraphStats;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -302,11 +301,14 @@ impl Graph {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut written: HashSet<TensorId> = HashSet::new();
-        let mut defined: HashSet<TensorId> = self.inputs.iter().copied().collect();
-        for t in &self.tensors {
-            if t.is_weight {
-                defined.insert(t.id);
+        // Dense tables indexed by tensor id. Every tensor id a node names
+        // is range-checked before it indexes them; a graph input outside
+        // the table cannot be named by an in-range id, so it is skipped.
+        let mut written = vec![false; self.tensors.len()];
+        let mut defined: Vec<bool> = self.tensors.iter().map(|t| t.is_weight).collect();
+        for input in &self.inputs {
+            if let Some(d) = defined.get_mut(input.index()) {
+                *d = true;
             }
         }
         for node in &self.nodes {
@@ -317,7 +319,7 @@ impl Graph {
                         tensor: input.0,
                     });
                 }
-                if !defined.contains(&input) {
+                if !defined[input.index()] {
                     return Err(GraphError::UseBeforeDef {
                         node: node.name.clone(),
                         tensor: self.tensor(input).name.clone(),
@@ -331,12 +333,12 @@ impl Graph {
                         tensor: output.0,
                     });
                 }
-                if !written.insert(output) {
+                if std::mem::replace(&mut written[output.index()], true) {
                     return Err(GraphError::MultipleWriters {
                         tensor: self.tensor(output).name.clone(),
                     });
                 }
-                defined.insert(output);
+                defined[output.index()] = true;
             }
         }
         Ok(())
@@ -362,5 +364,111 @@ impl fmt::Display for Graph {
             writeln!(f, ") :: {}", self.tensor(node.outputs[0]).shape)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A graph with one input `x` and one activation `y`, no nodes yet.
+    fn two_tensors() -> (Graph, TensorId, TensorId) {
+        let mut g = Graph::new("bad", 2024);
+        let x = g.add_tensor("x".into(), Shape::from([4]), false);
+        g.mark_input(x);
+        let y = g.add_tensor("y".into(), Shape::from([4]), false);
+        (g, x, y)
+    }
+
+    fn relu(g: &mut Graph, name: &str, inputs: Vec<TensorId>, outputs: Vec<TensorId>) {
+        g.add_node(
+            OpKind::Relu,
+            name.into(),
+            inputs,
+            outputs,
+            OpAttrs::default(),
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_dangling_input() {
+        let (mut g, _, y) = two_tensors();
+        relu(&mut g, "r", vec![TensorId(7)], vec![y]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DanglingTensor {
+                node: "r".into(),
+                tensor: 7
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_dangling_output() {
+        let (mut g, x, _) = two_tensors();
+        relu(&mut g, "r", vec![x], vec![TensorId(2)]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DanglingTensor {
+                node: "r".into(),
+                tensor: 2
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_second_writer() {
+        let (mut g, x, y) = two_tensors();
+        relu(&mut g, "r1", vec![x], vec![y]);
+        relu(&mut g, "r2", vec![x], vec![y]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::MultipleWriters { tensor: "y".into() })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_use_before_definition() {
+        let (mut g, x, y) = two_tensors();
+        let z = g.add_tensor("z".into(), Shape::from([4]), false);
+        relu(&mut g, "r1", vec![y], vec![z]);
+        relu(&mut g, "r2", vec![x], vec![y]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::UseBeforeDef {
+                node: "r1".into(),
+                tensor: "y".into()
+            })
+        );
+    }
+
+    #[test]
+    fn validate_skips_an_out_of_range_graph_input_without_panicking() {
+        let (mut g, x, y) = two_tensors();
+        g.mark_input(TensorId(9));
+        relu(&mut g, "r", vec![x], vec![y]);
+        assert_eq!(g.validate(), Ok(()));
+        relu(&mut g, "s", vec![TensorId(9)], vec![]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DanglingTensor {
+                node: "s".into(),
+                tensor: 9
+            })
+        );
+    }
+
+    #[test]
+    fn validate_accepts_weights_and_inputs_as_defined() {
+        let (mut g, x, y) = two_tensors();
+        let w = g.add_tensor("w".into(), Shape::from([4]), true);
+        g.add_node(
+            OpKind::Add,
+            "a".into(),
+            vec![x, w],
+            vec![y],
+            OpAttrs::default(),
+        );
+        assert_eq!(g.validate(), Ok(()));
     }
 }

@@ -94,10 +94,8 @@ impl Shape {
     /// Panics if `perm` is not a permutation of `0..rank`.
     pub fn permute(&self, perm: &[usize]) -> Shape {
         assert_eq!(perm.len(), self.rank(), "permutation rank mismatch");
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            assert!(!seen[p], "duplicate axis {p} in permutation");
-            seen[p] = true;
+        for (i, &p) in perm.iter().enumerate() {
+            assert!(!perm[..i].contains(&p), "duplicate axis {p} in permutation");
         }
         Shape(perm.iter().map(|&p| self.0[p]).collect())
     }
