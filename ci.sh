@@ -77,12 +77,12 @@ echo "==> bench-serve (fleet engine throughput, smoke + regression floors)"
 cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_SMOKE.json
 
 # Schedule/tiling autotuner: the CI-sized search per zoo model, scored by
-# the cached simulator and gated by widened tandem-verify. The search is
+# the cached simulator, its winner gated by widened tandem-verify. The search is
 # byte-deterministic, so the committed smoke_floor_cycles_* values in
 # BENCH_TUNE.json are exact: the step fails if any model's smoke search
 # lands above its floor (a schedule lever or the search got worse) or if
-# the searches blow the committed wall budget (smoke_budget_s, 0.30 s:
-# 3x the median smoke wall of 0.10 s over 18 runs on a 2-vCPU host; over
+# the searches blow the committed wall budget (smoke_budget_s, 0.16 s:
+# under 3x the median smoke wall of 0.055 s over 24 runs on a 2-vCPU host; over
 # budget, the step prints each model's wall, largest first). The smoke
 # output goes to artifacts/ so the committed full-mode baseline stays the
 # floor source.

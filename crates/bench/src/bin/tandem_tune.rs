@@ -21,8 +21,8 @@
 //! (`--baseline PATH` points elsewhere).
 //!
 //! Per model, the table and the JSON timing section split the search
-//! wall into the verify gate, the scoring and the driver's bookkeeping,
-//! which sum to it.
+//! wall into the verify gate on the winner, the scoring and the
+//! driver's bookkeeping, which sum to it.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -228,6 +228,6 @@ fn report_outcomes(outcomes: &[(TuneOutcome, tandem_tune::SearchSpace)], smoke: 
 }
 
 /// The wall budget used when no committed baseline carries one (the
-/// committed `smoke_budget_s` is the same value): 3x the median smoke
-/// wall of 0.10 s over 18 release runs on a 2-vCPU host.
-const DEFAULT_BUDGET_S: f64 = 0.30;
+/// committed `smoke_budget_s` is the same value): under 3x the median
+/// smoke wall of 0.055 s over 24 release runs on a 2-vCPU host.
+const DEFAULT_BUDGET_S: f64 = 0.16;

@@ -17,8 +17,8 @@ use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 pub struct CompileOptions {
     /// Run the `tandem-verify` static dataflow pass over every scheduled
     /// block and fail compilation on any error-severity finding. Defaults
-    /// to on in debug builds (so every test exercises it) and off in
-    /// release builds, where it is opt-in.
+    /// to on in every build profile; callers that only want the programs
+    /// (`tandem_lint`, which verifies them itself) turn it off.
     pub verify: bool,
     /// Loop-summarization mode for the verifier. Defaults to the
     /// O(program-size) widened summaries in every build, the mode the
@@ -35,7 +35,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            verify: cfg!(debug_assertions),
+            verify: true,
             verify_mode: VerifyMode::Widened,
             schedule: Schedule::empty(),
         }

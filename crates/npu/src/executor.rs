@@ -19,7 +19,7 @@ use tandem_core::{Dram, EnergyModel, Mode, RunReport, TandemConfig, TandemProces
 use tandem_model::hash::Memo;
 use tandem_model::{Graph, Node};
 use tandem_trace::{scale_buckets, CycleAttribution, NullSink, OffsetSink, TraceSink, Track};
-use tandem_verify::{Severity, Verifier, VerifyConfig};
+use tandem_verify::{Verifier, VerifyConfig};
 
 /// Coordination granularity between the GEMM unit and the Tandem
 /// Processor (paper §3.5 and Figure 8).
@@ -48,9 +48,10 @@ pub struct NpuConfig {
     /// Static/background power of the whole NPU (clock tree, SRAM leakage,
     /// DRAM PHY), watts — the paper compares at a ~2.7 W system (§8).
     pub static_power_w: f64,
-    /// Run the `tandem-verify` static pass over every compiled tile
-    /// program and record the outcome in [`NpuReport::verify`]. Defaults
-    /// to on in debug builds, off (opt-in) in release builds.
+    /// Ignored: a run verifies nothing, and [`Npu::verify_schedule`]
+    /// checks a graph's assembled block programs. Kept until hostbench
+    /// stops setting it.
+    #[deprecated(note = "ignored; call Npu::verify_schedule")]
     pub verify: bool,
     /// Tuner schedule overriding per-site tile decisions — the
     /// compiler's non-GEMM sites *and* the GEMM-side pipelining
@@ -63,13 +64,14 @@ pub struct NpuConfig {
 impl NpuConfig {
     /// The Table 3 configuration with all specializations enabled.
     pub fn paper() -> Self {
+        #[allow(deprecated)]
         NpuConfig {
             tandem: TandemConfig::paper(),
             gemm: GemmConfig::paper(),
             knobs: Despecialization::none(),
             granularity: TileGranularity::Tile,
             static_power_w: 2.0,
-            verify: cfg!(debug_assertions),
+            verify: false,
             schedule: Schedule::empty(),
         }
     }
@@ -84,14 +86,13 @@ impl NpuConfig {
 
     /// A stable digest of every report-affecting executor setting. Keys
     /// the shared graph-level report cache, so [`Npu::sibling`]s that
-    /// differ only in schedule or verify settings never answer each
+    /// differ only in schedule, knobs or granularity never answer each
     /// other's runs. The unit geometries enter through their headline
     /// dimensions only: siblings share caches only when both units are
     /// configured identically.
     fn digest(&self) -> u64 {
         stable_hash(&(
             self.schedule.digest(),
-            self.verify,
             self.granularity,
             self.knobs,
             self.static_power_w.to_bits(),
@@ -142,12 +143,6 @@ pub struct ServiceDemand {
     pub dram_bytes: u64,
 }
 
-/// Memoized static-verification outcome of one node's compiled tile
-/// programs: `(programs checked, error-severity findings, findings)`.
-/// Node-name-free so the value is reusable across structurally identical
-/// nodes.
-type VerifyOutcome = Arc<(u64, u64, Vec<String>)>;
-
 /// Memoization key of one execution block's [`Npu::verify_schedule`]
 /// verdict: whether the block has a GEMM region and the signature of
 /// each non-GEMM node in block order. A signature enters as its site
@@ -178,7 +173,6 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
-    verify: Memo<NodeSignature, VerifyOutcome>,
     gate: Memo<GateKey, bool>,
     sim: Memo<SimKey, RunReport>,
     gemm: Memo<(GemmWorkload, u64), GemmReport>,
@@ -197,8 +191,8 @@ pub struct Npu {
     cfg_digest: u64,
     gemm: GemmUnit,
     lowering: OpLowering,
-    /// The widened verifier for this machine shape, shared by the
-    /// per-node verify pass and the schedule gate.
+    /// The widened verifier for this machine shape, run by
+    /// [`Npu::verify_schedule`].
     verifier: Verifier,
     caches: Arc<NpuCaches>,
     cache_enabled: bool,
@@ -210,8 +204,8 @@ impl Npu {
         Self::with_caches(cfg, Arc::default(), true)
     }
 
-    /// A runner with different executor settings — schedule, verify,
-    /// knobs, granularity — sharing this NPU's caches when it runs on the
+    /// A runner with different executor settings — schedule, knobs,
+    /// granularity — sharing this NPU's caches when it runs on the
     /// *same silicon*. The autotuner scores hundreds of candidate
     /// schedules against one graph; siblings let every candidate reuse
     /// the compile/simulate work of `(site, choice)` decisions already
@@ -418,9 +412,10 @@ impl Npu {
         par_map(graphs.len(), 0, |i| self.run(graphs[i]))
     }
 
-    /// The gate `tandem-tune` puts in front of every candidate schedule:
-    /// `true` when every execution block of `graph`, assembled under this
-    /// NPU's schedule, verifies with no error-severity finding. The
+    /// The NPU's one static-verification entry point: `true` when every
+    /// execution block of `graph`, assembled under this NPU's schedule,
+    /// verifies with no error-severity finding. [`Npu::run`] verifies
+    /// nothing; `tandem-tune` gates each search's winner here. The
     /// verdict equals `schedule_graph_opts(…, CompileOptions { verify:
     /// true, .. }).is_ok()` under the same schedule; the differential
     /// gate tests assert this.
@@ -428,10 +423,11 @@ impl Npu {
     /// Each block's verdict is memoized in the caches this NPU shares
     /// with its siblings, keyed on whether the block has a GEMM region
     /// and its non-GEMM node signatures (not its sync group), and a miss
-    /// assembles the block through the compile cache.
-    /// Candidates that differ from an already-gated one at a few sites
-    /// therefore verify only the blocks those sites touch. An
-    /// [`Npu::uncached`] runner recompiles and re-verifies every block.
+    /// assembles the block through the compile cache. Repeated blocks
+    /// therefore verify once, and a schedule that differs from an
+    /// already-verified one at a few sites verifies only the blocks those
+    /// sites touch. An [`Npu::uncached`] runner recompiles and re-verifies
+    /// every block.
     pub fn verify_schedule(&self, graph: &Graph) -> bool {
         let plan = self.plan(graph);
         self.verify_schedule_with(graph, &plan, |node| {
@@ -515,58 +511,6 @@ impl Npu {
             }
             None => Arc::new(self.lowering.lower_node(graph, node)),
         }
-    }
-
-    /// Statically verifies the compiled tile programs of one non-GEMM
-    /// node, accumulating the outcome into [`NpuReport::verify`]. The
-    /// summary is a pure function of the graph and machine shape, so
-    /// cached and uncached runs report identically. Memoized on the
-    /// node's signature `sig` when there is one; `sig` is handed back
-    /// for the node's simulation key.
-    fn verify_node(
-        &self,
-        graph: &Graph,
-        node: &Node,
-        sig: Option<NodeSignature>,
-        report: &mut NpuReport,
-    ) -> Option<NodeSignature> {
-        let compute = |sig: Option<&NodeSignature>| -> VerifyOutcome {
-            let compiled = self.lower(graph, node, sig);
-            let mut programs = 0u64;
-            let mut errors = 0u64;
-            let mut diags = Vec::new();
-            if let Ok(c) = compiled.as_ref() {
-                for (prog, _) in &c.tiles {
-                    programs += 1;
-                    let rep = self.verifier.verify(prog);
-                    errors += rep
-                        .diagnostics
-                        .iter()
-                        .filter(|d| d.severity() == Severity::Error)
-                        .count() as u64;
-                    diags.extend(rep.diagnostics.iter().map(|d| d.to_string()));
-                }
-            }
-            Arc::new((programs, errors, diags))
-        };
-        let (outcome, sig) = match sig {
-            None => (compute(None), None),
-            Some(sig) => {
-                let outcome = self
-                    .caches
-                    .verify
-                    .get_or_insert_with(&sig, || compute(Some(&sig)));
-                (outcome, Some(sig))
-            }
-        };
-        let (programs, errors, diags) = &*outcome;
-        report.verify.programs += programs;
-        report.verify.errors += errors;
-        report
-            .verify
-            .diagnostics
-            .extend(diags.iter().map(|d| format!("{}: {d}", node.name)));
-        sig
     }
 
     /// Simulates one non-GEMM node's compiled programs in performance
@@ -774,10 +718,7 @@ impl Npu {
         let mut tandem_total = RunReport::default();
         for &id in &block.non_gemm {
             let node = graph.node(id);
-            let mut sig = plan.signature(graph, &self.lowering, id);
-            if self.cfg.verify {
-                sig = self.verify_node(graph, node, sig, report);
-            }
+            let sig = plan.signature(graph, &self.lowering, id);
             let r = self.tandem_node_report(graph, node, sig, proc, dram);
             *report.per_kind_cycles.entry(node.kind).or_default() += r.compute_cycles;
             tandem_total.merge(&r);
@@ -1436,29 +1377,22 @@ mod tests {
     }
 
     #[test]
-    fn verify_summary_is_clean_and_deterministic() {
-        let mut cfg = NpuConfig::paper();
-        cfg.verify = true;
-        let cached = Npu::new(cfg.clone()).run(&zoo::mobilenetv2());
-        assert!(cached.verify.programs > 0, "no programs verified");
+    fn mobilenet_verifies_clean_cached_and_uncached() {
+        let g = zoo::mobilenetv2();
+        let npu = Npu::new(NpuConfig::paper());
         assert!(
-            cached.verify.is_clean(),
-            "compiler emitted unverifiable programs:\n{}",
-            cached.verify.diagnostics.join("\n")
+            npu.verify_schedule(&g),
+            "compiler emitted unverifiable programs"
         );
-        // The summary is part of report equality and must not depend on
-        // cache state.
-        let uncached = Npu::uncached(cfg).run(&zoo::mobilenetv2());
-        assert_eq!(cached, uncached);
-    }
-
-    #[test]
-    fn verify_flag_off_leaves_an_empty_summary() {
-        let mut cfg = NpuConfig::paper();
-        cfg.verify = false;
-        let r = Npu::new(cfg).run(&zoo::vgg16());
-        assert_eq!(r.verify.programs, 0);
-        assert!(r.verify.is_clean());
+        let s = npu.stats();
+        assert!(
+            s.gate_misses > 0 && s.gate_hits > 0,
+            "repeated blocks must verify once: {s:?}"
+        );
+        let uncached = Npu::uncached(NpuConfig::paper());
+        assert!(uncached.verify_schedule(&g));
+        // A run verifies nothing, so verifying leaves no trace in it.
+        assert_eq!(npu.run(&g), uncached.run(&g));
     }
 
     #[test]
@@ -1598,7 +1532,6 @@ mod tests {
     fn one_plan_per_graph_serves_every_sibling() {
         let g = zoo::bert_base(32);
         let mut cfg = NpuConfig::paper();
-        cfg.verify = false;
         let hub = Npu::new(cfg.clone());
         hub.run(&g);
         let plan = hub.plan(&g);

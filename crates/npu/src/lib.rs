@@ -56,7 +56,7 @@ pub use par::par_map;
 // Re-exported so the autotuner (and other schedule-carrying callers) can
 // fill [`NpuConfig::schedule`] and consume [`Npu::tune_sites`] without
 // naming `tandem-compiler`.
-pub use report::{ExecStats, NpuReport, UnitBusy, VerifySummary};
+pub use report::{ExecStats, NpuReport, UnitBusy};
 pub use tandem_compiler::{Schedule, TileChoice, TuneSite};
 
 // Re-exported so profiling front-ends can drive [`Npu::run_traced`] and

@@ -137,34 +137,6 @@ impl ExecStats {
     }
 }
 
-/// Outcome of the `tandem-verify` static pass over the tile programs a
-/// run compiled (populated when `NpuConfig::verify` is on, i.e. by
-/// default in debug builds).
-///
-/// The summary is a pure function of the graph and machine shape —
-/// cached and uncached runs of the same model produce identical
-/// summaries — so unlike [`ExecStats`] it **participates** in
-/// [`NpuReport`] equality.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VerifySummary {
-    /// Tile programs the pass checked.
-    pub programs: u64,
-    /// Error-severity findings among [`VerifySummary::diagnostics`]
-    /// (warnings — e.g. dead-traffic lints — don't make a run unclean).
-    pub errors: u64,
-    /// Findings, formatted as `"node-name: pc: severity [rule] message"`,
-    /// in block/node/program order. Empty for a healthy compiler.
-    pub diagnostics: Vec<String>,
-}
-
-impl VerifySummary {
-    /// `true` when no error-severity finding was reported (warning-level
-    /// optimization lints are allowed on a healthy compiler).
-    pub fn is_clean(&self) -> bool {
-        self.errors == 0
-    }
-}
-
 /// The result of running one model end-to-end on the NPU-Tandem.
 #[derive(Debug, Clone, Default)]
 pub struct NpuReport {
@@ -195,8 +167,6 @@ pub struct NpuReport {
     pub tandem_lanes: u64,
     /// Clock frequency in GHz.
     pub freq_ghz: f64,
-    /// Static-verification outcome over the run's compiled tile programs.
-    pub verify: VerifySummary,
     /// Critical-path cycle attribution: where every cycle of
     /// `total_cycles` went (compute per unit, front-end stalls, sync
     /// waits, DAE excess, tile-pipeline fill/drain). Maintained so that
@@ -223,7 +193,6 @@ impl PartialEq for NpuReport {
             && self.gemm_mac_slots == other.gemm_mac_slots
             && self.tandem_lanes == other.tandem_lanes
             && self.freq_ghz == other.freq_ghz
-            && self.verify == other.verify
             && self.attribution == other.attribution
     }
 }

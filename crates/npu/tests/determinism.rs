@@ -161,10 +161,9 @@ fn random_schedule(graphs: &[&Graph], seed: u64) -> Schedule {
     Schedule::new(choices)
 }
 
-/// The paper configuration under `schedule`, with verification on.
+/// The paper configuration under `schedule`.
 fn scheduled(schedule: Schedule) -> NpuConfig {
     NpuConfig {
-        verify: true,
         schedule,
         ..NpuConfig::paper()
     }
@@ -181,7 +180,10 @@ fn scheduled_cached_runs_equal_uncached_runs() {
         .collect();
     for (graph, reference) in graphs.iter().zip(&uncached) {
         let name = &graph.name;
-        assert!(reference.verify.programs > 0, "{name}: verify ran");
+        assert!(
+            Npu::new(cfg.clone()).verify_schedule(graph),
+            "{name}: the schedule verifies clean"
+        );
         // A cold sibling: the scheduled runner starts on empty caches.
         let cold = Npu::new(NpuConfig::paper()).sibling(cfg.clone()).run(graph);
         assert_identical(&cold, reference, &format!("{name}: cold sibling"));
@@ -207,7 +209,6 @@ fn the_compile_cache_is_consulted_only_on_sim_misses() {
     for graph in [zoo::resnet50(), zoo::bert_base(64)] {
         for schedule in [Schedule::empty(), random_schedule(&[&graph], 11)] {
             let cfg = NpuConfig {
-                verify: false,
                 schedule,
                 ..NpuConfig::paper()
             };

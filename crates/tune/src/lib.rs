@@ -13,19 +13,19 @@
 //!    [`Candidate::schedule`] compiles it into the
 //!    [`tandem_compiler::CompileOptions::schedule`] /
 //!    [`tandem_npu::NpuConfig::schedule`] the stack already understands.
-//! 2. **Gate** — every fresh candidate gets one [`tandem_npu::Npu::sibling`]
-//!    of a cache hub, whose [`tandem_npu::Npu::verify_schedule`] assembles
-//!    and verifies each execution block under widened `tandem-verify`;
-//!    error findings reject the candidate before it is scored. Block
-//!    verdicts are memoized in the hub, so only blocks whose sites
-//!    changed are verified again.
-//! 3. **Score** — accepted candidates run on the same siblings, so
-//!    repeated `(site, choice)` decisions compile and simulate once
-//!    across the whole search.
-//! 4. **Search** — a single-site seeding sweep, a greedy
+//! 2. **Score** — every candidate runs on one [`tandem_npu::Npu::sibling`]
+//!    of a cache hub, so repeated `(site, choice)` decisions compile and
+//!    simulate once across the whole search.
+//! 3. **Search** — a single-site seeding sweep, a greedy
 //!    coordinate-descent composite, then beam-elite evolution (weighted
 //!    point mutation + uniform crossover), with the dead-traffic lint's
 //!    wasted-word estimates as the mutation prior ([`site_weights`]).
+//! 4. **Gate** — the winner alone goes through
+//!    [`tandem_npu::Npu::verify_schedule`], which assembles and verifies
+//!    each distinct execution block under widened `tandem-verify`; a
+//!    winner with an error finding is replaced by the baseline. The space
+//!    is legal by construction (the tiler offers only choices that pass
+//!    its fit predicates), so candidates are not gated one by one.
 //!
 //! Fixing the seed fixes the entire trajectory: the driver draws all
 //! randomness on one thread and workers fill order-indexed slots, so

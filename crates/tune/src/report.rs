@@ -49,13 +49,12 @@ pub fn outcome_json(out: &TuneOutcome, space: &SearchSpace, indent: usize, timin
         let _ = write!(
             s,
             "\n{pad}    {{\"gen\": {}, \"best\": {}, \"median\": {}, \"evaluated\": {}, \
-             \"fresh\": {}, \"rejected\": {}}}{}",
+             \"fresh\": {}}}{}",
             g.generation,
             g.best_cycles,
             g.median_cycles,
             g.evaluated,
             g.fresh,
-            g.rejected,
             if i + 1 < out.generations.len() {
                 ","
             } else {

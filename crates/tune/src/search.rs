@@ -1,6 +1,6 @@
 //! The seeded search driver: a single-site seeding sweep, then beam +
-//! evolutionary generations, scored by the cached simulator and gated by
-//! `tandem-verify`.
+//! evolutionary generations, scored by the cached simulator, with the
+//! winner gated by `tandem-verify`.
 //!
 //! Determinism contract: for a fixed seed the whole search — every
 //! candidate visited, every score, the final best — is a pure function
@@ -10,17 +10,17 @@
 //! wall-time, never results. Wall-times are reported separately and are
 //! the only nondeterministic fields.
 //!
-//! Each candidate is evaluated on one [`Npu::sibling`] of a cache hub,
-//! configured with the candidate's schedule. The sibling first gates
-//! the candidate with [`Npu::verify_schedule`]: every execution block
-//! is assembled through the hub's compile cache and verified with the
-//! NPU's widened verifier, and a candidate with any error-severity
-//! finding is rejected before it is scored. Block verdicts are memoized in the hub
-//! on the block's node signatures, so a candidate pays verification only
-//! for the blocks its changed sites touch. The same sibling then scores
-//! the candidate, reusing the per-node simulation of each
-//! `(site, choice)` decision the search has already paid for — which is
-//! what makes hundreds of whole-graph evaluations affordable.
+//! Each candidate is scored on one [`Npu::sibling`] of a cache hub,
+//! configured with the candidate's schedule, reusing the per-node
+//! simulation of each `(site, choice)` decision the search has already
+//! paid for — which is what makes hundreds of whole-graph evaluations
+//! affordable. Candidates are not verified one by one: the space is
+//! legal by construction (the tiler offers only choices that pass its
+//! fit predicates, and `tests/gate.rs` sweeps the zoo to hold it to
+//! that). The winner alone goes through [`Npu::verify_schedule`], which
+//! assembles every execution block through the hub's compile cache and
+//! verifies it with the NPU's widened verifier, once per distinct block;
+//! if it fails, the search returns the baseline.
 
 use crate::space::{below, Candidate, SearchSpace};
 use std::collections::HashMap;
@@ -47,9 +47,6 @@ pub struct TuneOptions {
     /// override — the spaces are small and the cache hub makes singles
     /// cheap, so the full coordinate sweep is the default).
     pub max_singles: usize,
-    /// Record every accepted `(candidate, cycles)` pair in the outcome
-    /// (tests re-verify them; large searches leave this off).
-    pub record_accepted: bool,
 }
 
 impl Default for TuneOptions {
@@ -61,7 +58,6 @@ impl Default for TuneOptions {
             beam: 6,
             jobs: 0,
             max_singles: 0,
-            record_accepted: false,
         }
     }
 }
@@ -85,20 +81,15 @@ impl TuneOptions {
 pub struct GenerationStat {
     /// Generation index (0 = the seeding sweep).
     pub generation: usize,
-    /// Best cycles over every accepted candidate *so far* — monotonically
+    /// Best cycles over every candidate scored *so far* — monotonically
     /// non-increasing across generations.
     pub best_cycles: u64,
-    /// Median cycles of this generation's accepted candidates (the
-    /// running best when the generation accepted none).
+    /// Median cycles of this generation's candidates.
     pub median_cycles: u64,
     /// Distinct candidates scored this generation (memo hits included).
     pub evaluated: usize,
-    /// Candidates verified + simulated for the first time.
+    /// Candidates simulated for the first time.
     pub fresh: usize,
-    /// Fresh candidates the verify gate rejected.
-    pub rejected: usize,
-    /// Wall-time spent in the verify gate this generation.
-    pub verify_wall_s: f64,
     /// Wall-time spent simulating this generation.
     pub sim_wall_s: f64,
 }
@@ -118,25 +109,27 @@ pub struct TuneOutcome {
     pub space_log2: f64,
     /// Cycles of the hand-rolled baseline (the empty schedule).
     pub baseline_cycles: u64,
-    /// Cycles of the best accepted candidate.
+    /// Cycles of [`TuneOutcome::best`].
     pub best_cycles: u64,
-    /// The best accepted candidate.
+    /// The best-scoring candidate if it verifies clean, the baseline
+    /// otherwise.
     pub best: Candidate,
     /// Per-generation trajectory.
     pub generations: Vec<GenerationStat>,
     /// Distinct candidates evaluated over the whole search.
     pub evaluated: usize,
-    /// Distinct candidates the verify gate rejected.
+    /// `1` when the verify gate rejected the best-scoring candidate (and
+    /// the search fell back to the baseline), `0` otherwise.
     pub rejected: usize,
-    /// Total verify-gate wall-time.
+    /// Wall-time of the verify gate on the best-scoring candidate.
     pub verify_wall_s: f64,
     /// Total simulation wall-time.
     pub sim_wall_s: f64,
     /// Wall-time of the whole search: the gate, the scoring and the
     /// driver's own bookkeeping ([`TuneOutcome::bookkeeping_wall_s`]).
     pub wall_s: f64,
-    /// Every accepted `(candidate, cycles)` pair, in first-evaluation
-    /// order — only filled under [`TuneOptions::record_accepted`].
+    /// Every scored `(candidate, cycles)` pair, in `(cycles, digest)`
+    /// order. Only [`TuneOutcome::best`] went through the verify gate.
     pub accepted: Vec<(Candidate, u64)>,
 }
 
@@ -173,30 +166,14 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
     tune_in_space(npu, graph, &space, opts)
 }
 
-/// Candidate evaluation: the verify gate and the cached score, both
-/// pure functions of the candidate, run on one sibling of the hub.
-struct Evaluator<'a> {
-    npu: &'a Npu,
-    graph: &'a Graph,
-}
-
-impl Evaluator<'_> {
-    /// The candidate's runner: a sibling sharing the hub's caches, under
-    /// the candidate's schedule, scoring with the per-node verify pass
-    /// off.
-    fn sibling(&self, cand: &Candidate) -> Npu {
-        let mut cfg = self.npu.config().clone();
-        cfg.verify = false;
-        cfg.schedule = cand.schedule();
-        self.npu.sibling(cfg)
-    }
-
-    /// Simulated end-to-end cycles of the candidate. Bit-equal to an
-    /// [`Npu::uncached`] run under the same configuration (the oracle
-    /// tests assert this).
-    fn score(&self, sibling: &Npu) -> u64 {
-        sibling.run(self.graph).total_cycles
-    }
+/// The candidate's runner: a sibling sharing the hub's caches, under the
+/// candidate's schedule. Its [`Npu::run`] cycles bit-equal an
+/// [`Npu::uncached`] run under the same configuration (the oracle tests
+/// assert this).
+fn sibling(npu: &Npu, cand: &Candidate) -> Npu {
+    let mut cfg = npu.config().clone();
+    cfg.schedule = cand.schedule();
+    npu.sibling(cfg)
 }
 
 /// Runs the full search for `graph` on `npu` inside an explicit space.
@@ -207,20 +184,17 @@ pub fn tune_in_space(
     opts: &TuneOptions,
 ) -> TuneOutcome {
     let t_search = Instant::now();
-    let eval = Evaluator { npu, graph };
     let mut rng = SplitMix64::new(opts.seed);
-    // digest → Some(cycles) accepted / None rejected.
-    let mut memo: HashMap<u64, Option<u64>> = HashMap::new();
-    // Every accepted candidate, kept sorted by (cycles, digest).
+    // digest → cycles of every scored candidate.
+    let mut memo: HashMap<u64, u64> = HashMap::new();
+    // Every scored candidate as (cycles, digest, candidate), kept sorted.
     let mut pool: Vec<(u64, u64, Candidate)> = Vec::new();
-    let mut accepted_log: Vec<(Candidate, u64)> = Vec::new();
     let mut stats: Vec<GenerationStat> = Vec::new();
 
     let run_generation = |generation: usize,
                           population: Vec<Candidate>,
-                          memo: &mut HashMap<u64, Option<u64>>,
-                          pool: &mut Vec<(u64, u64, Candidate)>,
-                          accepted_log: &mut Vec<(Candidate, u64)>|
+                          memo: &mut HashMap<u64, u64>,
+                          pool: &mut Vec<(u64, u64, Candidate)>|
      -> GenerationStat {
         // Dedupe within the generation, preserving first-occurrence order.
         let mut uniq: Vec<Candidate> = Vec::with_capacity(population.len());
@@ -237,42 +211,23 @@ pub fn tune_in_space(
             .filter(|c| !memo.contains_key(&c.digest()))
             .cloned()
             .collect();
-        // Phase 1 — the verify gate, in parallel, results in input order.
+        let fresh_count = fresh.len();
+        // Score the fresh candidates in parallel, results in input order.
         let t0 = Instant::now();
-        let gated = par_map(fresh.len(), opts.jobs, |i| {
-            let sibling = eval.sibling(&fresh[i]);
-            let ok = sibling.verify_schedule(graph);
-            (sibling, ok)
+        let scores = par_map(fresh.len(), opts.jobs, |i| {
+            sibling(npu, &fresh[i]).run(graph).total_cycles
         });
-        let verify_wall_s = t0.elapsed().as_secs_f64();
-        let mut to_score: Vec<(&Candidate, Npu)> = Vec::new();
-        let mut rejected = 0usize;
-        for (c, (sibling, ok)) in fresh.iter().zip(gated) {
-            if ok {
-                to_score.push((c, sibling));
-            } else {
-                rejected += 1;
-                memo.insert(c.digest(), None);
-            }
-        }
-        // Phase 2 — score the survivors on the same siblings.
-        let t1 = Instant::now();
-        let scores = par_map(to_score.len(), opts.jobs, |i| eval.score(&to_score[i].1));
-        let sim_wall_s = t1.elapsed().as_secs_f64();
-        for (&(c, _), &cycles) in to_score.iter().zip(&scores) {
-            memo.insert(c.digest(), Some(cycles));
-            pool.push((cycles, c.digest(), c.clone()));
-            if opts.record_accepted {
-                accepted_log.push((c.clone(), cycles));
-            }
+        let sim_wall_s = t0.elapsed().as_secs_f64();
+        for (c, cycles) in fresh.into_iter().zip(scores) {
+            let digest = c.digest();
+            memo.insert(digest, cycles);
+            pool.push((cycles, digest, c));
         }
         pool.sort_by_key(|c| (c.0, c.1));
-        let best_cycles = pool.first().map(|&(c, _, _)| c).unwrap_or(u64::MAX);
-        // Median over this generation's accepted candidates.
-        let mut gen_scores: Vec<u64> = uniq
-            .iter()
-            .filter_map(|c| memo.get(&c.digest()).copied().flatten())
-            .collect();
+        // Generation 0 always scores the baseline, so the pool is never
+        // empty here.
+        let best_cycles = pool[0].0;
+        let mut gen_scores: Vec<u64> = uniq.iter().map(|c| memo[&c.digest()]).collect();
         gen_scores.sort_unstable();
         let median_cycles = if gen_scores.is_empty() {
             best_cycles
@@ -284,9 +239,7 @@ pub fn tune_in_space(
             best_cycles,
             median_cycles,
             evaluated: uniq.len(),
-            fresh: fresh.len(),
-            rejected,
-            verify_wall_s,
+            fresh: fresh_count,
             sim_wall_s,
         }
     };
@@ -318,32 +271,21 @@ pub fn tune_in_space(
             gen0.push(cand);
         }
     }
-    stats.push(run_generation(
-        0,
-        gen0,
-        &mut memo,
-        &mut pool,
-        &mut accepted_log,
-    ));
-    let baseline_cycles = memo
-        .get(&Candidate::baseline().digest())
-        .copied()
-        .flatten()
-        .expect("the baseline schedule always verifies clean");
+    stats.push(run_generation(0, gen0, &mut memo, &mut pool));
+    let baseline_cycles = memo[&Candidate::baseline().digest()];
 
     // The greedy coordinate-descent point: for each site, its best
-    // accepted single-site override that beat the baseline.
+    // single-site override that beat the baseline.
     let greedy = {
         let mut best_per_site: HashMap<usize, (u64, Candidate)> = HashMap::new();
         for (site, cand) in &singles {
-            if let Some(Some(cycles)) = memo.get(&cand.digest()) {
-                if *cycles < baseline_cycles {
-                    let e = best_per_site
-                        .entry(*site)
-                        .or_insert_with(|| (*cycles, cand.clone()));
-                    if *cycles < e.0 {
-                        *e = (*cycles, cand.clone());
-                    }
+            let cycles = memo[&cand.digest()];
+            if cycles < baseline_cycles {
+                let e = best_per_site
+                    .entry(*site)
+                    .or_insert_with(|| (cycles, cand.clone()));
+                if cycles < e.0 {
+                    *e = (cycles, cand.clone());
                 }
             }
         }
@@ -384,19 +326,20 @@ pub fn tune_in_space(
                 _ => population.push(space.random(&mut rng)),
             }
         }
-        stats.push(run_generation(
-            generation,
-            population,
-            &mut memo,
-            &mut pool,
-            &mut accepted_log,
-        ));
+        stats.push(run_generation(generation, population, &mut memo, &mut pool));
     }
 
-    let (best_cycles, _, best) = pool
-        .first()
-        .cloned()
-        .expect("baseline is always in the pool");
+    // The search's one verify gate: the winner, through the hub's
+    // memoized block verdicts. A rejected winner falls back to the
+    // baseline.
+    let (mut best_cycles, _, mut best) = pool[0].clone();
+    let t_gate = Instant::now();
+    let rejected = usize::from(!sibling(npu, &best).verify_schedule(graph));
+    let verify_wall_s = t_gate.elapsed().as_secs_f64();
+    if rejected == 1 {
+        best = Candidate::baseline();
+        best_cycles = baseline_cycles;
+    }
     TuneOutcome {
         model: graph.name.clone(),
         seed: opts.seed,
@@ -407,11 +350,11 @@ pub fn tune_in_space(
         best_cycles,
         best,
         evaluated: memo.len(),
-        rejected: memo.values().filter(|v| v.is_none()).count(),
-        verify_wall_s: stats.iter().map(|s| s.verify_wall_s).sum(),
+        rejected,
+        verify_wall_s,
         sim_wall_s: stats.iter().map(|s| s.sim_wall_s).sum(),
         wall_s: t_search.elapsed().as_secs_f64(),
         generations: stats,
-        accepted: accepted_log,
+        accepted: pool.into_iter().map(|(cycles, _, c)| (c, cycles)).collect(),
     }
 }

@@ -1,24 +1,31 @@
-//! The tuner's verify gate against its whole-graph oracle.
+//! The tuner's verify gate against its whole-graph oracle, and the
+//! space it gates.
 //!
 //! [`Npu::verify_schedule`] memoizes one verdict per execution block,
-//! keyed on whether the block has a GEMM region, the signatures of its
-//! non-GEMM nodes and the verifier mode, and leaves the block's sync
-//! group out of the key. These tests pin both halves of that contract
-//! on seeded candidates over BERT, GPT-2 and ResNet-50:
+//! keyed on whether the block has a GEMM region and the signatures of
+//! its non-GEMM nodes, and leaves the block's sync group out of the key.
+//! The first two tests pin both halves of that contract on seeded
+//! candidates over BERT, GPT-2 and ResNet-50:
 //!
 //! * the memoized verdict (and the uncached one) equals
 //!   `schedule_graph_opts(…, widened, schedule).is_ok()`;
 //! * every distinct block key verifies the same under its real group
 //!   and under group 0.
+//!
+//! The search gates only its winner, once. That is sound because the
+//! space is legal by construction: every choice [`Npu::tune_sites`]
+//! offers, alone and in random combinations, verifies clean on the zoo.
+//! The last three tests pin the single gate and sweep the space.
 
 use std::collections::HashSet;
+use std::time::Instant;
 use tandem_compiler::{
     schedule_block, schedule_graph_opts, CompileOptions, NodeSignature, OpLowering, Partitioner,
 };
 use tandem_fleet::SplitMix64;
 use tandem_model::{zoo, Graph};
 use tandem_npu::{Npu, NpuConfig};
-use tandem_tune::{search_space, Candidate, SearchSpace};
+use tandem_tune::{search_space, tune_in_space, Candidate, SearchSpace, TuneOptions};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
 /// Candidates per model on top of the baseline: half drawn uniformly
@@ -43,9 +50,8 @@ fn candidates(space: &SearchSpace, seed: u64) -> Vec<Candidate> {
     out
 }
 
-fn widened(cfg: &NpuConfig, cand: &Candidate) -> NpuConfig {
+fn scheduled(cfg: &NpuConfig, cand: &Candidate) -> NpuConfig {
     let mut cfg = cfg.clone();
-    cfg.verify = false;
     cfg.schedule = cand.schedule();
     cfg
 }
@@ -69,7 +75,7 @@ fn memoized_gate_matches_whole_graph_verification() {
                 },
             )
             .is_ok();
-            let cfg = widened(hub.config(), cand);
+            let cfg = scheduled(hub.config(), cand);
             let gate = hub.sibling(cfg.clone()).verify_schedule(graph);
             assert_eq!(gate, oracle, "{} candidate {i}: memoized gate", graph.name);
             // The uncached reference path bypasses the memo entirely.
@@ -143,5 +149,92 @@ fn block_verdicts_do_not_depend_on_the_sync_group() {
             }
         }
         assert!(seen.len() > 1, "{}: no block keys checked", graph.name);
+    }
+}
+
+#[test]
+fn a_search_gates_only_its_winner() {
+    let graph = zoo::bert_base(32);
+    let hub = Npu::new(NpuConfig::paper());
+    let space = search_space(&hub, &graph);
+    let opts = TuneOptions {
+        generations: 2,
+        population: 8,
+        beam: 2,
+        max_singles: 16,
+        ..TuneOptions::default()
+    };
+    let before = hub.stats();
+    let out = tune_in_space(&hub, &graph, &space, &opts);
+    let s = hub.stats().delta(&before);
+    assert!(out.evaluated > 1 && out.best_cycles < out.baseline_cycles);
+    assert_eq!(out.rejected, 0);
+    // One walk over the blocks of one schedule: repeated layers hit.
+    let blocks = Partitioner::new().partition(&graph).len() as u64;
+    assert_eq!(s.gate_hits + s.gate_misses, blocks, "{s:?}");
+    assert!(s.gate_hits > 0, "{s:?}");
+}
+
+/// The paper NPU with its Tandem Processor cut to `lanes × interim_rows`.
+fn machine(lanes: usize, interim_rows: usize) -> NpuConfig {
+    let mut cfg = NpuConfig::paper();
+    cfg.tandem.lanes = lanes;
+    cfg.tandem.interim_rows = interim_rows;
+    cfg
+}
+
+/// Verifies every single-site schedule of `graph`'s space on `cfg` (when
+/// `singles` is set) and `random` seeded multi-site draws, through one
+/// hub, so each distinct block verifies once. Returns the schedules
+/// checked.
+fn assert_space_legal(graph: &Graph, cfg: NpuConfig, singles: bool, random: usize) -> usize {
+    let (lanes, rows) = (cfg.tandem.lanes, cfg.tandem.interim_rows);
+    let t0 = Instant::now();
+    let hub = Npu::new(cfg);
+    let space = SearchSpace::new(hub.tune_sites(graph), Vec::new());
+    let mut cands = Vec::new();
+    if singles {
+        for (i, site) in space.sites().iter().enumerate() {
+            for &c in &site.candidates {
+                if c != site.baseline {
+                    cands.push(space.single(i, c));
+                }
+            }
+        }
+    }
+    let mut rng = SplitMix64::new(0x7a4d_e001 ^ ((lanes as u64) << 32) ^ rows as u64);
+    cands.extend((0..random).map(|_| space.random(&mut rng)));
+    for cand in &cands {
+        assert!(
+            hub.sibling(scheduled(hub.config(), cand))
+                .verify_schedule(graph),
+            "{} on {lanes}×{rows}: illegal schedule {:?}",
+            graph.name,
+            cand.render(space.sites())
+        );
+    }
+    eprintln!(
+        "{} on {lanes}×{rows}: {} schedules verified clean in {:.2} s",
+        graph.name,
+        cands.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    cands.len()
+}
+
+#[test]
+fn every_single_site_choice_on_the_zoo_verifies_clean() {
+    for bench in zoo::Benchmark::ALL {
+        let graph = bench.graph();
+        let n = assert_space_legal(&graph, NpuConfig::paper(), true, 0);
+        assert!(n > 0, "{}: empty space", graph.name);
+    }
+}
+
+#[test]
+fn the_space_is_legal_on_the_small_machine_and_in_combination() {
+    for graph in [zoo::mobilenetv2(), zoo::bert_base(32)] {
+        assert_space_legal(&graph, machine(8, 64), true, 24);
+        assert_space_legal(&graph, NpuConfig::paper(), false, 24);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! * The whole trajectory is byte-identical across repeated runs and
 //!   across `jobs` values (workers can never reorder or change results).
-//! * Every accepted candidate's materialized schedule compiles with
-//!   zero error-severity findings under widened `tandem-verify`.
+//! * Every scored candidate's materialized schedule compiles with zero
+//!   error-severity findings under widened `tandem-verify`, though the
+//!   search gates only its winner.
 //! * The running best is monotonically non-increasing across
 //!   generations, and different seeds genuinely explore differently.
 
@@ -19,7 +20,6 @@ fn opts(seed: u64, jobs: usize) -> TuneOptions {
         population: 10,
         beam: 3,
         jobs,
-        record_accepted: true,
         ..TuneOptions::default()
     }
 }
@@ -56,7 +56,7 @@ fn every_accepted_candidate_verifies_clean() {
         };
         schedule_graph_opts(&lowering, &g, &copts).unwrap_or_else(|e| {
             panic!(
-                "accepted candidate {:016x} fails widened verify: {e}",
+                "scored candidate {:016x} fails widened verify: {e}",
                 cand.digest()
             )
         });
