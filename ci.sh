@@ -90,15 +90,19 @@ echo "==> tandem-tune (schedule autotuner, smoke + regression floors)"
 cargo run --release -q --bin tandem_tune -- --smoke --out artifacts/BENCH_TUNE_SMOKE.json
 
 # Whole-stack host benchmark, correctness only: a short transformer_cold
-# run checks every phase's result against the uncached reference and
-# must report "correct": true on its last line. Its timings are not
+# run (every cache cold) and a short cnn_warm run (caches filled in
+# set-up, so runs, tuner siblings and serving tables take the warm
+# paths) check every phase's result against the uncached reference and
+# must report "correct": true on their last line. Their timings are not
 # gated here (a 2 s run on a shared CI runner is too noisy for that).
-echo "==> hostbench (whole-stack correctness smoke)"
-hostbench_out=$(cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
-    --workload transformer_cold --seed 1 --seconds 2 --trace 0 | tail -n 1)
-case "$hostbench_out" in
-    *'"correct": true'*) ;;
-    *) echo "hostbench smoke failed: $hostbench_out" >&2; exit 1 ;;
-esac
+for workload in transformer_cold cnn_warm; do
+    echo "==> hostbench (whole-stack correctness smoke, $workload)"
+    hostbench_out=$(cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    case "$hostbench_out" in
+        *'"correct": true'*) ;;
+        *) echo "hostbench $workload smoke failed: $hostbench_out" >&2; exit 1 ;;
+    esac
+done
 
 echo "CI OK"

@@ -28,35 +28,11 @@ pub(crate) fn gemm_side(graph: &Graph, unit: &GemmUnit) -> (f64, f64) {
         if node.kind.class() != OpClass::Gemm {
             continue;
         }
-        let w = workload(graph, node);
-        let r = unit.layer_report(w);
+        let r = unit.layer_report(GemmWorkload::of_node(graph, node));
         seconds += r.overlapped_cycles() as f64 / (unit.config().freq_ghz * 1e9);
         energy_j += r.energy_nj * 1e-9;
     }
     (seconds, energy_j)
-}
-
-pub(crate) fn workload(graph: &Graph, node: &Node) -> GemmWorkload {
-    match node.kind {
-        OpKind::Conv => {
-            let out = &graph.tensor(node.outputs[0]).shape;
-            let cin = graph.tensor(node.inputs[0]).shape.dim(1);
-            GemmWorkload::from_conv(
-                out.dim(2) as u64,
-                out.dim(3) as u64,
-                cin as u64,
-                out.dim(1) as u64,
-                node.attrs.kernel as u64,
-            )
-        }
-        OpKind::MatMul | OpKind::Gemm => {
-            let out = &graph.tensor(node.outputs[0]).shape;
-            let k = graph.tensor(node.inputs[0]).shape.dim(-1) as u64;
-            let n = out.dim(-1) as u64;
-            GemmWorkload::new(out.elements() as u64 / n, k, n)
-        }
-        other => unreachable!("{other} is not GEMM"),
-    }
 }
 
 /// Baseline (1): every non-GEMM layer crosses PCIe to the host CPU and

@@ -5,7 +5,7 @@
 //! low-utilization GEMMs — the behaviour Figure 17 shows consuming 90% of
 //! MobileNetV2/EfficientNet runtime.
 
-use crate::fallback::{workload, DEDICATED_OPS};
+use crate::fallback::DEDICATED_OPS;
 use crate::platform::{Platform, PlatformReport};
 use gemm_sim::{GemmConfig, GemmUnit, GemmWorkload};
 use tandem_model::{Graph, NodeCost, OpClass, OpKind};
@@ -76,7 +76,7 @@ impl Gemmini {
             let cost = NodeCost::of(graph, node);
             match node.kind {
                 k if k.class() == OpClass::Gemm => {
-                    let r = self.gemm.layer_report(workload(graph, node));
+                    let r = self.gemm.layer_report(GemmWorkload::of_node(graph, node));
                     b.gemm_s += r.overlapped_cycles() as f64 / freq;
                 }
                 OpKind::DepthwiseConv => {

@@ -34,19 +34,10 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use tandem_bench::read_floor;
+use tandem_bench::{mean_service_ns, read_floor};
 use tandem_fleet::llm::{DecodeModel, LlmConfig, LlmFleet, LlmMode, LlmModelSpec, LlmWorkloadSpec};
 use tandem_fleet::{ArrivalProcess, Catalog, Fleet, FleetConfig, Policy, WorkloadSpec};
 use tandem_npu::{Npu, NpuConfig};
-
-/// Mean solo service time (ns) of `mix` on one paper-configured NPU.
-fn mean_service_ns(probe: &Npu, catalog: &Catalog, mix: &[(usize, f64)]) -> f64 {
-    let freq = probe.config().tandem.freq_ghz;
-    let total: f64 = mix.iter().map(|&(_, w)| w).sum();
-    mix.iter()
-        .map(|&(m, w)| probe.estimate(catalog.graph(m)) as f64 / freq * w / total)
-        .sum()
-}
 
 /// A field of `/proc/self/status` in KiB (0 where unavailable — the
 /// bench still runs, just without memory numbers).

@@ -33,6 +33,7 @@
 //! retained records and exits nonzero on any violation — the engines
 //! `debug_assert` it, and release binaries enforce it here.
 
+use tandem_bench::mean_service_ns;
 use tandem_fleet::llm::{
     llm_summary, llm_sweep_tables, render_llm_serve_json, DecodeModel, LlmConfig, LlmFleet,
     LlmMode, LlmModelSpec, LlmSweepSpec, LlmWorkloadSpec,
@@ -43,19 +44,6 @@ use tandem_fleet::{
 };
 use tandem_npu::{Npu, NpuConfig};
 use tandem_trace::ChromeTraceSink;
-
-/// Mean solo service time (ns) of `mix` on one paper-configured NPU —
-/// the capacity yardstick the offered rates are derived from.
-fn mean_service_ns(probe: &Npu, catalog: &Catalog, mix: &[(usize, f64)]) -> f64 {
-    let freq = probe.config().tandem.freq_ghz;
-    let total: f64 = mix.iter().map(|&(_, w)| w).sum();
-    mix.iter()
-        .map(|&(m, w)| {
-            let ns = probe.estimate(catalog.graph(m)) as f64 / freq;
-            ns * w / total
-        })
-        .sum()
-}
 
 /// Offered rate that oversubscribes a `size`-NPU fleet by `factor`.
 fn rate_rps(mean_ns: f64, size: usize, factor: f64) -> f64 {

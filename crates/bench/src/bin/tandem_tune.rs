@@ -2,19 +2,19 @@
 //! schedule space for zoo models with the cached simulator as the
 //! oracle, and writes `BENCH_TUNE.json`.
 //!
-//! Full mode runs the default-budget search per model — the headline
-//! per-model cycle reductions over the hand-rolled scheduler — and
-//! *also* runs the CI-sized smoke search, whose best-cycles per model
-//! become the committed regression floors. The search is
+//! Full mode runs the default-budget search per model, on a fresh cache
+//! hub — the headline per-model cycle reductions over the hand-rolled
+//! scheduler — and *also* runs the CI-sized smoke search, whose
+//! best-cycles per model become the committed regression floors. The search is
 //! byte-deterministic for a fixed seed (one RNG stream on the driver
 //! thread; workers fill order-indexed slots), so the floors are exact
 //! values, not noisy measurements: a future smoke run on any host
 //! either matches them, beats them (an improvement), or regresses.
 //!
-//! `--smoke` re-runs only the smoke-sized searches and **fails** if any
-//! model's best cycles exceed the `smoke_floor_cycles_<model>` keys
-//! committed in the baseline `BENCH_TUNE.json`, or if total search
-//! wall-time exceeds `smoke_budget_s` — at most 3x the measured median
+//! Either mode **fails** if any model's smoke search ends above the
+//! `smoke_floor_cycles_<model>` keys committed in the baseline
+//! `BENCH_TUNE.json`. `--smoke` re-runs only the smoke-sized searches
+//! and also fails if total search wall-time exceeds `smoke_budget_s` — at most 3x the measured median
 //! smoke wall, so a 3x slowdown of the search or its oracle fails; over
 //! budget, the run prints each model's wall, largest first. Floors are
 //! read from the committed baseline before this run overwrites it
@@ -128,10 +128,13 @@ fn main() {
         let space = search_space(&npu, &graph);
         let smoke_out = tune_in_space(&npu, &graph, &space, &smoke_opts);
         smoke_best.push((slug(&graph.name), smoke_out.best_cycles));
+        // The full search starts cold, on a hub of its own, so its
+        // timings show what a first search pays rather than replaying
+        // the caches the smoke search warmed.
         let out = if smoke {
             smoke_out
         } else {
-            tune_in_space(&npu, &graph, &space, &full_opts)
+            tune_in_space(&Npu::new(NpuConfig::paper()), &graph, &space, &full_opts)
         };
         println!(
             "{:<14} {:>6} {:>9.1}b {:>15} {:>15} {:>7.2} {:>6} {:>9.3} {:>8.3} {:>7.3}",
@@ -185,14 +188,15 @@ fn main() {
 
     report_outcomes(&outcomes, smoke);
 
+    // Both modes run the smoke searches, so both hold them to the floors.
+    for ((slug, best), (_, floor)) in smoke_best.iter().zip(&floors) {
+        assert!(
+            best <= floor,
+            "tandem_tune regression: {slug} smoke search reached {best} cycles, above the \
+             committed floor of {floor} — the search or a schedule lever got worse"
+        );
+    }
     if smoke {
-        for ((slug, best), (_, floor)) in smoke_best.iter().zip(&floors) {
-            assert!(
-                best <= floor,
-                "tandem_tune regression: {slug} smoke search reached {best} cycles, above the \
-                 committed floor of {floor} — the search or a schedule lever got worse"
-            );
-        }
         if wall_s > budget_s {
             eprintln!(
                 "FAIL: smoke searches took {wall_s:.2}s, over the committed {budget_s:.2}s \

@@ -24,12 +24,26 @@ pub mod table;
 
 pub use suite::Suite;
 
+use tandem_fleet::Catalog;
+use tandem_npu::Npu;
+
 /// Geometric mean of positive values.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
+}
+
+/// Mean solo service time (ns) of `mix` — `(catalog model, weight)`
+/// pairs — on `probe`: the capacity yardstick the serving benchmarks
+/// derive their offered rates from.
+pub fn mean_service_ns(probe: &Npu, catalog: &Catalog, mix: &[(usize, f64)]) -> f64 {
+    let freq = probe.config().tandem.freq_ghz;
+    let total: f64 = mix.iter().map(|&(_, w)| w).sum();
+    mix.iter()
+        .map(|&(m, w)| probe.estimate(catalog.graph(m)) as f64 / freq * w / total)
+        .sum()
 }
 
 /// Reads the number after `"<key>":` in the file at `path` — a floor or

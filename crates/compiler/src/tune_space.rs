@@ -286,38 +286,35 @@ pub fn enumerate_sites(
     site_key: impl Fn(&Node) -> u64,
 ) -> Vec<TuneSite> {
     let tiler = crate::Tiler::new(lowering.lanes(), lowering.interim_rows());
-    let mut order: Vec<u64> = Vec::new();
-    let mut sites: BTreeMap<u64, TuneSite> = BTreeMap::new();
+    let mut sites: Vec<TuneSite> = Vec::new();
+    // Nodes with one key share a signature and so their choices: each
+    // key is lowered once, and a key that is no site maps to `None`.
+    let mut index: BTreeMap<u64, Option<usize>> = BTreeMap::new();
     for node in graph.nodes() {
         if node.kind.class() == OpClass::Gemm {
             continue;
         }
-        let Some((baseline, candidates)) = tiler.choices(lowering, graph, node) else {
-            continue;
-        };
         let key = site_key(node);
-        match sites.get_mut(&key) {
-            Some(site) => site.instances += 1,
+        match index.get(&key) {
+            Some(&Some(i)) => sites[i].instances += 1,
+            Some(None) => {}
             None => {
-                order.push(key);
-                sites.insert(
-                    key,
-                    TuneSite {
+                let choices = tiler.choices(lowering, graph, node);
+                index.insert(key, choices.is_some().then_some(sites.len()));
+                if let Some((baseline, candidates)) = choices {
+                    sites.push(TuneSite {
                         key,
                         name: node.name.clone(),
                         node: node.id,
                         instances: 1,
                         baseline,
                         candidates,
-                    },
-                );
+                    });
+                }
             }
         }
     }
-    order
-        .into_iter()
-        .map(|k| sites.remove(&k).expect("site recorded at first sight"))
-        .collect()
+    sites
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::config::GemmConfig;
 use crate::energy::GemmEnergyModel;
+use tandem_model::{Graph, Node, OpKind};
 use tandem_trace::{TraceSink, Track};
 
 /// An `M × K × N` GEMM workload (batch folded into `M`).
@@ -42,9 +43,66 @@ impl GemmWorkload {
         }
     }
 
+    /// The workload of GEMM-class node `node` of `graph`: a convolution
+    /// by im2col, a (batched) MatMul or a Gemm with every leading output
+    /// dimension folded into `M`.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is not a Conv, MatMul or Gemm.
+    pub fn of_node(graph: &Graph, node: &Node) -> Self {
+        let out = &graph.tensor(node.outputs[0]).shape;
+        let input = &graph.tensor(node.inputs[0]).shape;
+        match node.kind {
+            OpKind::Conv => GemmWorkload::from_conv(
+                out.dim(2) as u64,
+                out.dim(3) as u64,
+                input.dim(1) as u64,
+                out.dim(1) as u64,
+                node.attrs.kernel as u64,
+            ),
+            OpKind::MatMul | OpKind::Gemm => {
+                let n = out.dim(-1) as u64;
+                let m = (out.elements() as u64).checked_div(n).unwrap_or(0);
+                GemmWorkload::new(m, input.dim(-1) as u64, n)
+            }
+            other => unreachable!("{other} is not a GEMM operator"),
+        }
+    }
+
     /// Total multiply-accumulates.
     pub fn macs(&self) -> u64 {
         self.m * self.k * self.n
+    }
+
+    /// INT8 bytes of the weight matrix.
+    fn weight_bytes(&self) -> u64 {
+        self.k * self.n
+    }
+}
+
+/// How one `m_tile`-row tile walks the array: `k_passes × n_passes`
+/// weight-slab passes, each `per_pass` cycles long, column slabs
+/// innermost. An empty tile has no passes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PassGeometry {
+    /// Row slabs: `⌈K/rows⌉`.
+    pub k_passes: u64,
+    /// Column slabs: `⌈N/cols⌉`.
+    pub n_passes: u64,
+    /// Cycles of one pass.
+    pub per_pass: u64,
+}
+
+impl PassGeometry {
+    /// Number of passes.
+    pub fn passes(&self) -> u64 {
+        self.k_passes * self.n_passes
+    }
+
+    /// Compute cycles of the tile: every pass back to back.
+    pub fn cycles(&self) -> u64 {
+        self.passes() * self.per_pass
     }
 }
 
@@ -123,42 +181,26 @@ impl GemmUnit {
         if w.macs() == 0 || m_tile == 0 {
             return GemmReport::default();
         }
-        let rows = self.cfg.rows as u64;
-        let cols = self.cfg.cols as u64;
-        let k_passes = w.k.div_ceil(rows);
-        let n_passes = w.n.div_ceil(cols);
-        let passes = k_passes * n_passes;
-        // Whole-layer execution charges the weight-slab load plus full
-        // fill/drain skew per pass. Output-row tiles (the NPU's
-        // coordination granularity) keep slabs and the pipeline warm
-        // between tiles, so a tile pays only its streaming cycles plus the
-        // column drain.
-        let per_pass = if m_tile < w.m {
-            m_tile + cols - 1
-        } else {
-            rows + m_tile + rows + cols - 2
-        };
-        let compute_cycles = passes * per_pass;
+        let geometry = self.pass_geometry(w, m_tile);
+        let compute_cycles = geometry.cycles();
 
-        // DRAM traffic: weights once per tile if they spill the
-        // scratchpad, inputs re-read per N-pass, INT32 outputs written.
-        let weight_bytes = w.k * w.n; // INT8
-        let weights_resident = weight_bytes <= (self.cfg.scratchpad_bytes / 2) as u64;
-        let weight_traffic = if weights_resident && m_tile < w.m {
+        // DRAM traffic: weights once per tile unless they stay resident
+        // across tiles, inputs re-read per N-pass, INT32 outputs written.
+        let weight_traffic = if self.weights_amortized(w, m_tile) {
             0 // loaded once for the first tile; amortized there
         } else {
-            weight_bytes
+            w.weight_bytes()
         };
         // With column-slab passes innermost, the `m_tile × rows` input
         // slice of the current K-slab stays resident across N-passes, so
         // inputs stream from DRAM once; if even one slice spills half the
         // scratchpad, the slab re-streams per pass.
         let input_once = m_tile * w.k; // INT8
-        let slice_bytes = m_tile * rows;
-        let input_bytes = if slice_bytes <= (self.cfg.scratchpad_bytes / 2) as u64 {
+        let slice_bytes = m_tile * self.cfg.rows as u64;
+        let input_bytes = if slice_bytes <= self.half_scratchpad() {
             input_once
         } else {
-            input_once * n_passes
+            input_once * geometry.n_passes
         };
         let output_bytes = 0; // outputs stay in the Output BUF for the Tandem Processor
         let dram_bytes = weight_traffic + input_bytes + output_bytes;
@@ -175,11 +217,35 @@ impl GemmUnit {
         }
     }
 
+    /// The pass structure of one `m_tile`-row tile of `w`. Whole-layer
+    /// execution (`m_tile ≥ M`) charges the weight-slab load plus full
+    /// fill/drain skew per pass. Output-row tiles (the NPU's coordination
+    /// granularity) keep slabs and the pipeline warm between tiles, so a
+    /// tile pays only its streaming cycles plus the column drain.
+    pub fn pass_geometry(&self, w: GemmWorkload, m_tile: u64) -> PassGeometry {
+        if w.macs() == 0 || m_tile == 0 {
+            return PassGeometry::default();
+        }
+        let rows = self.cfg.rows as u64;
+        let cols = self.cfg.cols as u64;
+        let per_pass = if m_tile < w.m {
+            m_tile + cols - 1
+        } else {
+            rows + m_tile + rows + cols - 2
+        };
+        PassGeometry {
+            k_passes: w.k.div_ceil(rows),
+            n_passes: w.n.div_ceil(cols),
+            per_pass,
+        }
+    }
+
     /// Emits the pass-level structure of one `m_tile`-row tile as spans on
     /// `sink`'s GEMM track, starting at absolute cycle `start`: one span
-    /// per `⌈K/rows⌉ × ⌈N/cols⌉` weight-slab pass, laid out sequentially
-    /// exactly as [`tile_report`](Self::tile_report) charges them. Returns
-    /// the cycle after the last pass (`start + compute_cycles`).
+    /// per weight-slab pass of [`pass_geometry`](Self::pass_geometry),
+    /// laid out sequentially exactly as [`tile_report`](Self::tile_report)
+    /// charges them. Returns the cycle after the last pass
+    /// (`start + compute_cycles`).
     pub fn trace_tile(
         &self,
         w: GemmWorkload,
@@ -187,21 +253,14 @@ impl GemmUnit {
         start: u64,
         sink: &mut dyn TraceSink,
     ) -> u64 {
-        if !sink.enabled() || w.macs() == 0 || m_tile == 0 {
-            return start + self.tile_report(w, m_tile).compute_cycles;
+        let geometry = self.pass_geometry(w, m_tile);
+        if !sink.enabled() {
+            return start + geometry.cycles();
         }
-        let rows = self.cfg.rows as u64;
-        let cols = self.cfg.cols as u64;
-        let k_passes = w.k.div_ceil(rows);
-        let n_passes = w.n.div_ceil(cols);
-        let per_pass = if m_tile < w.m {
-            m_tile + cols - 1
-        } else {
-            rows + m_tile + rows + cols - 2
-        };
+        let per_pass = geometry.per_pass;
         let mut at = start;
-        for kp in 0..k_passes {
-            for np in 0..n_passes {
+        for kp in 0..geometry.k_passes {
+            for np in 0..geometry.n_passes {
                 sink.span(
                     Track::Gemm,
                     "pass",
@@ -214,6 +273,37 @@ impl GemmUnit {
             }
         }
         at
+    }
+
+    /// Whether `m_tile`-row tiles of `w` reuse a weight matrix loaded
+    /// once: it fits the double-buffered half of the scratchpad and the
+    /// layer is tiled. Such tiles charge no weight traffic, so there is
+    /// nothing for a cross-block prefetch to hide.
+    pub fn weights_amortized(&self, w: GemmWorkload, m_tile: u64) -> bool {
+        w.weight_bytes() <= self.half_scratchpad() && m_tile < w.m
+    }
+
+    /// Weight bytes a cross-block prefetch may stream ahead of the first
+    /// `m_tile`-row tile: none when the weights are amortized, else the
+    /// matrix up to the double-buffered scratchpad half.
+    pub fn prefetchable_bytes(&self, w: GemmWorkload, m_tile: u64) -> u64 {
+        if self.weights_amortized(w, m_tile) {
+            0
+        } else {
+            w.weight_bytes().min(self.half_scratchpad())
+        }
+    }
+
+    /// The hand-rolled tile height: the largest tile the accumulator
+    /// holds ([`max_tile_rows`](Self::max_tile_rows)), at most `M` and at
+    /// least one row. A schedule's tile choice is clamped to it.
+    pub fn baseline_tile_rows(&self, w: GemmWorkload) -> u64 {
+        self.max_tile_rows(w.n).min(w.m.max(1))
+    }
+
+    /// The double-buffered half of the input/weight scratchpad, bytes.
+    fn half_scratchpad(&self) -> u64 {
+        (self.cfg.scratchpad_bytes / 2) as u64
     }
 
     /// The largest output-tile row count whose INT32 results fit the

@@ -10,7 +10,10 @@
 //!
 //! The crate provides:
 //! * a cycle model ([`GemmUnit::layer_report`] / [`GemmUnit::tile_report`])
-//!   for matrix multiplications and im2col-mapped convolutions, and
+//!   for matrix multiplications and im2col-mapped convolutions
+//!   ([`GemmWorkload::of_node`]), with every decision the NPU and the
+//!   baselines take from it — tile height, weight residency, pass
+//!   geometry — made in one place, and
 //! * functional INT8×INT8→INT32 kernels ([`functional`]) used by the
 //!   end-to-end NPU tests.
 
@@ -23,5 +26,5 @@ mod cycles;
 mod energy;
 
 pub use config::GemmConfig;
-pub use cycles::{GemmReport, GemmUnit, GemmWorkload};
+pub use cycles::{GemmReport, GemmUnit, GemmWorkload, PassGeometry};
 pub use energy::GemmEnergyModel;

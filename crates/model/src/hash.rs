@@ -1,8 +1,8 @@
 //! [`Memo`] — the simulator's one in-process memo table — and
 //! [`WordHasher`], its hasher.
 //!
-//! The NPU's caches (compile, verify, gate, simulation, GEMM report,
-//! whole-graph report and per-graph plan) are each one [`Memo`], looked
+//! The NPU's caches (compile, gate, simulation, whole-graph report and
+//! per-graph plan) are each one [`Memo`], looked
 //! up once per node, block or graph per run, so their hashing is on the
 //! hot path of every cached run. Their keys are either a few machine
 //! words or carry a hash precomputed when the key was built

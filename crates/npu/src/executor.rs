@@ -4,9 +4,9 @@
 use crate::controller::{ControllerEvent, ControllerState, ExecutionController};
 use crate::knobs::Despecialization;
 use crate::par::par_map;
-use crate::plan::{gemm_workload, GraphPlan, PlannedBlock};
+use crate::plan::{GraphPlan, PlannedBlock};
 use crate::report::{ExecStats, NpuReport};
-use gemm_sim::{GemmConfig, GemmReport, GemmUnit, GemmWorkload};
+use gemm_sim::{GemmConfig, GemmUnit, GemmWorkload};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,8 +155,9 @@ pub struct ServiceDemand {
 /// block drew.
 type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 
-/// The memoization state shared by every clone of an [`Npu`], by its
-/// same-silicon siblings and by all [`Npu::run_many`] workers.
+/// The five memos (compile, gate, sim, graph, plan) shared by every
+/// clone of an [`Npu`], by its same-silicon siblings and by all
+/// [`Npu::run_many`] workers.
 ///
 /// `plan` holds what no schedule can change about each graph — its
 /// blocks, their DRAM bytes and GEMM workloads, and its node signatures
@@ -167,15 +168,15 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 /// key under one Tandem and one GEMM unit configuration: lowering depends
 /// only on the [`NodeSignature`] (compilation errors are memoized too),
 /// performance-mode simulation produces identical [`RunReport`]s for the
-/// same program, the knob adjustments are deterministic arithmetic on
-/// that report, and the GEMM cycle model is closed-form in `(workload,
-/// m_tile)`; layer reports use `m_tile = m`.
+/// same program, and the knob adjustments are deterministic arithmetic on
+/// that report. The GEMM side has no memo: its closed-form cycle model
+/// ([`GemmUnit::tile_report`]) is a few dozen integer operations, no
+/// dearer than a probe, so every run evaluates it directly.
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
     gate: Memo<GateKey, bool>,
     sim: Memo<SimKey, RunReport>,
-    gemm: Memo<(GemmWorkload, u64), GemmReport>,
     graph: Memo<GraphKey, NpuReport>,
     plan: Memo<PlanKey, Arc<GraphPlan>>,
 }
@@ -307,17 +308,15 @@ impl Npu {
     pub fn stats(&self) -> ExecStats {
         let c = &*self.caches;
         ExecStats {
-            wall_s: 0.0,
             compile_hits: c.compile.hits(),
             compile_misses: c.compile.misses(),
             sim_hits: c.sim.hits(),
             sim_misses: c.sim.misses(),
-            gemm_hits: c.gemm.hits(),
-            gemm_misses: c.gemm.misses(),
             graph_hits: c.graph.hits(),
             graph_misses: c.graph.misses(),
             gate_hits: c.gate.hits(),
             gate_misses: c.gate.misses(),
+            ..ExecStats::default()
         }
     }
 
@@ -576,22 +575,6 @@ impl Npu {
         total
     }
 
-    /// [`GemmUnit::tile_report`], memoized unless this NPU is uncached.
-    fn gemm_tile_report(&self, w: GemmWorkload, m_tile: u64) -> GemmReport {
-        if self.cache_enabled {
-            self.caches
-                .gemm
-                .get_or_insert_with(&(w, m_tile), || self.gemm.tile_report(w, m_tile))
-        } else {
-            self.gemm.tile_report(w, m_tile)
-        }
-    }
-
-    /// [`GemmUnit::layer_report`], memoized unless this NPU is uncached.
-    fn gemm_layer_report(&self, w: GemmWorkload) -> GemmReport {
-        self.gemm_tile_report(w, w.m)
-    }
-
     /// The single-pass DATATYPE_CAST stream over `elems` elements.
     fn cast_stream_report(&self, elems: u64) -> RunReport {
         let lanes = self.cfg.tandem.lanes as u64;
@@ -619,7 +602,7 @@ impl Npu {
     /// compiler's non-GEMM sites ([`enumerate_sites`]) merged with the
     /// GEMM-side pipelining-granularity sites only this crate can build
     /// — their candidate m-tiles depend on the systolic geometry through
-    /// [`GemmUnit::max_tile_rows`]. Site keys and candidate lists are
+    /// [`GemmUnit::baseline_tile_rows`]. Site keys and candidate lists are
     /// schedule-independent, so the result is identical whatever
     /// schedule this NPU currently runs under. The keys are read from the
     /// graph's plan on this NPU's caches: each is hashed once per graph.
@@ -639,11 +622,11 @@ impl Npu {
                 sites[i].instances += 1;
                 continue;
             }
-            let w = gemm_workload(graph, node);
+            let w = GemmWorkload::of_node(graph, node);
             // The hand-rolled executor always takes the largest tile the
             // accumulator holds; the candidates walk down from it and add
             // the largest *exact divisor* of M (no ragged last tile).
-            let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
+            let cap = self.gemm.baseline_tile_rows(w);
             let baseline = TileChoice::GemmTile { m_rows: cap as u32 };
             let mut set = BTreeSet::from([baseline]);
             for c in [cap / 2, cap / 4, cap / 8, largest_divisor_le(w.m, cap)] {
@@ -677,11 +660,9 @@ impl Npu {
                 sites[i].instances += 1;
                 continue;
             }
-            let w = gemm_workload(graph, node);
-            let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
-            let weight_bytes = w.k * w.n;
-            let resident = weight_bytes <= (self.gemm.config().scratchpad_bytes / 2) as u64;
-            if resident && cap < w.m {
+            let w = GemmWorkload::of_node(graph, node);
+            let cap = self.gemm.baseline_tile_rows(w);
+            if self.gemm.weights_amortized(w, cap) {
                 continue;
             }
             index.insert(pkey, sites.len());
@@ -755,7 +736,7 @@ impl Npu {
         let (gemm_total_cycles, gemm_tile_cycles, tiles) = match (block.gemm, planned.gemm) {
             (Some(id), Some(w)) => {
                 let node = graph.node(id);
-                let cap = self.gemm.max_tile_rows(w.n).min(w.m.max(1));
+                let cap = self.gemm.baseline_tile_rows(w);
                 // One site key per GEMM node serves both of its schedule
                 // decisions; none is needed under the empty schedule.
                 let site = (!self.cfg.schedule.is_empty())
@@ -767,8 +748,8 @@ impl Npu {
                 };
                 let tiles = w.m.div_ceil(tile_rows.max(1)).max(1);
                 let m_tile = tile_rows.min(w.m);
-                let tile = self.gemm_tile_report(w, m_tile);
-                let whole = self.gemm_layer_report(w);
+                let tile = self.gemm.tile_report(w, m_tile);
+                let whole = self.gemm.layer_report(w);
                 report.gemm_macs += whole.macs;
                 report.gemm_dram_bytes += whole.dram_bytes;
                 report.gemm_energy_nj += whole.energy_nj;
@@ -783,18 +764,9 @@ impl Npu {
                 // The total traffic is unchanged — only its placement.
                 let prefetch = site.and_then(|s| pinned(prefetch_key(s)));
                 let hidden = if prefetch == Some(TileChoice::Prefetch { on: true }) {
-                    let gcfg = self.gemm.config();
-                    let weight_bytes = w.k * w.n;
-                    let half = (gcfg.scratchpad_bytes / 2) as u64;
-                    // Mirrors `GemmUnit::tile_report`'s residency rule: a
-                    // resident matrix on a tiled layer never appears in
-                    // tile DRAM time, so there is nothing to hide.
-                    let charged = if weight_bytes <= half && m_tile < w.m {
-                        0
-                    } else {
-                        weight_bytes.min(half)
-                    };
-                    let hideable = (charged as f64 / gcfg.dram_bytes_per_cycle).ceil() as u64;
+                    let bytes = self.gemm.prefetchable_bytes(w, m_tile);
+                    let per_cycle = self.gemm.config().dram_bytes_per_cycle;
+                    let hideable = (bytes as f64 / per_cycle).ceil() as u64;
                     hideable.min(*exposed)
                 } else {
                     0
@@ -1249,9 +1221,7 @@ impl Npu {
         let Some((w, m_tile)) = gemm_detail else {
             return;
         };
-        let passes =
-            w.k.div_ceil(self.cfg.gemm.rows as u64) * w.n.div_ceil(self.cfg.gemm.cols as u64);
-        if passes <= MAX_PASSES {
+        if self.gemm.pass_geometry(w, m_tile).passes() <= MAX_PASSES {
             self.gemm.trace_tile(w, m_tile, start, sink);
         }
     }
@@ -1556,29 +1526,6 @@ mod tests {
         assert_eq!(plan.site_keys.get().map(Vec::len), Some(g.nodes().len()));
         let bypass = &uncached.caches.plan;
         assert_eq!(bypass.misses() + bypass.hits(), 0);
-    }
-
-    #[test]
-    fn memoized_gemm_reports_equal_direct_evaluation() {
-        let npu = Npu::new(NpuConfig::paper());
-        let unit = GemmUnit::new(GemmConfig::paper());
-        let mut keys = std::collections::HashSet::new();
-        for w in [
-            GemmWorkload::new(3136, 576, 64),
-            GemmWorkload::new(196, 4608, 512),
-            GemmWorkload::from_conv(28, 28, 128, 128, 3),
-        ] {
-            for m_tile in [w.m, 64, 16] {
-                keys.insert((w, m_tile));
-                for _ in 0..2 {
-                    assert_eq!(npu.gemm_tile_report(w, m_tile), unit.tile_report(w, m_tile));
-                }
-            }
-            assert_eq!(npu.gemm_layer_report(w), unit.layer_report(w));
-        }
-        let s = npu.stats();
-        assert_eq!(s.gemm_misses, keys.len() as u64);
-        assert_eq!(s.gemm_hits, 7 * 3 - s.gemm_misses);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use gemm_sim::GemmWorkload;
 use std::sync::OnceLock;
 use tandem_compiler::{ExecutionBlock, NodeSignature, OpLowering, Partitioner};
-use tandem_model::{Graph, Node, NodeId, OpKind, TensorId};
+use tandem_model::{Graph, NodeId, TensorId};
 
 /// The schedule-independent facts of one graph on one machine shape.
 #[derive(Debug)]
@@ -53,7 +53,9 @@ impl GraphPlan {
             .zip(bytes)
             .map(|(block, tandem_dram_bytes)| PlannedBlock {
                 tandem_dram_bytes,
-                gemm: block.gemm.map(|id| gemm_workload(graph, graph.node(id))),
+                gemm: block
+                    .gemm
+                    .map(|id| GemmWorkload::of_node(graph, graph.node(id))),
                 block,
             })
             .collect();
@@ -168,29 +170,6 @@ fn tandem_dram_bytes(graph: &Graph, blocks: &[ExecutionBlock]) -> Vec<u64> {
             bytes
         })
         .collect()
-}
-
-/// GEMM workload of a GEMM-class node.
-pub(crate) fn gemm_workload(graph: &Graph, node: &Node) -> GemmWorkload {
-    let out = &graph.tensor(node.outputs[0]).shape;
-    let input = &graph.tensor(node.inputs[0]).shape;
-    match node.kind {
-        OpKind::Conv => GemmWorkload::from_conv(
-            out.dim(2) as u64,
-            out.dim(3) as u64,
-            input.dim(1) as u64,
-            out.dim(1) as u64,
-            node.attrs.kernel as u64,
-        ),
-        OpKind::MatMul => {
-            let n = out.dim(-1) as u64;
-            GemmWorkload::new(out.elements() as u64 / n, input.dim(-1) as u64, n)
-        }
-        OpKind::Gemm => {
-            GemmWorkload::new(out.dim(0) as u64, input.dim(-1) as u64, out.dim(-1) as u64)
-        }
-        other => unreachable!("{other} is not a GEMM operator"),
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@ pub struct UnitBusy {
 
 /// Host-side execution statistics for one `Npu::run` call: wall-clock
 /// time and hit/miss counts of the compilation, node-simulation,
-/// GEMM-report, graph-report and verify-gate caches.
+/// graph-report and verify-gate caches. (The fifth memo, the per-graph
+/// plan, keeps its counters out of these stats.)
 ///
 /// Deliberately **excluded** from [`NpuReport`] equality — a cached and
 /// an uncached run of the same model compare equal even though their
@@ -44,9 +45,12 @@ pub struct ExecStats {
     pub sim_hits: u64,
     /// Node-simulation-cache misses (nodes actually simulated).
     pub sim_misses: u64,
-    /// GEMM-report-cache hits during this run.
+    /// Always zero: the GEMM cycle model is evaluated directly, with no
+    /// memo. Kept until hostbench stops reading it.
+    #[deprecated(note = "always zero; the GEMM model has no memo")]
     pub gemm_hits: u64,
-    /// GEMM-report-cache misses (cycle-model evaluations).
+    /// Always zero, like [`ExecStats::gemm_hits`].
+    #[deprecated(note = "always zero; the GEMM model has no memo")]
     pub gemm_misses: u64,
     /// Graph-level report-cache hits (whole run answered from cache).
     pub graph_hits: u64,
@@ -73,12 +77,11 @@ impl ExecStats {
             compile_misses: self.compile_misses.saturating_sub(baseline.compile_misses),
             sim_hits: self.sim_hits.saturating_sub(baseline.sim_hits),
             sim_misses: self.sim_misses.saturating_sub(baseline.sim_misses),
-            gemm_hits: self.gemm_hits.saturating_sub(baseline.gemm_hits),
-            gemm_misses: self.gemm_misses.saturating_sub(baseline.gemm_misses),
             graph_hits: self.graph_hits.saturating_sub(baseline.graph_hits),
             graph_misses: self.graph_misses.saturating_sub(baseline.graph_misses),
             gate_hits: self.gate_hits.saturating_sub(baseline.gate_hits),
             gate_misses: self.gate_misses.saturating_sub(baseline.gate_misses),
+            ..ExecStats::default()
         }
     }
 
@@ -101,22 +104,18 @@ impl ExecStats {
         self.compile_misses += other.compile_misses;
         self.sim_hits += other.sim_hits;
         self.sim_misses += other.sim_misses;
-        self.gemm_hits += other.gemm_hits;
-        self.gemm_misses += other.gemm_misses;
         self.graph_hits += other.graph_hits;
         self.graph_misses += other.graph_misses;
         self.gate_hits += other.gate_hits;
         self.gate_misses += other.gate_misses;
     }
 
-    /// Total cache lookups across all five caches.
+    /// Total lookups across the four counted caches.
     pub fn lookups(&self) -> u64 {
         self.compile_hits
             + self.compile_misses
             + self.sim_hits
             + self.sim_misses
-            + self.gemm_hits
-            + self.gemm_misses
             + self.graph_hits
             + self.graph_misses
             + self.gate_hits
@@ -130,8 +129,7 @@ impl ExecStats {
         if lookups == 0 {
             0.0
         } else {
-            (self.compile_hits + self.sim_hits + self.gemm_hits + self.graph_hits + self.gate_hits)
-                as f64
+            (self.compile_hits + self.sim_hits + self.graph_hits + self.gate_hits) as f64
                 / lookups as f64
         }
     }
@@ -304,12 +302,11 @@ mod tests {
             compile_misses: 2,
             sim_hits: 3,
             sim_misses: 4,
-            gemm_hits: 5,
-            gemm_misses: 6,
             graph_hits: 7,
             graph_misses: 8,
             gate_hits: 9,
             gate_misses: 10,
+            ..ExecStats::default()
         };
         let b = ExecStats {
             wall_s: 0.75,
@@ -317,12 +314,11 @@ mod tests {
             compile_misses: 20,
             sim_hits: 30,
             sim_misses: 40,
-            gemm_hits: 50,
-            gemm_misses: 60,
             graph_hits: 70,
             graph_misses: 80,
             gate_hits: 90,
             gate_misses: 100,
+            ..ExecStats::default()
         };
         let mut m = a;
         m.merge(&b);
@@ -331,8 +327,6 @@ mod tests {
         assert_eq!(m.compile_misses, 22);
         assert_eq!(m.sim_hits, 33);
         assert_eq!(m.sim_misses, 44);
-        assert_eq!(m.gemm_hits, 55);
-        assert_eq!(m.gemm_misses, 66);
         assert_eq!(m.graph_hits, 77);
         assert_eq!(m.graph_misses, 88);
         assert_eq!(m.gate_hits, 99);
