@@ -71,8 +71,10 @@ git diff --exit-code -- SERVE.json SERVE_CONTENTION.json SERVE_LLM.json
 # Fleet-engine throughput: streaming-statistics serving at CI size.
 # Fails if requests/sec drops below the smoke_floor_rps, or LLM decode
 # tokens/sec below the smoke_floor_llm_tok_ps, committed in the baseline
-# BENCH_SERVE.json (the perf regression guards). The smoke output goes
-# to artifacts/ so host timings never overwrite the committed baseline.
+# BENCH_SERVE.json (the perf regression guards), or if a second GPT-2
+# decode-table build on the warm pool returns different tables than the
+# first. The smoke output goes to artifacts/ so host timings never
+# overwrite the committed baseline.
 echo "==> bench-serve (fleet engine throughput, smoke + regression floors)"
 cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_SMOKE.json
 

@@ -20,7 +20,10 @@
 //!   guarded by its own `smoke_floor_llm_tok_ps` floor. Its `wall_s`
 //!   times the engine alone; `tables_s` is the wall of the
 //!   `DecodeModel::build` before it (GPT-2 graph construction plus the
-//!   cycle-model runs the pool's caches do not already hold).
+//!   cycle-model runs the pool's caches do not already hold), and
+//!   `warm_tables_s` the wall of a second build on the same pool, which
+//!   builds no graph. The run **fails** if the warm tables differ from
+//!   the cold ones.
 //!
 //! Writes `BENCH_SERVE.json` (first CLI argument or `--out`). In
 //! `--smoke` mode the request counts shrink to CI size and the run
@@ -68,6 +71,9 @@ struct Row {
     tok_ps: f64,
     /// Wall seconds of the decode-table build (LLM scenarios only).
     tables_s: f64,
+    /// Wall seconds of a second decode-table build on the same pool
+    /// (LLM scenarios only).
+    warm_tables_s: f64,
 }
 
 fn run_scenario(
@@ -104,6 +110,7 @@ fn run_scenario(
         tokens_out: 0,
         tok_ps: 0.0,
         tables_s: 0.0,
+        warm_tables_s: 0.0,
     }
 }
 
@@ -256,6 +263,13 @@ fn main() {
         let t_tables = Instant::now();
         let tables = DecodeModel::build(&spec_model, &pool);
         let tables_s = t_tables.elapsed().as_secs_f64();
+        let t_warm = Instant::now();
+        let warm = DecodeModel::build(&spec_model, &pool);
+        let warm_tables_s = t_warm.elapsed().as_secs_f64();
+        assert!(
+            warm == tables,
+            "a warm DecodeModel::build must return the cold build's tables"
+        );
         let mut wl = LlmWorkloadSpec {
             rate_rps: 0.0,
             requests: n_llm,
@@ -290,11 +304,12 @@ fn main() {
             tokens_out,
             tok_ps: tokens_out as f64 / wall_s.max(1e-9),
             tables_s,
+            warm_tables_s,
         });
     }
 
     println!(
-        "{:<15} {:>11} {:>11} {:>9} {:>8} {:>12} {:>9} {:>8} {:>9}",
+        "{:<15} {:>11} {:>11} {:>9} {:>8} {:>12} {:>9} {:>8} {:>9} {:>9}",
         "scenario",
         "requests",
         "completed",
@@ -303,16 +318,20 @@ fn main() {
         "req/s",
         "rss MB",
         "Δrss MB",
-        "tables s"
+        "tables s",
+        "warm s"
     );
     for r in &rows {
-        let tables = if r.tokens_out > 0 {
-            format!("{:.3}", r.tables_s)
+        let (tables, warm) = if r.tokens_out > 0 {
+            (
+                format!("{:.3}", r.tables_s),
+                format!("{:.6}", r.warm_tables_s),
+            )
         } else {
-            "-".to_string()
+            ("-".to_string(), "-".to_string())
         };
         println!(
-            "{:<15} {:>11} {:>11} {:>9} {:>8.3} {:>12.0} {:>9.1} {:>8.1} {:>9}",
+            "{:<15} {:>11} {:>11} {:>9} {:>8.3} {:>12.0} {:>9.1} {:>8.1} {:>9} {:>9}",
             r.name,
             r.requests,
             r.completed,
@@ -322,6 +341,7 @@ fn main() {
             r.peak_rss_mb,
             r.rss_growth_mb,
             tables,
+            warm,
         );
     }
     // The LLM row is excluded from the req/s floor — its unit of work
@@ -352,8 +372,9 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let llm_fields = if r.tokens_out > 0 {
             format!(
-                ", \"tokens_out\": {}, \"tok_ps\": {:.0}, \"tables_s\": {:.4}",
-                r.tokens_out, r.tok_ps, r.tables_s
+                ", \"tokens_out\": {}, \"tok_ps\": {:.0}, \"tables_s\": {:.4}, \
+                 \"warm_tables_s\": {:.6}",
+                r.tokens_out, r.tok_ps, r.tables_s, r.warm_tables_s
             )
         } else {
             String::new()

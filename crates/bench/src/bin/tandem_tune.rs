@@ -101,7 +101,7 @@ fn main() {
     };
 
     println!(
-        "{:<14} {:>6} {:>10} {:>15} {:>15} {:>7} {:>6} {:>9} {:>8} {:>7}",
+        "{:<14} {:>6} {:>10} {:>15} {:>15} {:>7} {:>6} {:>9} {:>8} {:>8}",
         "model",
         "sites",
         "space",
@@ -109,9 +109,9 @@ fn main() {
         "best",
         "redu %",
         "eval",
-        "verify s",
-        "sim s",
-        "book s"
+        "verify ms",
+        "sim ms",
+        "book ms"
     );
     let mut outcomes = Vec::new();
     let mut smoke_best: Vec<(String, u64)> = Vec::new();
@@ -137,7 +137,7 @@ fn main() {
             tune_in_space(&Npu::new(NpuConfig::paper()), &graph, &space, &full_opts)
         };
         println!(
-            "{:<14} {:>6} {:>9.1}b {:>15} {:>15} {:>7.2} {:>6} {:>9.3} {:>8.3} {:>7.3}",
+            "{:<14} {:>6} {:>9.1}b {:>15} {:>15} {:>7.2} {:>6} {:>9.3} {:>8.3} {:>8.3}",
             out.model,
             out.sites,
             out.space_log2,
@@ -145,9 +145,9 @@ fn main() {
             out.best_cycles,
             out.reduction_pct(),
             out.evaluated,
-            out.verify_wall_s,
-            out.sim_wall_s,
-            out.bookkeeping_wall_s(),
+            out.verify_wall_s * 1e3,
+            out.sim_wall_s * 1e3,
+            out.bookkeeping_wall_s() * 1e3,
         );
         model_wall.push((out.model.clone(), t_model.elapsed().as_secs_f64()));
         outcomes.push((out, space));

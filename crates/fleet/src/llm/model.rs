@@ -1,5 +1,5 @@
 //! The decode-cost model: per-step and prefill cost/byte tables derived
-//! from the cached cycle oracle ([`Npu::estimate_demand`]) over
+//! from the cached cycle oracle ([`Npu::estimate_demand_of`]) over
 //! single-token decode-step and prompt-prefill graphs, sampled at
 //! KV-block-boundary context lengths.
 //!
@@ -22,10 +22,12 @@ use tandem_npu::{Npu, NpuConfig};
 pub struct LlmModelSpec {
     /// Display name (reported in traces and tables).
     pub name: String,
-    /// Builds the prompt-prefill graph at a given prompt length.
+    /// Builds the prompt-prefill graph at a given prompt length. Must be
+    /// pure: the NPU memoizes its demand by (builder, length).
     pub prefill: fn(usize) -> Graph,
     /// Builds the single-token decode-step graph at a given cached
-    /// context length.
+    /// context length. Must be pure: the NPU memoizes its demand by
+    /// (builder, context).
     pub decode_step: fn(usize) -> Graph,
     /// KV-cache page size in tokens; also the preemption granularity
     /// (checkpoints land on block boundaries only).
@@ -50,10 +52,11 @@ impl LlmModelSpec {
 }
 
 /// The built cost tables: one row per fleet member, one column per KV
-/// block knot. Building runs `2 × blocks` cycle-model simulations per
-/// *distinct* member configuration (homogeneous fleets pay once), all
-/// through the per-graph caches, so a sweep builds this once and every
-/// cell reads it.
+/// block knot. Building looks up `2 × blocks` demands per *distinct*
+/// member configuration (homogeneous fleets pay once) through
+/// [`Npu::estimate_demand_of`]. The first build on a pool builds and
+/// simulates each graph; a later build on the same caches builds no
+/// graph at all, so a sweep builds this once and every cell reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeModel {
     name: String,
@@ -104,12 +107,10 @@ impl DecodeModel {
             let to_ns = |cycles: u64| ((cycles as f64 / freq).ceil() as u64).max(1);
             for b in 0..blocks {
                 let knot = (b + 1) * spec.block_tokens;
-                let dg = (spec.decode_step)(knot);
-                let dd = npus[i].estimate_demand(&dg);
+                let dd = npus[i].estimate_demand_of(spec.decode_step, knot);
                 step_ns[i].push(to_ns(dd.total_cycles));
                 step_bytes[i].push(dd.dram_bytes);
-                let pg = (spec.prefill)(knot);
-                let pd = npus[i].estimate_demand(&pg);
+                let pd = npus[i].estimate_demand_of(spec.prefill, knot);
                 prefill_ns[i].push(to_ns(pd.total_cycles));
                 prefill_bytes[i].push(pd.dram_bytes);
             }
@@ -170,12 +171,12 @@ impl DecodeModel {
     /// Solo prompt-prefill time on member `npu` for a `prompt`-token
     /// prompt.
     pub fn prefill_ns(&self, npu: usize, prompt: usize) -> u64 {
-        self.prefill_ns[npu][self.blk_prompt(prompt).min(self.blocks - 1)]
+        self.prefill_ns[npu][self.blk_prompt(prompt)]
     }
 
     /// DRAM bytes that prefill streams.
     pub fn prefill_bytes(&self, npu: usize, prompt: usize) -> u64 {
-        self.prefill_bytes[npu][self.blk_prompt(prompt).min(self.blocks - 1)]
+        self.prefill_bytes[npu][self.blk_prompt(prompt)]
     }
 
     /// Mean solo (unbatched) end-to-end service time of one request

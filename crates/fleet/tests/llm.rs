@@ -3,13 +3,14 @@
 //! tokens, accounting identities hold exactly, and the sweep renders
 //! byte-deterministically across runs and `--jobs` settings.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tandem_fleet::llm::{
     llm_summary, llm_sweep, render_llm_serve_json, DecodeModel, LlmConfig, LlmFleet, LlmMode,
     LlmModelSpec, LlmRequest, LlmSweepSpec, LlmWorkloadSpec,
 };
 use tandem_fleet::FleetConfig;
 use tandem_model::{Graph, GraphBuilder};
-use tandem_npu::{Npu, NpuConfig};
+use tandem_npu::{Despecialization, Npu, NpuConfig};
 
 /// A deliberately tiny "LLM": one projection + a cache-sized attention
 /// contraction, so the cost tables build in milliseconds while still
@@ -299,17 +300,85 @@ fn vanishing_budget_parks_iterations_at_the_horizon() {
     }
 }
 
+/// Graphs built by [`counted_prefill`] and [`counted_step`], which only
+/// [`warm_table_build_constructs_no_graph`] uses.
+static COUNTED_BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+fn counted_prefill(seq: usize) -> Graph {
+    COUNTED_BUILDS.fetch_add(1, Ordering::Relaxed);
+    micro_prefill(seq)
+}
+
+fn counted_step(ctx: usize) -> Graph {
+    COUNTED_BUILDS.fetch_add(1, Ordering::Relaxed);
+    micro_step(ctx)
+}
+
 #[test]
-fn warm_table_build_only_constructs_graphs() {
+fn warm_table_build_constructs_no_graph() {
+    let spec = LlmModelSpec {
+        prefill: counted_prefill,
+        decode_step: counted_step,
+        ..micro_model()
+    };
     let pool = Npu::fleet(&vec![NpuConfig::paper(); 2]);
-    let cold = DecodeModel::build(&micro_model(), &pool);
+    let cold = DecodeModel::build(&spec, &pool);
+    // The second member shares the first one's row.
+    assert_eq!(COUNTED_BUILDS.load(Ordering::Relaxed), 2 * cold.blocks());
     let before = pool[0].stats();
-    let warm = DecodeModel::build(&micro_model(), &pool);
+    let warm = DecodeModel::build(&spec, &pool);
     let d = pool[0].stats().delta(&before);
     assert_eq!(warm, cold, "a warm build returns the cold tables");
-    assert_eq!(d.graph_misses, 0, "{d:?}");
-    assert_eq!(d.sim_misses, 0, "{d:?}");
-    // One whole-graph hit per decode step and per prefill knot; the
-    // second member shares the first one's row.
-    assert_eq!(d.graph_hits, 2 * warm.blocks() as u64, "{d:?}");
+    assert_eq!(COUNTED_BUILDS.load(Ordering::Relaxed), 2 * cold.blocks());
+    assert_eq!(
+        (d.graph_hits, d.graph_misses, d.sim_misses),
+        (0, 0, 0),
+        "{d:?}"
+    );
+}
+
+/// The demand memo names a graph by its builder, not by the spec: two
+/// specs sharing a name but not their builders get their own tables.
+#[test]
+fn specs_with_one_name_and_different_builders_get_their_own_tables() {
+    let spec = micro_model();
+    let swapped = LlmModelSpec {
+        prefill: spec.decode_step,
+        decode_step: spec.prefill,
+        ..spec.clone()
+    };
+    assert_eq!(spec.name, swapped.name);
+    let pool = Npu::fleet(&vec![NpuConfig::paper(); 2]);
+    let tables = DecodeModel::build(&spec, &pool);
+    let swapped_tables = DecodeModel::build(&swapped, &pool);
+    assert_ne!(tables, swapped_tables);
+    let fresh =
+        |spec: &LlmModelSpec| DecodeModel::build(spec, &Npu::fleet(&vec![NpuConfig::paper(); 2]));
+    assert_eq!(tables, fresh(&spec));
+    assert_eq!(swapped_tables, fresh(&swapped));
+}
+
+#[test]
+fn uncached_members_build_the_cached_tables() {
+    let pool = Npu::fleet(&vec![NpuConfig::paper(); 2]);
+    let cold = DecodeModel::build(&micro_model(), &pool);
+    let warm = DecodeModel::build(&micro_model(), &pool);
+    let uncached = vec![Npu::uncached(NpuConfig::paper()); 2];
+    let reference = DecodeModel::build(&micro_model(), &uncached);
+    assert_eq!(cold, reference);
+    assert_eq!(warm, reference);
+}
+
+/// A sibling on the same caches under other knobs must not read the
+/// paper machine's demands: the config digest is part of the key.
+#[test]
+fn sibling_with_other_knobs_gets_its_own_tables() {
+    let pool = Npu::fleet(&[NpuConfig::paper()]);
+    let paper = DecodeModel::build(&micro_model(), &pool);
+    let mut cfg = NpuConfig::paper();
+    cfg.knobs = Despecialization::vpu_like();
+    let sibling = DecodeModel::build(&micro_model(), &[pool[0].sibling(cfg.clone())]);
+    let fresh = DecodeModel::build(&micro_model(), &[Npu::new(cfg)]);
+    assert_eq!(sibling, fresh);
+    assert_ne!(sibling.step_ns(0, 4), paper.step_ns(0, 4));
 }

@@ -262,10 +262,11 @@ impl Graph {
         self.digest
     }
 
-    /// The SipHash body of [`Graph::content_hash`].
+    /// The body of [`Graph::content_hash`], hashed with
+    /// [`crate::hash::WordHasher`].
     fn structural_digest(&self) -> u64 {
-        use std::hash::{DefaultHasher, Hash, Hasher};
-        let mut h = DefaultHasher::new();
+        use std::hash::{Hash, Hasher};
+        let mut h = crate::hash::WordHasher::default();
         self.tensors.len().hash(&mut h);
         for t in &self.tensors {
             t.shape.hash(&mut h);

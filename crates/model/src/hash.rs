@@ -1,18 +1,22 @@
 //! [`Memo`] — the simulator's one in-process memo table — and
 //! [`WordHasher`], its hasher.
 //!
-//! The NPU's caches (compile, gate, simulation, whole-graph report and
-//! per-graph plan) are each one [`Memo`], looked
-//! up once per node, block or graph per run, so their hashing is on the
-//! hot path of every cached run. Their keys are either a few machine
-//! words or carry a hash precomputed when the key was built
-//! (`tandem_compiler::NodeSignature`).
+//! The NPU's caches (compile, gate, simulation, whole-graph report,
+//! per-graph plan and per-recipe service demand) are each one [`Memo`],
+//! looked up once per node, block, graph or recipe per run, so their
+//! hashing is on the hot path of every cached run. Their keys are either
+//! a few machine words or carry a hash precomputed when the key was
+//! built (`tandem_compiler::NodeSignature`, [`crate::Graph::content_hash`]).
 //! Walking such a key through SipHash costs more than the map probe
 //! itself; this hasher folds each written word in with one multiply and
 //! avalanches once in `finish`.
 //!
 //! It is not seeded, so keys crafted to collide can slow a table down.
 //! They can never return a wrong value: every table keeps full-key `Eq`.
+//! The graph digest is the one exception. [`crate::Graph::content_hash`]
+//! is this hasher's hash of the graph's structure, and a graph key keeps
+//! no copy of the graph to compare, so the fleet test `graph_digests`
+//! checks that every graph the product builds has a digest of its own.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};

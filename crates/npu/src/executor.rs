@@ -129,6 +129,10 @@ type GraphKey = (u64, usize, usize, u64);
 /// plus the machine shape the plan's signatures are built for.
 type PlanKey = (u64, usize, usize, (usize, usize));
 
+/// Memoization key of [`Npu::estimate_demand_of`]: the graph builder's
+/// code address, its argument, and the runner's [`NpuConfig::digest`].
+type DemandKey = (usize, usize, u64);
+
 /// The cycle-and-traffic demand of one batch-1 run of a graph, as
 /// returned by [`Npu::estimate_demand`] — the serving layer's input to
 /// the shared-HBM contention model: `dram_bytes / (total_cycles /
@@ -155,14 +159,16 @@ pub struct ServiceDemand {
 /// block drew.
 type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 
-/// The five memos (compile, gate, sim, graph, plan) shared by every
-/// clone of an [`Npu`], by its same-silicon siblings and by all
+/// The six memos (compile, gate, sim, graph, plan, demand) shared by
+/// every clone of an [`Npu`], by its same-silicon siblings and by all
 /// [`Npu::run_many`] workers.
 ///
 /// `plan` holds what no schedule can change about each graph — its
 /// blocks, their DRAM bytes and GEMM workloads, and its node signatures
 /// and site keys — so a sibling under a new schedule re-derives none of
-/// it. Its hits and misses are not part of [`ExecStats`].
+/// it. `demand` answers [`Npu::estimate_demand_of`] by recipe, so a
+/// repeat lookup builds no graph. Neither memo's hits and misses are
+/// part of [`ExecStats`].
 ///
 /// Caching is sound because every cached value is a pure function of its
 /// key under one Tandem and one GEMM unit configuration: lowering depends
@@ -172,6 +178,12 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 /// that report. The GEMM side has no memo: its closed-form cycle model
 /// ([`GemmUnit::tile_report`]) is a few dozen integer operations, no
 /// dearer than a probe, so every run evaluates it directly.
+///
+/// The `demand` key names a graph by the pure `fn(usize) -> Graph` that
+/// builds it and that function's argument. Equal addresses are the same
+/// code, so they build the same graph; a function that shows up under
+/// two addresses only misses. The key carries the config digest, so
+/// siblings with different settings never share an entry.
 #[derive(Debug, Default)]
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
@@ -179,6 +191,7 @@ struct NpuCaches {
     sim: Memo<SimKey, RunReport>,
     graph: Memo<GraphKey, NpuReport>,
     plan: Memo<PlanKey, Arc<GraphPlan>>,
+    demand: Memo<DemandKey, ServiceDemand>,
 }
 
 /// The NPU-Tandem end-to-end model runner.
@@ -341,6 +354,21 @@ impl Npu {
             total_cycles: r.total_cycles,
             dram_bytes: r.tandem_dram_bytes + r.gemm_dram_bytes,
         }
+    }
+
+    /// [`Npu::estimate_demand`] of the graph `build(arg)`, memoized by
+    /// that recipe: a repeat call from any runner sharing these caches
+    /// under the same settings builds no graph. `build` must be pure — a
+    /// function of `arg` alone — because the memo keys the graph by it.
+    /// An [`Npu::uncached`] runner builds and runs the graph every time.
+    pub fn estimate_demand_of(&self, build: fn(usize) -> Graph, arg: usize) -> ServiceDemand {
+        if !self.cache_enabled {
+            return self.estimate_demand(&build(arg));
+        }
+        let key: DemandKey = (build as usize, arg, self.cfg_digest);
+        self.caches
+            .demand
+            .get_or_insert_with(&key, || self.estimate_demand(&build(arg)))
     }
 
     /// Builds one NPU per configuration for a simulated fleet, sharing

@@ -66,8 +66,8 @@ pub fn outcome_json(out: &TuneOutcome, space: &SearchSpace, indent: usize, timin
     if timing {
         let _ = writeln!(
             s,
-            "{pad}  \"timing\": {{\"wall_s\": {:.3}, \"verify_wall_s\": {:.3}, \
-             \"sim_wall_s\": {:.3}, \"bookkeeping_wall_s\": {:.3}}}",
+            "{pad}  \"timing\": {{\"wall_s\": {:.6}, \"verify_wall_s\": {:.6}, \
+             \"sim_wall_s\": {:.6}, \"bookkeeping_wall_s\": {:.6}}}",
             out.wall_s,
             out.verify_wall_s,
             out.sim_wall_s,
