@@ -28,6 +28,10 @@ cargo test -q
 # budget is at most 3x the median, so a 3x regression fails here. Over
 # budget, the step prints the wall per pass, largest first. It also exits
 # non-zero on any post-dedup error or any widened/exact divergence.
+# Per model, TANDEM_LINT.json also records distinct_blocks (block
+# programs distinct up to sync group, the ones the compiler's verify gate
+# verifies) and gate_ns (best-of-five wall of schedule_graph_opts with
+# verify on); neither is gated.
 echo "==> tandem-lint (static verification of the model zoo)"
 cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 24
 

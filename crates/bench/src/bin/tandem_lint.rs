@@ -19,6 +19,11 @@
 //! that ratio is the widening speedup proper, undiluted by the shared
 //! symbolic walk and the mode-independent passes.
 //!
+//! Each model also reports `distinct_blocks`, its block programs that
+//! differ other than in sync group, and `gate_ns`, the best-of-five wall
+//! of compiling it with the compiler's verify gate on — the gate verifies
+//! only the distinct programs, so the two numbers go together.
+//!
 //! Diagnostics that are byte-identical across blocks (signature-cached
 //! tile programs repeat across a model) are deduplicated with a `×N`
 //! multiplicity; the exit code is non-zero iff any `Severity::Error`
@@ -26,10 +31,11 @@
 //!
 //! Usage: `tandem_lint [OUT.json] [--budget-ms N]`
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
+use tandem_isa::Instruction;
 use tandem_model::zoo::Benchmark;
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode, VerifyRun};
 
@@ -47,6 +53,8 @@ struct Finding {
 struct ModelOutcome {
     name: String,
     blocks: usize,
+    /// Block programs distinct up to their sync group.
+    distinct_blocks: usize,
     instructions: usize,
     /// Distinct warning-severity findings after dedup.
     warnings: usize,
@@ -55,6 +63,8 @@ struct ModelOutcome {
     modes_agree: bool,
     widened: Duration,
     exact: Duration,
+    /// Best-of-five wall of `schedule_graph_opts` with verify on.
+    gate: Duration,
     /// Wall of the mode-dependent loop-summarization (bounds-resolve)
     /// phase alone, per mode, over all blocks.
     summarize_widened: Duration,
@@ -79,6 +89,19 @@ fn lint_model(lowering: &OpLowering, bench: Benchmark) -> ModelOutcome {
     };
     let blocks = schedule_graph_opts(lowering, &graph, &no_verify)
         .unwrap_or_else(|e| panic!("{}: scheduling failed: {e}", graph.name));
+    let gate = (0..TIMING_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            let gated = schedule_graph_opts(lowering, &graph, &CompileOptions::default());
+            std::hint::black_box(gated).ok();
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default();
+    let distinct: HashSet<Vec<Instruction>> = blocks
+        .iter()
+        .map(|sb| sb.program.iter().map(|i| i.ungrouped()).collect())
+        .collect();
     let base = VerifyConfig::for_lowering(lowering.lanes(), lowering.interim_rows());
     let widened = Verifier::new(base.with_mode(VerifyMode::Widened));
     let exact = Verifier::new(base.with_mode(VerifyMode::Exact));
@@ -86,12 +109,14 @@ fn lint_model(lowering: &OpLowering, bench: Benchmark) -> ModelOutcome {
     let mut outcome = ModelOutcome {
         name: graph.name.clone(),
         blocks: blocks.len(),
+        distinct_blocks: distinct.len(),
         instructions: 0,
         warnings: 0,
         errors: 0,
         modes_agree: true,
         widened: Duration::ZERO,
         exact: Duration::ZERO,
+        gate,
         summarize_widened: Duration::ZERO,
         summarize_exact: Duration::ZERO,
         passes: BTreeMap::new(),
@@ -209,16 +234,18 @@ fn main() {
     let lowering = OpLowering::new(lanes, interim_rows);
 
     println!(
-        "{:<14} {:>7} {:>13} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11}  status",
+        "{:<14} {:>7} {:>9} {:>13} {:>9} {:>7} {:>12} {:>12} {:>9} {:>11} {:>10}  status",
         "model",
         "blocks",
+        "distinct",
         "instructions",
         "warnings",
         "errors",
         "widened",
         "exact",
         "speedup",
-        "summarize-x"
+        "summarize-x",
+        "gate"
     );
     let outcomes: Vec<ModelOutcome> = Benchmark::ALL
         .iter()
@@ -226,9 +253,10 @@ fn main() {
         .collect();
     for o in &outcomes {
         println!(
-            "{:<14} {:>7} {:>13} {:>9} {:>7} {:>10.2}ms {:>10.2}ms {:>8.1}x {:>10.1}x  {}",
+            "{:<14} {:>7} {:>9} {:>13} {:>9} {:>7} {:>10.2}ms {:>10.2}ms {:>8.1}x {:>10.1}x {:>8.2}ms  {}",
             o.name,
             o.blocks,
+            o.distinct_blocks,
             o.instructions,
             o.warnings,
             o.errors,
@@ -236,6 +264,7 @@ fn main() {
             o.exact.as_secs_f64() * 1e3,
             speedup(o.exact, o.widened),
             speedup(o.summarize_exact, o.summarize_widened),
+            o.gate.as_secs_f64() * 1e3,
             if o.errors == 0 && o.modes_agree {
                 "ok"
             } else {
@@ -313,16 +342,19 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": {}, \"blocks\": {}, \"instructions\": {}, \
-             \"warnings\": {}, \"errors\": {}, \"modes_agree\": {}, \
+             \"distinct_blocks\": {}, \"warnings\": {}, \"errors\": {}, \
+             \"modes_agree\": {}, \"gate_ns\": {}, \
              \"verify_ns\": {{\"widened\": {}, \"exact\": {}, \"speedup\": {:.2}}}, \
              \"summarize_ns\": {{\"widened\": {}, \"exact\": {}, \"speedup\": {:.2}}}, \
              \"passes\": [{}], \"rules\": {{{}}}, \"findings\": [{}]}}{}",
             json_str(&o.name),
             o.blocks,
             o.instructions,
+            o.distinct_blocks,
             o.warnings,
             o.errors,
             o.modes_agree,
+            o.gate.as_nanos(),
             o.widened.as_nanos(),
             o.exact.as_nanos(),
             speedup(o.exact, o.widened),

@@ -50,8 +50,8 @@ pub enum CompileError {
         /// The operator.
         kind: OpKind,
     },
-    /// A scheduled block failed the `tandem-verify` static dataflow pass
-    /// (sync pairing, scratchpad bounds, loop discipline, binary closure).
+    /// A scheduled block failed the `tandem-verify` static passes
+    /// (closure, sync pairing, deadlock, scratchpad, dead traffic).
     Verification {
         /// Index of the offending block in schedule order.
         block: usize,

@@ -8,17 +8,20 @@ use crate::blocks::{BlockKind, ExecutionBlock};
 use crate::lower::{CompileError, CompiledOp, OpLowering};
 use crate::tune_space::Schedule;
 use std::borrow::Borrow;
+use std::hash::Hasher;
 use tandem_isa::{CastTarget, Instruction, Program, SyncEdge, SyncKind, SyncUnit};
+use tandem_model::hash::{WordHasher, WordMap};
 use tandem_model::{Graph, Node, OpClass};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
 /// Options controlling graph compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileOptions {
-    /// Run the `tandem-verify` static dataflow pass over every scheduled
-    /// block and fail compilation on any error-severity finding. Defaults
-    /// to on in every build profile; callers that only want the programs
-    /// (`tandem_lint`, which verifies them itself) turn it off.
+    /// Run the `tandem-verify` static passes over the scheduled blocks,
+    /// each distinct program once, and fail compilation on any
+    /// error-severity finding. Defaults to on in every build profile;
+    /// callers that only want the programs (`tandem_lint`, which
+    /// verifies them itself) turn it off.
     pub verify: bool,
     /// Loop-summarization mode for the verifier. Defaults to the
     /// O(program-size) widened summaries in every build, the mode the
@@ -176,9 +179,10 @@ pub fn schedule_graph(
 }
 
 /// [`schedule_graph`] with explicit [`CompileOptions`]. With
-/// `opts.verify` set, every assembled block runs through the
-/// `tandem-verify` static pass (sync pairing, scratchpad bounds, loop
-/// discipline, encode/decode closure) before the schedule is returned.
+/// `opts.verify` set, the `tandem-verify` pipeline (closure, sync
+/// pairing, deadlock, scratchpad, dead traffic) runs once per distinct
+/// block program before the schedule is returned; see
+/// [`schedule_graph_with`].
 ///
 /// # Errors
 ///
@@ -212,7 +216,14 @@ pub fn schedule_graph_opts(
 /// The body of [`schedule_graph_opts`] with the node lowering supplied
 /// by the caller (see [`schedule_block`]): partitions `graph`, assembles
 /// every block under sync group `index % 32`, then runs `verifier` (if
-/// any) over each assembled program in block order.
+/// any) over the assembled programs in block order.
+///
+/// A block whose syncs all carry its own group and whose program equals
+/// an earlier clean block's up to that group is clean without being
+/// verified: the five passes (closure, sync pairing, deadlock,
+/// scratchpad, dead traffic) compare sync groups only for equality, so
+/// relabeling a block's one group changes no finding. Every other block
+/// is verified itself, the first failing one included.
 ///
 /// # Errors
 ///
@@ -234,14 +245,59 @@ where
         .map(|(i, b)| schedule_block(graph, b, (i % 32) as u8, &mut lower))
         .collect::<Result<_, _>>()?;
     if let Some(verifier) = verifier {
+        // The first clean block of each group-free fingerprint.
+        let mut clean: WordMap<u64, usize> = WordMap::default();
         for (i, sb) in blocks.iter().enumerate() {
+            let fingerprint = group_free_fingerprint(&sb.program, (i % 32) as u8);
+            if has_clean_twin(&blocks, &clean, fingerprint, &sb.program) {
+                continue;
+            }
             let report = verifier.verify(&sb.program);
             if !report.is_clean() {
                 return Err(CompileError::Verification { block: i, report });
             }
+            if let Some(fp) = fingerprint {
+                clean.entry(fp).or_insert(i);
+            }
         }
     }
     Ok(blocks)
+}
+
+/// A hash of `program`'s encoded words with every sync group zeroed, or
+/// `None` when some sync carries a group other than the block's own
+/// `group`. Only a block whose syncs all carry one group verifies like
+/// any relabeling of it: the sync and deadlock passes compare groups
+/// only for equality.
+fn group_free_fingerprint(program: &Program, group: u8) -> Option<u64> {
+    let mut h = WordHasher::default();
+    for &instr in program {
+        if matches!(instr, Instruction::Sync(info) if info.group != group) {
+            return None;
+        }
+        h.write_u32(instr.ungrouped().encode());
+    }
+    Some(h.finish())
+}
+
+/// Whether `program`, of group-free `fingerprint`, equals a clean block
+/// of `blocks` (indexed in `clean` by fingerprint) up to sync groups, so
+/// that it is clean too. A fingerprint alone never decides.
+fn has_clean_twin(
+    blocks: &[ScheduledBlock],
+    clean: &WordMap<u64, usize>,
+    fingerprint: Option<u64>,
+    program: &Program,
+) -> bool {
+    let Some(&j) = fingerprint.and_then(|fp| clean.get(&fp)) else {
+        return false;
+    };
+    let twin = &blocks[j].program;
+    twin.len() == program.len()
+        && twin
+            .iter()
+            .zip(program)
+            .all(|(a, b)| a.ungrouped() == b.ungrouped())
 }
 
 #[cfg(test)]
@@ -285,6 +341,36 @@ mod tests {
         let end_pos = text.rfind("sync.simd.end.exec").unwrap();
         assert!(buf_pos < end_pos);
         assert!(sb.program.compute_count() > 0);
+    }
+
+    #[test]
+    fn a_fingerprint_match_alone_is_no_twin() {
+        let g = fused_graph();
+        let blocks = schedule_graph(&lowering(), &g).unwrap();
+        let program = &blocks[0].program;
+        let fp = group_free_fingerprint(program, 0);
+        // The same program under another group is a twin …
+        let relabeled: Program = program.iter().map(|&i| regrouped(i, 5)).collect();
+        let fp5 = group_free_fingerprint(&relabeled, 5);
+        assert_eq!(fp5, fp);
+        let clean: WordMap<u64, usize> = [(fp.unwrap(), 0)].into_iter().collect();
+        assert!(has_clean_twin(&blocks, &clean, fp5, &relabeled));
+        // … a program that only shares its fingerprint is not …
+        let mut other = program.clone();
+        other.push(Instruction::DatatypeConfig {
+            target: CastTarget::Fxp8,
+        });
+        assert!(!has_clean_twin(&blocks, &clean, fp, &other));
+        // … and a foreign group rules a block out of matching.
+        assert_eq!(group_free_fingerprint(&relabeled, 0), None);
+    }
+
+    /// `instr` with its sync group, if it has one, set to `group`.
+    fn regrouped(instr: Instruction, group: u8) -> Instruction {
+        match instr {
+            Instruction::Sync(info) => Instruction::sync(info.unit, info.edge, info.kind, group),
+            other => other,
+        }
     }
 
     #[test]

@@ -230,6 +230,15 @@ impl Instruction {
         })
     }
 
+    /// This instruction with its sync group, if it has one, set to 0:
+    /// the form in which blocks that differ only in their group agree.
+    pub fn ungrouped(self) -> Self {
+        match self {
+            Instruction::Sync(info) => Instruction::Sync(SyncInfo { group: 0, ..info }),
+            other => other,
+        }
+    }
+
     /// Builds an ALU compute instruction.
     pub fn alu(func: AluFunc, dst: Operand, src1: Operand, src2: Operand) -> Self {
         Instruction::Alu {

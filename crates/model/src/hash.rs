@@ -21,16 +21,22 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A `HashMap` hashed by [`WordHasher`].
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// A thread-safe memo table of a pure function: a [`WordMap`] behind one
 /// lock, plus hit and miss counters.
+///
+/// Lookups are single-flight: each key's value sits in a [`OnceLock`],
+/// so concurrent misses on one key run `make` once, and the racers that
+/// arrive while it runs wait for its value and count as hits. Misses
+/// therefore equal the distinct keys looked up, however many threads
+/// share the table.
 #[derive(Debug)]
 pub struct Memo<K, V> {
-    map: Mutex<WordMap<K, V>>,
+    map: Mutex<WordMap<K, Arc<OnceLock<V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -48,19 +54,35 @@ impl<K, V> Default for Memo<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// The value memoized for `key`, or `make()` memoized under a clone
     /// of it. `make` runs outside the lock, so it may itself query this
-    /// memo, and concurrent misses on one key may each run it; the first
-    /// value inserted wins and every caller gets it. A hit neither clones
-    /// the key nor runs `make`.
+    /// memo for other keys, but never for `key`: it would wait on
+    /// itself. A lookup that finds `make` running for its key on another
+    /// thread waits for that value; if that `make` panics, one waiter
+    /// runs its own. A hit neither clones the key nor runs `make`.
     pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> V) -> V {
         const POISONED: &str = "a memo lock holder panicked between map operations";
-        if let Some(hit) = self.map.lock().expect(POISONED).get(key) {
+        let cell = {
+            let mut map = self.map.lock().expect(POISONED);
+            match map.get(key) {
+                Some(cell) => match cell.get() {
+                    Some(hit) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return hit.clone();
+                    }
+                    None => Arc::clone(cell),
+                },
+                None => Arc::clone(map.entry(key.clone()).or_default()),
+            }
+        };
+        let mut ran = false;
+        let value = cell.get_or_init(|| {
+            ran = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            make()
+        });
+        if !ran {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = make();
-        let mut map = self.map.lock().expect(POISONED);
-        map.entry(key.clone()).or_insert(value).clone()
+        value.clone()
     }
 }
 
@@ -175,28 +197,68 @@ mod tests {
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
     }
 
+    /// Lookups of `key` now waiting on a running `make` (0 when none
+    /// runs): the map and the maker hold one handle each.
+    fn waiters(memo: &Memo<u64, u64>, key: u64) -> usize {
+        match memo.map.lock().unwrap().get(&key) {
+            Some(cell) if cell.get().is_none() => Arc::strong_count(cell) - 2,
+            _ => 0,
+        }
+    }
+
+    /// Spins until `n` lookups of `key` wait on its `make`, or 10 s pass.
+    fn await_waiters(memo: &Memo<u64, u64>, key: u64, n: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while waiters(memo, key) < n && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn concurrent_misses_on_one_key_leave_one_entry() {
-        use std::sync::{Arc, Barrier};
-        let memo: Arc<Memo<String, usize>> = Arc::default();
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let (memo, barrier) = (Arc::clone(&memo), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    memo.get_or_insert_with(&"shared".to_string(), || {
-                        // Every thread misses before any of them inserts.
-                        barrier.wait();
-                        i
+    fn concurrent_misses_on_one_key_run_make_once() {
+        const RACERS: u64 = 4;
+        let memo: Memo<u64, u64> = Memo::default();
+        let calls = AtomicU64::new(0);
+        let values: Vec<u64> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|i| {
+                    let (memo, calls) = (&memo, &calls);
+                    s.spawn(move || {
+                        memo.get_or_insert_with(&7, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            // Finish only once every other racer waits.
+                            await_waiters(memo, 7, RACERS as usize - 1);
+                            i
+                        })
                     })
                 })
-            })
-            .collect();
-        let values: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!((memo.hits(), memo.misses()), (0, 4));
-        let map = memo.map.lock().unwrap();
-        assert_eq!(map.len(), 1);
-        let first = map["shared"];
-        assert!(values.iter().all(|&v| v == first), "{values:?}");
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!((memo.hits(), memo.misses()), (RACERS - 1, 1));
+        assert!(values.iter().all(|&v| v == values[0]), "{values:?}");
+        assert_eq!(memo.get_or_insert_with(&7, || unreachable!()), values[0]);
+    }
+
+    #[test]
+    fn a_waiter_recomputes_when_make_panics() {
+        let memo: Memo<u64, u64> = Memo::default();
+        let running = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let maker = s.spawn(|| {
+                memo.get_or_insert_with(&1, || {
+                    running.wait();
+                    await_waiters(&memo, 1, 1);
+                    panic!("make failed");
+                })
+            });
+            running.wait();
+            // `make` is running: this lookup waits, then runs its own.
+            assert_eq!(memo.get_or_insert_with(&1, || 5), 5);
+            assert!(maker.join().is_err());
+        });
+        assert_eq!((memo.hits(), memo.misses()), (0, 2));
+        assert_eq!(memo.get_or_insert_with(&1, || 0), 5);
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
-use tandem_npu::{run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileGranularity};
+use tandem_npu::{par_map, run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileGranularity};
 
 /// Asserts the full architectural equality plus the headline scalars
 /// (spelled out so a failure names the number that moved).
@@ -112,6 +112,25 @@ fn run_many_matches_serial_runs() {
     for (i, ((c, w), s)) in cold.iter().zip(&warm).zip(&serial).enumerate() {
         assert_identical(c, s, &format!("cold graph {i}"));
         assert_identical(w, s, &format!("warm graph {i}"));
+    }
+}
+
+#[test]
+fn parallel_runs_count_the_cache_traffic_of_serial_runs() {
+    // Each model twice, so two workers start on the same graph at once
+    // and race on every one of its keys. Racers wait for the one `make`
+    // and count as hits, so the counters cannot depend on the job count.
+    let (bert, gpt2) = (zoo::bert_base(64), zoo::gpt2(64));
+    let graphs = [&bert, &bert, &gpt2, &gpt2];
+    let counters = |jobs: usize| {
+        let npu = Npu::new(NpuConfig::paper());
+        par_map(graphs.len(), jobs, |i| npu.run(graphs[i]));
+        npu.stats()
+    };
+    let serial = counters(1);
+    assert_eq!(serial.graph_misses, 2);
+    for jobs in [2, 4] {
+        assert_eq!(counters(jobs), serial, "counters under {jobs} jobs");
     }
 }
 
