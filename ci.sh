@@ -87,9 +87,10 @@ cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_
 # byte-deterministic, so the committed smoke_floor_cycles_* values in
 # BENCH_TUNE.json are exact: the step fails if any model's smoke search
 # lands above its floor (a schedule lever or the search got worse) or if
-# the searches blow the committed wall budget (smoke_budget_s, 0.16 s:
-# under 3x the median smoke wall of 0.055 s over 24 runs on a 2-vCPU host; over
-# budget, the step prints each model's wall, largest first). The smoke
+# the searches blow the committed wall budget (smoke_budget_s, 0.06 s:
+# under 3x the median smoke wall of 0.0226 s over 13 runs on a 2-vCPU host,
+# printed to the microsecond; over budget, the step prints each model's
+# wall, largest first). The smoke
 # output goes to artifacts/ so the committed full-mode baseline stays the
 # floor source.
 echo "==> tandem-tune (schedule autotuner, smoke + regression floors)"

@@ -16,7 +16,8 @@
 //! `BENCH_TUNE.json`. `--smoke` re-runs only the smoke-sized searches
 //! and also fails if total search wall-time exceeds `smoke_budget_s` — at most 3x the measured median
 //! smoke wall, so a 3x slowdown of the search or its oracle fails; over
-//! budget, the run prints each model's wall, largest first. Floors are
+//! budget, the run prints each model's wall, largest first. The wall
+//! prints to the microsecond, in the JSON and on the console. Floors are
 //! read from the committed baseline before this run overwrites it
 //! (`--baseline PATH` points elsewhere).
 //!
@@ -170,13 +171,13 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"mode\": \"{}\",\n  \"smoke_budget_s\": {budget_s:.2},",
+        "  \"mode\": \"{}\",\n  \"smoke_budget_s\": {budget_s},",
         if smoke { "smoke" } else { "full" }
     );
     for (slug, floor) in &floors {
         let _ = writeln!(json, "  \"smoke_floor_cycles_{slug}\": {floor},");
     }
-    let _ = writeln!(json, "  \"search_wall_s\": {wall_s:.2},");
+    let _ = writeln!(json, "  \"search_wall_s\": {wall_s:.6},");
     let _ = writeln!(json, "  \"models\": [");
     for (i, (out, space)) in outcomes.iter().enumerate() {
         json.push_str(&outcome_json(out, space, 4, true));
@@ -184,7 +185,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_TUNE.json");
-    println!("\nwrote {out_path} ({wall_s:.1}s total)");
+    println!("\nwrote {out_path} ({wall_s:.6}s total)");
 
     report_outcomes(&outcomes, smoke);
 
@@ -199,7 +200,7 @@ fn main() {
     if smoke {
         if wall_s > budget_s {
             eprintln!(
-                "FAIL: smoke searches took {wall_s:.2}s, over the committed {budget_s:.2}s \
+                "FAIL: smoke searches took {wall_s:.6}s, over the committed {budget_s}s \
                  budget — the search or its oracle got slower; wall per model:"
             );
             model_wall.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -208,7 +209,7 @@ fn main() {
             }
             std::process::exit(1);
         }
-        println!("smoke floors and {budget_s:.2}s budget hold ({wall_s:.2}s)");
+        println!("smoke floors and {budget_s}s budget hold ({wall_s:.6}s)");
     }
 }
 
@@ -233,5 +234,5 @@ fn report_outcomes(outcomes: &[(TuneOutcome, tandem_tune::SearchSpace)], smoke: 
 
 /// The wall budget used when no committed baseline carries one (the
 /// committed `smoke_budget_s` is the same value): under 3x the median
-/// smoke wall of 0.055 s over 24 release runs on a 2-vCPU host.
-const DEFAULT_BUDGET_S: f64 = 0.16;
+/// smoke wall of 0.0226 s over 13 release runs on a 2-vCPU host.
+const DEFAULT_BUDGET_S: f64 = 0.06;

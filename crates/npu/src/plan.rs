@@ -9,18 +9,31 @@
 //! [`GraphPlan`] per graph and every sibling reads it: a tuner candidate
 //! then pays one schedule lookup and one memo probe per node, with no
 //! partitioning and no FNV hashing. An [`crate::Npu::uncached`] runner
-//! builds a fresh plan, without signatures, on every call.
+//! builds a fresh plan, without signatures or block classes, on every
+//! call.
+//!
+//! The plan also sorts the blocks into classes. Two blocks are in one
+//! class when they have the same Tandem DRAM bytes, the same non-GEMM
+//! signatures in order and structurally equal GEMM nodes: then every
+//! site key in them is equal, so under any schedule, knobs and
+//! granularity they cost the same, except for the cross-block prefetch
+//! window, and a run computes their cost once.
 
 use gemm_sim::GemmWorkload;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 use tandem_compiler::{ExecutionBlock, NodeSignature, OpLowering, Partitioner};
-use tandem_model::{Graph, NodeId, TensorId};
+use tandem_model::hash::{WordHasher, WordMap};
+use tandem_model::{Graph, Node, NodeId, TensorId};
 
 /// The schedule-independent facts of one graph on one machine shape.
 #[derive(Debug)]
 pub(crate) struct GraphPlan {
     /// The execution blocks, in execution order.
     pub(crate) blocks: Vec<PlannedBlock>,
+    /// The number of block classes with more than one member.
+    pub(crate) classes: usize,
     /// The choice-free signature of every non-GEMM node, by node index.
     /// Empty in an uncached runner's plan: nothing there keys a cache.
     sigs: Vec<Option<NodeSignature>>,
@@ -39,16 +52,20 @@ pub(crate) struct PlannedBlock {
     pub(crate) tandem_dram_bytes: u64,
     /// The GEMM workload of `block.gemm`, if there is one.
     pub(crate) gemm: Option<GemmWorkload>,
+    /// The block's class, numbered `0..classes` in the order their
+    /// second members appear, if another block shares it. `None` for a
+    /// block alone in its class and in an uncached runner's plan.
+    pub(crate) class: Option<usize>,
 }
 
 impl GraphPlan {
     /// Partitions `graph` and charges every block; with `signatures`,
     /// also builds every non-GEMM node's signature on `lowering`'s
-    /// machine shape.
+    /// machine shape and sorts the blocks into classes.
     pub(crate) fn build(graph: &Graph, lowering: &OpLowering, signatures: bool) -> Self {
         let blocks = Partitioner::new().partition(graph);
         let bytes = tandem_dram_bytes(graph, &blocks);
-        let blocks = blocks
+        let mut blocks: Vec<PlannedBlock> = blocks
             .into_iter()
             .zip(bytes)
             .map(|(block, tandem_dram_bytes)| PlannedBlock {
@@ -57,20 +74,24 @@ impl GraphPlan {
                     .gemm
                     .map(|id| GemmWorkload::of_node(graph, graph.node(id))),
                 block,
+                class: None,
             })
             .collect();
-        let sigs = if signatures {
-            NodeSignature::of_graph(
+        let (sigs, classes) = if signatures {
+            let sigs = NodeSignature::of_graph(
                 graph,
                 lowering.lanes(),
                 lowering.interim_rows(),
                 lowering.fixed.q,
-            )
+            );
+            let classes = assign_classes(graph, &sigs, &mut blocks);
+            (sigs, classes)
         } else {
-            Vec::new()
+            (Vec::new(), 0)
         };
         GraphPlan {
             blocks,
+            classes,
             sigs,
             site_keys: OnceLock::new(),
         }
@@ -112,6 +133,101 @@ impl GraphPlan {
     fn base(&self, id: NodeId) -> Option<&NodeSignature> {
         self.sigs.get(id.index())?.as_ref()
     }
+}
+
+/// Sets the class of every block that shares its class with another
+/// one and returns the number of such classes. Each block is looked up
+/// by a hash of its DRAM bytes, its signatures' stored hashes and its
+/// GEMM workload; a candidate counts only if [`same_class`] confirms
+/// it, and a hash taken by another class moves on to the next value.
+fn assign_classes(
+    graph: &Graph,
+    sigs: &[Option<NodeSignature>],
+    blocks: &mut [PlannedBlock],
+) -> usize {
+    // The first block of each class, by hash.
+    let mut first: WordMap<u64, usize> = WordMap::default();
+    first.reserve(blocks.len());
+    let mut classes = 0;
+    for b in 0..blocks.len() {
+        let planned = &blocks[b];
+        let mut h = WordHasher::default();
+        h.write_u64(planned.tandem_dram_bytes);
+        for &id in &planned.block.non_gemm {
+            sigs[id.index()].hash(&mut h);
+        }
+        planned.gemm.hash(&mut h);
+        let mut key = h.finish();
+        let leader = loop {
+            match first.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(b);
+                    break None;
+                }
+                Entry::Occupied(e) if same_class(graph, sigs, &blocks[*e.get()], planned) => {
+                    break Some(*e.get())
+                }
+                Entry::Occupied(_) => key = key.wrapping_add(1),
+            }
+        };
+        if let Some(l) = leader {
+            let class = *blocks[l].class.get_or_insert_with(|| {
+                classes += 1;
+                classes - 1
+            });
+            blocks[b].class = Some(class);
+        }
+    }
+    classes
+}
+
+/// Whether blocks `a` and `b` cost the same in any run: equal Tandem
+/// DRAM bytes, equal non-GEMM signatures in order, and structurally
+/// equal GEMM nodes (or none).
+fn same_class(
+    graph: &Graph,
+    sigs: &[Option<NodeSignature>],
+    a: &PlannedBlock,
+    b: &PlannedBlock,
+) -> bool {
+    let (x, y) = (&a.block, &b.block);
+    a.tandem_dram_bytes == b.tandem_dram_bytes
+        && x.non_gemm.len() == y.non_gemm.len()
+        && x.non_gemm
+            .iter()
+            .zip(&y.non_gemm)
+            .all(|(m, n)| sigs[m.index()] == sigs[n.index()])
+        && match (x.gemm, y.gemm) {
+            (None, None) => true,
+            (Some(m), Some(n)) => same_gemm(graph, graph.node(m), graph.node(n)),
+            _ => false,
+        }
+}
+
+/// Whether GEMM nodes `a` and `b` have the same kind, attributes
+/// (floats by their bits), tensor shapes and weight flags: everything
+/// their workload and their site key read.
+fn same_gemm(graph: &Graph, a: &Node, b: &Node) -> bool {
+    let same_tensors = |s: &[TensorId], t: &[TensorId]| {
+        s.len() == t.len()
+            && s.iter().zip(t).all(|(&s, &t)| {
+                let (s, t) = (graph.tensor(s), graph.tensor(t));
+                s.shape == t.shape && s.is_weight == t.is_weight
+            })
+    };
+    let (p, q) = (&a.attrs, &b.attrs);
+    a.kind == b.kind
+        && (p.kernel, p.stride, p.padding, p.groups, p.axis)
+            == (q.kernel, q.stride, q.padding, q.groups, q.axis)
+        && [p.alpha, p.clip_min, p.clip_max].map(f64::to_bits)
+            == [q.alpha, q.clip_min, q.clip_max].map(f64::to_bits)
+        // Element by element: a slice `==` on two empty permutations,
+        // which every GEMM node has, measured 150 ns (2-vCPU Linux host),
+        // most of the class pass on the CNNs.
+        && p.perm.len() == q.perm.len()
+        && p.perm.iter().zip(&q.perm).all(|(x, y)| x == y)
+        && same_tensors(&a.inputs, &b.inputs)
+        && same_tensors(&a.outputs, &b.outputs)
 }
 
 /// DRAM traffic of the Tandem side of each block: activations entering
@@ -175,7 +291,7 @@ fn tandem_dram_bytes(graph: &Graph, blocks: &[ExecutionBlock]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tandem_model::zoo;
+    use tandem_model::{zoo, GraphBuilder, Padding};
 
     /// The per-block DRAM charge as the executor computed it before
     /// plans: a linear scan of the block for producers and of the graph
@@ -209,6 +325,114 @@ mod tests {
             }
         }
         bytes
+    }
+
+    /// Whether blocks `a` and `b` of `plan` are in one class.
+    fn together(plan: &GraphPlan, a: usize, b: usize) -> bool {
+        let class = |i: usize| plan.blocks[i].class;
+        class(a).is_some() && class(a) == class(b)
+    }
+
+    /// The choice-free signatures of block `b`'s non-GEMM nodes.
+    fn sigs_of(plan: &GraphPlan, b: usize) -> Vec<&NodeSignature> {
+        let block = &plan.blocks[b].block;
+        block
+            .non_gemm
+            .iter()
+            .filter_map(|&id| plan.base(id))
+            .collect()
+    }
+
+    #[test]
+    fn equal_chains_with_other_dram_traffic_are_other_classes() {
+        // Three conv -> relu -> relu blocks. The first block's inner
+        // relu output also feeds a later conv, so it leaves the block
+        // and costs DRAM traffic; the other two blocks keep theirs on
+        // chip.
+        let g = {
+            let mut b = GraphBuilder::new("dram-classes", 2024);
+            let x = b.input("x", [1, 16, 8, 8]);
+            let mut y = x;
+            let mut first_inner = None;
+            for _ in 0..3 {
+                let c = b.conv(y, 16, 3, 1, Padding::Same);
+                let inner = b.relu(c);
+                first_inner.get_or_insert(inner);
+                y = b.relu(inner);
+            }
+            let side = b.conv(first_inner.unwrap(), 16, 1, 1, Padding::Same);
+            b.output(y);
+            b.output(side);
+            b.finish()
+        };
+        let plan = GraphPlan::build(&g, &OpLowering::new(32, 512), true);
+        assert_eq!(plan.blocks.len(), 4);
+        assert_eq!(sigs_of(&plan, 0), sigs_of(&plan, 1));
+        assert_ne!(
+            plan.blocks[0].tandem_dram_bytes,
+            plan.blocks[1].tandem_dram_bytes
+        );
+        assert!(!together(&plan, 0, 1));
+        assert!(together(&plan, 1, 2));
+        assert_eq!(plan.classes, 1);
+        assert_eq!(plan.blocks[3].class, None);
+    }
+
+    #[test]
+    fn equal_workloads_of_other_gemm_nodes_are_other_classes() {
+        let g = {
+            let mut b = GraphBuilder::new("gemm-classes", 2024);
+            // Three 1x1 convs with one workload; the first pads.
+            let x = b.input("x", [1, 16, 8, 8]);
+            let mut y = x;
+            for padding in [Padding::Same, Padding::Valid, Padding::Valid] {
+                let c = b.conv(y, 16, 1, 1, padding);
+                y = b.relu(c);
+            }
+            b.output(y);
+            // A fully connected layer (`Gemm`) and two projections
+            // (`MatMul`) with one workload.
+            let t = b.input("t", [8, 64]);
+            let f = b.fc(t, 64);
+            let mut y = b.relu(f);
+            for _ in 0..2 {
+                let m = b.linear(y, 64);
+                y = b.relu(m);
+            }
+            b.output(y);
+            b.finish()
+        };
+        let plan = GraphPlan::build(&g, &OpLowering::new(32, 512), true);
+        assert_eq!(plan.blocks.len(), 6);
+        for (first, second) in [(0, 1), (3, 4)] {
+            assert_eq!(plan.blocks[first].gemm, plan.blocks[second].gemm);
+            assert_eq!(sigs_of(&plan, first), sigs_of(&plan, second));
+            assert_eq!(
+                plan.blocks[first].tandem_dram_bytes,
+                plan.blocks[second].tandem_dram_bytes
+            );
+            assert!(!together(&plan, first, second), "blocks {first}, {second}");
+            assert!(together(&plan, second, second + 1));
+        }
+        assert_eq!(plan.classes, 2);
+    }
+
+    #[test]
+    fn classes_do_not_depend_on_the_machine_shape() {
+        let mut models = zoo::all_models();
+        models.extend([zoo::llama_tiny(32), zoo::gpt2_decode_step(64)]);
+        let classes = |graph: &Graph, lanes, rows| {
+            let plan = GraphPlan::build(graph, &OpLowering::new(lanes, rows), true);
+            let of: Vec<_> = plan.blocks.iter().map(|b| b.class).collect();
+            (plan.classes, of)
+        };
+        let mut repeated = 0;
+        for graph in &models {
+            let paper = classes(graph, 32, 512);
+            assert_eq!(paper, classes(graph, 8, 64), "{}", graph.name);
+            repeated += paper.0;
+        }
+        assert!(repeated > 0, "the zoo repeats blocks");
     }
 
     #[test]

@@ -61,6 +61,11 @@ pub struct ExecStats {
     pub gate_hits: u64,
     /// Blocks [`crate::Npu::verify_schedule`] assembled and verified.
     pub gate_misses: u64,
+    /// Blocks a run composed from the cost of an earlier block of their
+    /// class instead of looking up each of their nodes. Not a cache
+    /// lookup: [`ExecStats::lookups`] and [`ExecStats::hit_rate`] leave
+    /// it out.
+    pub reused_blocks: u64,
 }
 
 impl ExecStats {
@@ -81,6 +86,7 @@ impl ExecStats {
             graph_misses: self.graph_misses.saturating_sub(baseline.graph_misses),
             gate_hits: self.gate_hits.saturating_sub(baseline.gate_hits),
             gate_misses: self.gate_misses.saturating_sub(baseline.gate_misses),
+            reused_blocks: self.reused_blocks.saturating_sub(baseline.reused_blocks),
             ..ExecStats::default()
         }
     }
@@ -108,6 +114,7 @@ impl ExecStats {
         self.graph_misses += other.graph_misses;
         self.gate_hits += other.gate_hits;
         self.gate_misses += other.gate_misses;
+        self.reused_blocks += other.reused_blocks;
     }
 
     /// Total lookups across the four counted caches.
@@ -306,6 +313,7 @@ mod tests {
             graph_misses: 8,
             gate_hits: 9,
             gate_misses: 10,
+            reused_blocks: 11,
             ..ExecStats::default()
         };
         let b = ExecStats {
@@ -318,6 +326,7 @@ mod tests {
             graph_misses: 80,
             gate_hits: 90,
             gate_misses: 100,
+            reused_blocks: 110,
             ..ExecStats::default()
         };
         let mut m = a;
@@ -331,7 +340,9 @@ mod tests {
         assert_eq!(m.graph_misses, 88);
         assert_eq!(m.gate_hits, 99);
         assert_eq!(m.gate_misses, 110);
+        assert_eq!(m.reused_blocks, 121);
         assert_eq!(m.lookups(), a.lookups() + b.lookups());
+        assert_eq!(a.lookups(), 1 + 2 + 3 + 4 + 7 + 8 + 9 + 10);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Pins the exact hit/miss accounting of the NPU's caches.
 //!
 //! One fixed, single-threaded sequence of runs on one fresh cache set;
-//! every step's [`ExecStats`] delta is asserted exactly. The counts are
-//! what the caches measured before their memo tables were unified, so a
-//! refactor of the caches that probes, misses or inserts differently
-//! fails here even when every report stays identical.
+//! every step's [`ExecStats`] delta is asserted exactly, so a refactor
+//! of the caches that probes, misses or inserts differently fails here
+//! even when every report stays identical. The misses are the distinct
+//! keys and have not moved since the memo tables were unified. The hits
+//! count one probe per node of each block a run computes and one gate
+//! probe per block class: a block repeating an earlier one of its class
+//! probes nothing and counts in `reused_blocks` instead.
 
 use std::collections::BTreeMap;
 use tandem_model::zoo;
 use tandem_npu::{ExecStats, Npu, NpuConfig, Schedule, TileChoice};
 
 /// `[compile hits, compile misses, sim hits, sim misses, graph hits, graph
-/// misses, gate hits, gate misses]`.
-fn counts(s: &ExecStats) -> [u64; 8] {
+/// misses, gate hits, gate misses, reused blocks]`.
+fn counts(s: &ExecStats) -> [u64; 9] {
     [
         s.compile_hits,
         s.compile_misses,
@@ -22,11 +25,12 @@ fn counts(s: &ExecStats) -> [u64; 8] {
         s.graph_misses,
         s.gate_hits,
         s.gate_misses,
+        s.reused_blocks,
     ]
 }
 
 /// The counter increments `step` causes on `npu`'s cache set.
-fn delta(npu: &Npu, step: impl FnOnce()) -> [u64; 8] {
+fn delta(npu: &Npu, step: impl FnOnce()) -> [u64; 9] {
     let before = npu.stats();
     step();
     counts(&npu.stats().delta(&before))
@@ -81,12 +85,12 @@ fn every_step_moves_the_counters_exactly_as_pinned() {
         ("scheduled sibling", sibling_run),
         ("verify_schedule", gate),
     ];
-    let pinned: [[u64; 8]; 5] = [
-        [0, 20, 49, 20, 0, 1, 0, 0],
-        [0, 30, 506, 30, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 7, 62, 7, 0, 1, 0, 0],
-        [22, 0, 0, 0, 0, 0, 39, 15],
+    let pinned: [[u64; 9]; 5] = [
+        [0, 20, 16, 20, 0, 1, 0, 0, 25],
+        [0, 30, 42, 30, 0, 1, 0, 0, 100],
+        [0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 7, 29, 7, 0, 1, 0, 0, 25],
+        [22, 0, 0, 0, 0, 0, 14, 15, 0],
     ];
     for ((step, got), want) in measured.iter().zip(&pinned) {
         assert_eq!(got, want, "{step}");

@@ -5,7 +5,9 @@
 use std::collections::BTreeMap;
 use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
-use tandem_npu::{par_map, run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileGranularity};
+use tandem_npu::{
+    par_map, run_matrix, DesignPoint, Npu, NpuConfig, Schedule, TileChoice, TileGranularity,
+};
 
 /// Asserts the full architectural equality plus the headline scalars
 /// (spelled out so a failure names the number that moved).
@@ -260,4 +262,54 @@ fn sibling_on_other_silicon_equals_an_uncached_run() {
         &Npu::uncached(cfg).run(&graph),
         "other-silicon sibling",
     );
+}
+
+/// The zoo plus the LLM serving shapes: every graph the product runs.
+fn every_model() -> Vec<Graph> {
+    let mut models = zoo::all_models();
+    models.extend([zoo::gpt2_decode_step(64), zoo::llama_tiny(32)]);
+    models
+}
+
+/// `base` with every cross-block weight-prefetch site of `graph` on.
+fn all_prefetch(base: &NpuConfig, graph: &Graph) -> NpuConfig {
+    let on = TileChoice::Prefetch { on: true };
+    let sites = Npu::new(base.clone()).tune_sites(graph);
+    let choices: BTreeMap<_, _> = sites
+        .iter()
+        .filter(|s| s.candidates.contains(&on))
+        .map(|s| (s.key, on))
+        .collect();
+    NpuConfig {
+        schedule: Schedule::new(choices),
+        ..base.clone()
+    }
+}
+
+#[test]
+fn reused_blocks_compose_exactly_what_every_block_computes() {
+    // Blocks of one class share their parts and compose them one by
+    // one: with every prefetch on, members of one class hide different
+    // amounts in different idle windows. `Npu::uncached` computes every
+    // block afresh.
+    let mut layer = NpuConfig::paper();
+    layer.granularity = TileGranularity::Layer;
+    let mut small = NpuConfig::paper();
+    small.tandem.lanes = 8;
+    small.tandem.interim_rows = 64;
+    let mut reused = [0u64; 3];
+    for graph in &every_model() {
+        let cases = [
+            ("all prefetch", all_prefetch(&NpuConfig::paper(), graph)),
+            ("layer granularity", layer.clone()),
+            ("8x64", small.clone()),
+        ];
+        for (i, (case, cfg)) in cases.into_iter().enumerate() {
+            let what = format!("{}: {case}", graph.name);
+            let cached = Npu::new(cfg.clone()).run(graph);
+            assert_identical(&cached, &Npu::uncached(cfg).run(graph), &what);
+            reused[i] += cached.stats.reused_blocks;
+        }
+    }
+    assert!(reused.iter().all(|&n| n > 0), "reused blocks: {reused:?}");
 }

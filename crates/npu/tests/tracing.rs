@@ -34,7 +34,7 @@ fn micro_graph() -> Graph {
 
 /// Every cycle of the end-to-end latency lands in exactly one
 /// attribution bucket, for every zoo model and both tile granularities.
-/// (`run_block` debug-asserts this per block; this test keeps the
+/// (`compose_block` debug-asserts this per block; this test keeps the
 /// invariant hot in release builds and across the whole zoo.)
 #[test]
 fn attribution_buckets_sum_to_total_cycles_for_every_zoo_model() {
@@ -60,7 +60,9 @@ fn attribution_buckets_sum_to_total_cycles_for_every_zoo_model() {
 
 /// Tracing must not perturb the model: a run observed through a
 /// recording sink produces the same report (full architectural equality,
-/// attribution included) as `Npu::run`, and the no-op sink too.
+/// attribution included) as `Npu::run`, and the no-op sink too. The plain
+/// run composes repeated blocks from their class's parts; the traced run
+/// computes every block.
 #[test]
 fn traced_run_reports_exactly_what_plain_run_reports() {
     let npu = Npu::new(NpuConfig::paper());
@@ -73,6 +75,8 @@ fn traced_run_reports_exactly_what_plain_run_reports() {
         let mut sink = ChromeTraceSink::new();
         let traced = npu.run_traced(&graph, &mut sink);
         assert_eq!(plain, traced, "{name}: tracing changed the report");
+        assert!(plain.stats.reused_blocks > 0, "{name}: no block reused");
+        assert_eq!(traced.stats.reused_blocks, 0, "{name}: a traced run reused");
         assert!(!sink.is_empty(), "{name}: recording sink saw no events");
         let null = npu.run_traced(&graph, &mut NullSink);
         assert_eq!(plain, null, "{name}: NullSink run diverged");
