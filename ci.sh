@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Informational, not a gate: the code-line count (neither blank nor a
+# `//` comment) of crates/*/src that ROADMAP asks every change to report.
+echo "==> code lines in crates/*/src: $(find crates/*/src -name '*.rs' -print0 \
+    | xargs -0 cat | grep -Evc '^[[:space:]]*(//|$)')"
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 

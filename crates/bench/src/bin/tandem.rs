@@ -8,8 +8,9 @@
 //!                                       de-specialize (Figure 6/18 ablations)
 //!     --iso-a100                        216x scale-up (Figure 21 setting)
 //!     --seq <n>                         sequence length (n >= 1) for BERT/GPT-2
-//! tandem asm <file.tasm>                assemble + run a Tandem program
+//! tandem asm <file.tasm> [--trace]      assemble + run a Tandem program
 //!                                       functionally, print the report
+//!                                       (--trace: and its Chrome trace JSON)
 //! tandem figure <id>|all                print one paper table/figure, or
 //!                                       all of them in paper order
 //! ```
@@ -21,11 +22,12 @@ use tandem_core::{Dram, TandemConfig, TandemProcessor};
 use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
 use tandem_npu::{Despecialization, Npu, NpuConfig, TileGranularity};
+use tandem_trace::ChromeTraceSink;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tandem models\n  tandem run <model> [--layer-granularity] \
-         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm>\n  \
+         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm> [--trace]\n  \
          tandem figure <id>|all"
     );
     ExitCode::from(2)
@@ -180,13 +182,10 @@ fn cmd_asm(args: &[String]) -> ExitCode {
     let mut proc = TandemProcessor::new(TandemConfig::paper());
     let mut dram = Dram::new(1 << 20);
     let result = if trace {
-        proc.run_logged(&program, &mut dram).map(|(report, log)| {
-            println!("execution trace:");
-            for event in &log {
-                println!("  {event:?}");
-            }
-            report
-        })
+        let mut sink = ChromeTraceSink::new();
+        let result = proc.run_traced(&program, &mut dram, &mut sink);
+        print!("execution trace (Chrome trace JSON):\n{}", sink.to_json());
+        result
     } else {
         proc.run(&program, &mut dram)
     };

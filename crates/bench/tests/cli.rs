@@ -1,5 +1,5 @@
-//! The `tandem` binary's usage errors and the `figure` subcommand, run as
-//! a user runs them.
+//! The `tandem` binary's usage errors and its `figure` and `asm`
+//! subcommands, run as a user runs them.
 
 use std::process::{Command, Output};
 
@@ -42,4 +42,46 @@ fn figure_prints_exactly_its_block() {
     );
     assert_eq!(stdout.matches("== ").count(), 1, "{stdout}");
     assert!(stdout.contains("geomean"), "{stdout}");
+}
+
+/// The committed example program: a 16-iteration Code Repeater nest.
+const VECTOR_ADD: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/vector_add.tasm"
+);
+
+#[test]
+fn asm_runs_the_example_program() {
+    let out = tandem(&["asm", VECTOR_ADD]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("compute cycles : 28"), "{stdout}");
+}
+
+#[test]
+fn asm_trace_prints_the_nest_as_chrome_trace_json() {
+    let out = tandem(&["asm", VECTOR_ADD, "--trace"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let nest = stdout
+        .lines()
+        .find(|l| l.contains("\"name\":\"nest\""))
+        .unwrap_or_else(|| panic!("no nest event in: {stdout}"));
+    assert!(nest.contains("\"iterations\":16"), "{nest}");
+}
+
+#[test]
+fn asm_reports_a_missing_file_and_a_malformed_line() {
+    let missing = concat!(env!("CARGO_TARGET_TMPDIR"), "/no_such_program.tasm");
+    let out = tandem(&["asm", missing]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains(missing), "{stderr}");
+
+    let bad = concat!(env!("CARGO_TARGET_TMPDIR"), "/malformed.tasm");
+    std::fs::write(bad, "iter.base IBUF1[0], 0\nfrobnicate IBUF1[0]\n").expect("write program");
+    let out = tandem(&["asm", bad]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
 }

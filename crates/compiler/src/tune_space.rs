@@ -6,10 +6,10 @@
 //! groups the nodes that share one decision into **sites** ([`TuneSite`],
 //! keyed by the choice-free part of their [`crate::NodeSignature`]), and
 //! carries a full assignment of sites to choices as a [`Schedule`] that
-//! [`crate::OpLowering`] consults during lowering. A schedule is the
-//! compiled form of one search **candidate**: `tandem-tune` mutates
-//! schedules, the compiler materializes them, `tandem-verify` gates them,
-//! and the cached simulator scores them.
+//! [`crate::OpLowering`] consults during lowering. A schedule is one
+//! search **candidate**: `tandem-tune` mutates schedules, the compiler
+//! materializes them, `tandem-verify` gates them, and the cached
+//! simulator scores them.
 //!
 //! Everything here is deterministic and platform-stable: site keys and
 //! schedule digests use an explicit little-endian FNV-1a hasher (not
@@ -196,13 +196,26 @@ pub fn stable_hash<T: Hash>(value: &T) -> u64 {
     h.finish()
 }
 
-/// A full assignment of tuning sites to [`TileChoice`]s — the compiled
-/// form of one search candidate. Cloning is cheap (the map lives behind
-/// an [`Arc`]); the empty schedule reproduces the hand-rolled compiler
-/// bit for bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A full assignment of tuning sites to [`TileChoice`]s: one search
+/// candidate, which `tandem-tune` generates and the compiler, the
+/// verifier and the cached simulator consume. Cloning is cheap (the map
+/// lives behind an [`Arc`]), and the digest is computed once, in
+/// [`Schedule::new`]; the empty schedule reproduces the hand-rolled
+/// compiler bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
+    // First, so that derived equality rejects on it before the maps.
+    digest: u64,
     choices: Arc<BTreeMap<u64, TileChoice>>,
+}
+
+impl Default for Schedule {
+    fn default() -> Self {
+        Schedule {
+            digest: FNV_OFFSET,
+            choices: Arc::default(),
+        }
+    }
 }
 
 impl Schedule {
@@ -213,7 +226,13 @@ impl Schedule {
 
     /// A schedule over explicit `(site key, choice)` assignments.
     pub fn new(choices: BTreeMap<u64, TileChoice>) -> Self {
+        let mut h = StableHasher::new();
+        for (&k, &c) in &choices {
+            h.write_u64(k);
+            c.hash(&mut h);
+        }
         Schedule {
+            digest: h.finish(),
             choices: Arc::new(choices),
         }
     }
@@ -238,16 +257,34 @@ impl Schedule {
         self.choices.iter().map(|(&k, &c)| (k, c))
     }
 
-    /// A stable digest of the whole assignment. Feeds cache keys (two
-    /// candidates over one graph must never collide in the graph-level
-    /// report cache) and candidate identity in the search driver.
+    /// A stable digest of the whole assignment: FNV-1a over each site key
+    /// and choice in key order. Feeds cache keys (two candidates over one
+    /// graph must never collide in the graph-level report cache) and
+    /// candidate identity in the search driver.
     pub fn digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        for (&k, &c) in self.choices.iter() {
-            h.write_u64(k);
-            c.hash(&mut h);
-        }
-        h.finish()
+        self.digest
+    }
+
+    /// Stable rendering of the overrides, one `site=choice` string per
+    /// assignment, named through `sites` where the key is known.
+    pub fn render(&self, sites: &[TuneSite]) -> Vec<String> {
+        self.iter()
+            .map(|(k, c)| {
+                let name = sites
+                    .iter()
+                    .find(|s| s.key == k)
+                    .map(|s| s.name.as_str())
+                    .unwrap_or("?");
+                format!("{name}@{k:016x}={}", c.render())
+            })
+            .collect()
+    }
+
+    /// A clone of this schedule, kept for callers written against the
+    /// tuner's former candidate type.
+    #[deprecated(note = "a tuner candidate is a `Schedule`; use it (or `clone()`) directly")]
+    pub fn schedule(&self) -> Schedule {
+        self.clone()
     }
 }
 
@@ -336,6 +373,11 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), Schedule::empty().digest());
         assert_eq!(a.digest(), a.clone().digest());
+        assert_eq!(
+            Schedule::new(BTreeMap::new()).digest(),
+            Schedule::empty().digest(),
+            "the empty map digests to the FNV offset"
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use error::SimError;
 pub use hbm::{link_gbps, HbmModel};
 pub use iterator_table::{IteratorEntry, IteratorTable};
 pub use permute::PermuteEngine;
-pub use processor::{LogEvent, Mode, TandemProcessor};
+pub use processor::{Mode, TandemProcessor};
 pub use report::RunReport;
 pub use scratchpad::Scratchpad;
 

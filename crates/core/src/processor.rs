@@ -21,48 +21,6 @@ use tandem_isa::{
 };
 use tandem_trace::{NullSink, TraceSink, Track};
 
-/// One event recorded by [`TandemProcessor::run_logged`] — a
-/// block-granular execution trace for debugging compiled programs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogEvent {
-    /// A configuration-class instruction executed at `pc`.
-    Config {
-        /// Program counter.
-        pc: usize,
-        /// The instruction.
-        instr: Instruction,
-    },
-    /// The Code Repeater ran a loop nest.
-    Nest {
-        /// Program counter of the first body instruction.
-        pc: usize,
-        /// Instructions in the body.
-        body_len: usize,
-        /// Total iterations across all levels.
-        iterations: u64,
-        /// Cycles charged (including pipeline fill).
-        cycles: u64,
-    },
-    /// The Data Access Engine moved a tile.
-    Dma {
-        /// Transfer direction.
-        dir: tandem_isa::TileDirection,
-        /// Scratchpad rows moved.
-        rows: u64,
-        /// DMA cycles.
-        cycles: u64,
-    },
-    /// The Permute Engine ran.
-    Permute {
-        /// Words moved.
-        words: u64,
-        /// Whether lanes were shuffled.
-        cross_lane: bool,
-    },
-    /// A synchronization instruction executed.
-    Sync(tandem_isa::SyncInfo),
-}
-
 /// Simulation mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
@@ -164,7 +122,7 @@ impl TandemProcessor {
     /// addresses, malformed loop bodies, unconfigured engines, IMM-BUF
     /// destinations).
     pub fn run(&mut self, program: &Program, dram: &mut Dram) -> Result<RunReport, SimError> {
-        self.run_inner(program, dram, None, &mut NullSink)
+        self.run_traced(program, dram, &mut NullSink)
     }
 
     /// Runs a program while emitting timeline spans into `sink`
@@ -184,33 +142,6 @@ impl TandemProcessor {
         dram: &mut Dram,
         sink: &mut dyn TraceSink,
     ) -> Result<RunReport, SimError> {
-        self.run_inner(program, dram, None, sink)
-    }
-
-    /// Runs a program while recording a block-granular execution trace
-    /// (configuration events, Code Repeater nests, DMA bursts, permutes,
-    /// sync markers).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_logged(
-        &mut self,
-        program: &Program,
-        dram: &mut Dram,
-    ) -> Result<(RunReport, Vec<LogEvent>), SimError> {
-        let mut log = Vec::new();
-        let report = self.run_inner(program, dram, Some(&mut log), &mut NullSink)?;
-        Ok((report, log))
-    }
-
-    fn run_inner(
-        &mut self,
-        program: &Program,
-        dram: &mut Dram,
-        mut log: Option<&mut Vec<LogEvent>>,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunReport, SimError> {
         let mut report = RunReport::default();
         let mut levels: Vec<LoopLevel> = Vec::new();
         let instrs = program.as_slice();
@@ -222,11 +153,6 @@ impl TandemProcessor {
         let mut cfg_run: Option<(u64, u64)> = None;
         while pc < instrs.len() {
             let instr = instrs[pc];
-            if instr.is_config() {
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(LogEvent::Config { pc, instr });
-                }
-            }
             match instr {
                 Instruction::IterConfigBase { ns, index, addr } => {
                     self.iters[ns as usize].set_offset(index, addr);
@@ -263,9 +189,6 @@ impl TandemProcessor {
                             &[("group", info.group as u64)],
                         );
                     }
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(LogEvent::Sync(info));
-                    }
                 }
                 Instruction::LoopSetIter { loop_id, count } => {
                     let id = loop_id as usize;
@@ -301,9 +224,9 @@ impl TandemProcessor {
                     }
                     let before = report.compute_cycles;
                     self.execute_nest(&levels, &instrs[body_start..body_end], &mut report)?;
-                    let iterations: u64 = levels.iter().map(|l| l.count as u64).product();
                     if trace {
                         flush_config_span(sink, &mut cfg_run);
+                        let iterations: u64 = levels.iter().map(|l| l.count as u64).product();
                         sink.span(
                             Track::Ops,
                             "nest",
@@ -312,14 +235,6 @@ impl TandemProcessor {
                             report.compute_cycles - before,
                             &[("body_len", count as u64), ("iterations", iterations)],
                         );
-                    }
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(LogEvent::Nest {
-                            pc: body_start,
-                            body_len: count as usize,
-                            iterations,
-                            cycles: report.compute_cycles - before,
-                        });
                     }
                     levels.clear();
                     pc = body_end;
@@ -364,9 +279,6 @@ impl TandemProcessor {
                             busy,
                             &[("words", words), ("cross_lane", cross_lane as u64)],
                         );
-                    }
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(LogEvent::Permute { words, cross_lane });
                     }
                 }
                 Instruction::TileLdSt {
@@ -426,9 +338,6 @@ impl TandemProcessor {
                                         ("issued_at_compute_cycle", report.compute_cycles),
                                     ],
                                 );
-                            }
-                            if let Some(log) = log.as_deref_mut() {
-                                log.push(LogEvent::Dma { dir, rows, cycles });
                             }
                         }
                     }

@@ -1,7 +1,7 @@
 //! End-to-end processor tests: Code-Repeater-driven nests, DMA, permutes,
 //! and the functional ≡ performance mode equivalence.
 
-use tandem_core::{Dram, Mode, SimError, TandemConfig, TandemProcessor};
+use tandem_core::{Dram, Mode, SimError, TandemConfig, TandemProcessor, TraceSink, Track};
 use tandem_isa::{AluFunc, ComparisonFunc, Instruction, LoopBindings, Namespace, Operand, Program};
 
 const IB1: Namespace = Namespace::Interim1;
@@ -319,12 +319,34 @@ fn functional_and_performance_reports_match() {
     }
 }
 
+/// A sink that keeps each span's name and arguments and each instant's
+/// category.
+#[derive(Default)]
+struct Recorder {
+    spans: Vec<(String, Vec<(String, u64)>)>,
+    instants: Vec<String>,
+}
+
+impl TraceSink for Recorder {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn span(&mut self, _: Track, name: &str, _: &str, _: u64, _: u64, args: &[(&str, u64)]) {
+        let args = args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        self.spans.push((name.to_string(), args));
+    }
+
+    fn instant(&mut self, _: Track, _: &str, cat: &str, _: u64, _: &[(&str, u64)]) {
+        self.instants.push(cat.to_string());
+    }
+
+    fn counter(&mut self, _: &str, _: u64, _: &[(&str, u64)]) {}
+}
+
 #[test]
-fn execution_log_records_nests_config_and_sync() {
-    use tandem_core::LogEvent;
+fn trace_records_nests_config_and_sync() {
     let cfg = TandemConfig::tiny();
-    let mut proc = TandemProcessor::new(cfg);
-    let mut dram = Dram::new(64);
     let mut p = vector_add_program(4, 0, 8, 16);
     p.push(Instruction::sync(
         tandem_isa::SyncUnit::Simd,
@@ -332,24 +354,27 @@ fn execution_log_records_nests_config_and_sync() {
         tandem_isa::SyncKind::Exec,
         1,
     ));
-    let (report, log) = proc.run_logged(&p, &mut dram).unwrap();
-    assert!(report.compute_cycles > 0);
-    let nests: Vec<_> = log
+    let mut sink = Recorder::default();
+    let traced = TandemProcessor::new(cfg.clone())
+        .run_traced(&p, &mut Dram::new(64), &mut sink)
+        .unwrap();
+    let plain = TandemProcessor::new(cfg)
+        .run(&p, &mut Dram::new(64))
+        .unwrap();
+    assert_eq!(traced, plain, "tracing changed the report");
+    let nests: Vec<_> = sink
+        .spans
         .iter()
-        .filter_map(|e| match e {
-            LogEvent::Nest {
-                iterations,
-                body_len,
-                ..
-            } => Some((*iterations, *body_len)),
-            _ => None,
-        })
+        .filter(|(name, _)| name == "nest")
+        .map(|(_, args)| args.clone())
         .collect();
-    assert_eq!(nests, vec![(4, 1)]);
-    let configs = log
-        .iter()
-        .filter(|e| matches!(e, LogEvent::Config { .. }))
-        .count();
-    assert_eq!(configs, 9, "6 iterator configs + 3 loop configs");
-    assert!(log.iter().any(|e| matches!(e, LogEvent::Sync(_))));
+    assert_eq!(
+        nests,
+        vec![vec![
+            ("body_len".to_string(), 1),
+            ("iterations".to_string(), 4)
+        ]]
+    );
+    assert!(sink.spans.iter().any(|(name, _)| name == "config"));
+    assert!(sink.instants.iter().any(|cat| cat == "sync"));
 }

@@ -111,13 +111,14 @@ impl Default for NpuConfig {
 }
 
 /// Memoization key of a node's (knob-adjusted) simulation report: the
-/// node's compile-level signature plus every executor setting that feeds
-/// into the report.
+/// node's compile-level signature plus the knobs, the one executor
+/// setting that feeds into the report. Granularity only changes how the
+/// executor composes node reports, so siblings that differ in it share
+/// every entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SimKey {
     sig: NodeSignature,
     knobs: Despecialization,
-    granularity: TileGranularity,
 }
 
 /// Memoization key of a whole-graph report: the graph's structural
@@ -680,7 +681,6 @@ impl Npu {
         let key = SimKey {
             sig,
             knobs: self.cfg.knobs,
-            granularity: self.cfg.granularity,
         };
         self.caches.sim.get_or_insert_with(&key, || {
             let compiled = self.lower(graph, node, Some(&key.sig));

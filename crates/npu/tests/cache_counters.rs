@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use tandem_model::zoo;
-use tandem_npu::{ExecStats, Npu, NpuConfig, Schedule, TileChoice};
+use tandem_npu::{ExecStats, Npu, NpuConfig, Schedule, TileChoice, TileGranularity};
 
 /// `[compile hits, compile misses, sim hits, sim misses, graph hits, graph
 /// misses, gate hits, gate misses, reused blocks]`.
@@ -95,4 +95,24 @@ fn every_step_moves_the_counters_exactly_as_pinned() {
     for ((step, got), want) in measured.iter().zip(&pinned) {
         assert_eq!(got, want, "{step}");
     }
+}
+
+/// Granularity only composes node reports, so it is not part of the
+/// per-node sim key: a Layer-granularity sibling of a warm Tile hub
+/// simulates no node again, and still reports what the uncached
+/// reference does at Layer granularity.
+#[test]
+fn a_layer_sibling_of_a_warm_hub_simulates_no_node() {
+    let graph = zoo::mobilenetv2();
+    let hub = Npu::new(NpuConfig::paper());
+    hub.run(&graph);
+    let mut layer = NpuConfig::paper();
+    layer.granularity = TileGranularity::Layer;
+    let sibling = hub.sibling(layer.clone());
+    let before = hub.stats();
+    let report = sibling.run(&graph);
+    let d = hub.stats().delta(&before);
+    assert_eq!(d.sim_misses, 0, "{d:?}");
+    assert!(d.sim_hits > 0, "{d:?}");
+    assert_eq!(report, Npu::uncached(layer).run(&graph));
 }

@@ -9,10 +9,11 @@
 //! [`tandem_compiler::TileChoice`] candidates enumerated by
 //! [`tandem_npu::Npu::tune_sites`] — and searches it:
 //!
-//! 1. **Materialize** — a [`Candidate`] is a partial site → choice map;
-//!    [`Candidate::schedule`] compiles it into the
-//!    [`tandem_compiler::CompileOptions::schedule`] /
-//!    [`tandem_npu::NpuConfig::schedule`] the stack already understands.
+//! 1. **Materialize** — a candidate is a [`tandem_compiler::Schedule`], a
+//!    partial site → choice map that
+//!    [`tandem_compiler::CompileOptions::schedule`] and
+//!    [`tandem_npu::NpuConfig::schedule`] take as is; its digest, computed
+//!    once per schedule, keys the score memo and every cache.
 //! 2. **Score** — every candidate runs on one [`tandem_npu::Npu::sibling`]
 //!    of a cache hub, so repeated `(site, choice)` decisions compile and
 //!    simulate once across the whole search.
@@ -45,7 +46,12 @@ pub use report::{outcome_json, trajectory_json};
 pub use search::{
     search_space, tune_graph, tune_in_space, GenerationStat, TuneOptions, TuneOutcome,
 };
-pub use space::{Candidate, SearchSpace};
+pub use space::SearchSpace;
+
+/// The former name of a search candidate, which is a
+/// [`tandem_compiler::Schedule`].
+#[deprecated(note = "a tuner candidate is a `tandem_compiler::Schedule`")]
+pub type Candidate = tandem_compiler::Schedule;
 
 use tandem_model::{Graph, GraphBuilder, Padding};
 

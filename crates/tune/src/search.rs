@@ -22,9 +22,10 @@
 //! verifies it with the NPU's widened verifier, once per distinct block;
 //! if it fails, the search returns the baseline.
 
-use crate::space::{below, Candidate, SearchSpace};
+use crate::space::{below, SearchSpace};
 use std::collections::HashMap;
 use std::time::Instant;
+use tandem_compiler::Schedule;
 use tandem_fleet::SplitMix64;
 use tandem_model::Graph;
 use tandem_npu::{par_map, Npu};
@@ -113,7 +114,7 @@ pub struct TuneOutcome {
     pub best_cycles: u64,
     /// The best-scoring candidate if it verifies clean, the baseline
     /// otherwise.
-    pub best: Candidate,
+    pub best: Schedule,
     /// Per-generation trajectory.
     pub generations: Vec<GenerationStat>,
     /// Distinct candidates evaluated over the whole search.
@@ -130,7 +131,7 @@ pub struct TuneOutcome {
     pub wall_s: f64,
     /// Every scored `(candidate, cycles)` pair, in `(cycles, digest)`
     /// order. Only [`TuneOutcome::best`] went through the verify gate.
-    pub accepted: Vec<(Candidate, u64)>,
+    pub accepted: Vec<(Schedule, u64)>,
 }
 
 impl TuneOutcome {
@@ -170,9 +171,9 @@ pub fn tune_graph(npu: &Npu, graph: &Graph, opts: &TuneOptions) -> TuneOutcome {
 /// candidate's schedule. Its [`Npu::run`] cycles bit-equal an
 /// [`Npu::uncached`] run under the same configuration (the oracle tests
 /// assert this).
-fn sibling(npu: &Npu, cand: &Candidate) -> Npu {
+fn sibling(npu: &Npu, cand: &Schedule) -> Npu {
     let mut cfg = npu.config().clone();
-    cfg.schedule = cand.schedule();
+    cfg.schedule = cand.clone();
     npu.sibling(cfg)
 }
 
@@ -187,17 +188,18 @@ pub fn tune_in_space(
     let mut rng = SplitMix64::new(opts.seed);
     // digest → cycles of every scored candidate.
     let mut memo: HashMap<u64, u64> = HashMap::new();
-    // Every scored candidate as (cycles, digest, candidate), kept sorted.
-    let mut pool: Vec<(u64, u64, Candidate)> = Vec::new();
+    // Every scored candidate as (cycles, candidate), kept sorted by
+    // (cycles, digest).
+    let mut pool: Vec<(u64, Schedule)> = Vec::new();
     let mut stats: Vec<GenerationStat> = Vec::new();
 
     let run_generation = |generation: usize,
-                          population: Vec<Candidate>,
+                          population: Vec<Schedule>,
                           memo: &mut HashMap<u64, u64>,
-                          pool: &mut Vec<(u64, u64, Candidate)>|
+                          pool: &mut Vec<(u64, Schedule)>|
      -> GenerationStat {
         // Dedupe within the generation, preserving first-occurrence order.
-        let mut uniq: Vec<Candidate> = Vec::with_capacity(population.len());
+        let mut uniq: Vec<Schedule> = Vec::with_capacity(population.len());
         {
             let mut seen = std::collections::HashSet::new();
             for c in population {
@@ -206,7 +208,7 @@ pub fn tune_in_space(
                 }
             }
         }
-        let fresh: Vec<Candidate> = uniq
+        let fresh: Vec<Schedule> = uniq
             .iter()
             .filter(|c| !memo.contains_key(&c.digest()))
             .cloned()
@@ -219,11 +221,10 @@ pub fn tune_in_space(
         });
         let sim_wall_s = t0.elapsed().as_secs_f64();
         for (c, cycles) in fresh.into_iter().zip(scores) {
-            let digest = c.digest();
-            memo.insert(digest, cycles);
-            pool.push((cycles, digest, c));
+            memo.insert(c.digest(), cycles);
+            pool.push((cycles, c));
         }
-        pool.sort_by_key(|c| (c.0, c.1));
+        pool.sort_by_key(|(cycles, c)| (*cycles, c.digest()));
         // Generation 0 always scores the baseline, so the pool is never
         // empty here.
         let best_cycles = pool[0].0;
@@ -256,8 +257,8 @@ pub fn tune_in_space(
         .filter(|&i| space.weights()[i] > 0)
         .collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(space.weights()[i]), i));
-    let mut gen0: Vec<Candidate> = vec![Candidate::baseline()];
-    let mut singles: Vec<(usize, Candidate)> = Vec::new();
+    let mut gen0: Vec<Schedule> = vec![Schedule::empty()];
+    let mut singles: Vec<(usize, Schedule)> = Vec::new();
     'sweep: for &i in &order {
         for &c in &space.sites()[i].candidates {
             if c == space.sites()[i].baseline {
@@ -272,12 +273,12 @@ pub fn tune_in_space(
         }
     }
     stats.push(run_generation(0, gen0, &mut memo, &mut pool));
-    let baseline_cycles = memo[&Candidate::baseline().digest()];
+    let baseline_cycles = memo[&Schedule::empty().digest()];
 
     // The greedy coordinate-descent point: for each site, its best
     // single-site override that beat the baseline.
     let greedy = {
-        let mut best_per_site: HashMap<usize, (u64, Candidate)> = HashMap::new();
+        let mut best_per_site: HashMap<usize, (u64, Schedule)> = HashMap::new();
         for (site, cand) in &singles {
             let cycles = memo[&cand.digest()];
             if cycles < baseline_cycles {
@@ -291,11 +292,9 @@ pub fn tune_in_space(
         }
         let mut choices = std::collections::BTreeMap::new();
         for (_, (_, cand)) in best_per_site {
-            for (&k, &c) in cand.choices() {
-                choices.insert(k, c);
-            }
+            choices.extend(cand.iter());
         }
-        Candidate::new(choices)
+        Schedule::new(choices)
     };
 
     // ---- Evolutionary generations over the beam ----
@@ -303,12 +302,12 @@ pub fn tune_in_space(
         if space.is_empty() {
             break;
         }
-        let elites: Vec<Candidate> = pool
+        let elites: Vec<Schedule> = pool
             .iter()
             .take(opts.beam.max(1))
-            .map(|(_, _, c)| c.clone())
+            .map(|(_, c)| c.clone())
             .collect();
-        let mut population: Vec<Candidate> = Vec::with_capacity(opts.population);
+        let mut population: Vec<Schedule> = Vec::with_capacity(opts.population);
         if generation == 1 && !greedy.is_empty() {
             population.push(greedy.clone());
         }
@@ -332,12 +331,12 @@ pub fn tune_in_space(
     // The search's one verify gate: the winner, through the hub's
     // memoized block verdicts. A rejected winner falls back to the
     // baseline.
-    let (mut best_cycles, _, mut best) = pool[0].clone();
+    let (mut best_cycles, mut best) = pool[0].clone();
     let t_gate = Instant::now();
     let rejected = usize::from(!sibling(npu, &best).verify_schedule(graph));
     let verify_wall_s = t_gate.elapsed().as_secs_f64();
     if rejected == 1 {
-        best = Candidate::baseline();
+        best = Schedule::empty();
         best_cycles = baseline_cycles;
     }
     TuneOutcome {
@@ -355,6 +354,6 @@ pub fn tune_in_space(
         sim_wall_s: stats.iter().map(|s| s.sim_wall_s).sum(),
         wall_s: t_search.elapsed().as_secs_f64(),
         generations: stats,
-        accepted: pool.into_iter().map(|(cycles, _, c)| (c, cycles)).collect(),
+        accepted: pool.into_iter().map(|(cycles, c)| (c, cycles)).collect(),
     }
 }

@@ -1,18 +1,17 @@
-//! Candidates and the genetic operators over them.
+//! The search space and the genetic operators over it.
 //!
-//! A [`Candidate`] is a partial assignment of tuning sites to
-//! [`TileChoice`]s — absent sites keep the hand-rolled heuristic, so the
-//! empty candidate *is* the baseline compiler. The [`SearchSpace`] holds
-//! the sites the target NPU exposes for a graph plus the mutation prior
-//! (one weight per site, fed by the dead-traffic lint and the site's
-//! instance count), and implements the search's three generators:
-//! random sampling, weighted point mutation, and uniform crossover. All
-//! three draw from the caller's [`SplitMix64`] stream only, so a fixed
-//! seed replays the identical search.
+//! A candidate is a compiler [`Schedule`]: a partial assignment of tuning
+//! sites to [`TileChoice`]s — absent sites keep the hand-rolled
+//! heuristic, so the empty schedule *is* the baseline compiler. The
+//! [`SearchSpace`] holds the sites the target NPU exposes for a graph
+//! plus the mutation prior (one weight per site, fed by the dead-traffic
+//! lint and the site's instance count), and implements the search's
+//! three generators: random sampling, weighted point mutation, and
+//! uniform crossover. All three draw from the caller's [`SplitMix64`]
+//! stream only, so a fixed seed replays the identical search.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use tandem_compiler::{Schedule, StableHasher, TileChoice, TuneSite};
+use tandem_compiler::{Schedule, TileChoice, TuneSite};
 use tandem_fleet::SplitMix64;
 
 /// Uniform draw from `0..n` (0 when `n == 0`).
@@ -21,74 +20,6 @@ pub(crate) fn below(rng: &mut SplitMix64, n: usize) -> usize {
         return 0;
     }
     (rng.next_u64() % n as u64) as usize
-}
-
-/// One search point: a partial site → choice assignment. Sites not in
-/// the map keep their hand-rolled heuristic, so `Candidate::default()`
-/// reproduces the baseline compiler bit for bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Candidate {
-    choices: BTreeMap<u64, TileChoice>,
-}
-
-impl Candidate {
-    /// The baseline candidate (no overrides).
-    pub fn baseline() -> Self {
-        Self::default()
-    }
-
-    /// A candidate over explicit assignments.
-    pub fn new(choices: BTreeMap<u64, TileChoice>) -> Self {
-        Candidate { choices }
-    }
-
-    /// The assignments.
-    pub fn choices(&self) -> &BTreeMap<u64, TileChoice> {
-        &self.choices
-    }
-
-    /// Number of overridden sites.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// `true` for the baseline candidate.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
-
-    /// Materializes the candidate as a compiler [`Schedule`].
-    pub fn schedule(&self) -> Schedule {
-        Schedule::new(self.choices.clone())
-    }
-
-    /// The candidate's stable identity — equal to
-    /// [`Schedule::digest`] of its materialized schedule. Keys the score
-    /// memo and breaks selection ties deterministically.
-    pub fn digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        for (&k, &c) in &self.choices {
-            h.write_u64(k);
-            c.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Stable rendering of the overrides, one `site=choice` string per
-    /// assignment, named through `sites` where the key is known.
-    pub fn render(&self, sites: &[TuneSite]) -> Vec<String> {
-        self.choices
-            .iter()
-            .map(|(&k, c)| {
-                let name = sites
-                    .iter()
-                    .find(|s| s.key == k)
-                    .map(|s| s.name.as_str())
-                    .unwrap_or("?");
-                format!("{name}@{k:016x}={}", c.render())
-            })
-            .collect()
-    }
 }
 
 /// The per-graph search space: the sites the NPU exposes and the
@@ -170,7 +101,7 @@ impl SearchSpace {
 
     /// A random candidate: each site independently keeps its baseline
     /// (2-in-3) or takes a uniformly random alternative.
-    pub fn random(&self, rng: &mut SplitMix64) -> Candidate {
+    pub fn random(&self, rng: &mut SplitMix64) -> Schedule {
         let mut choices = BTreeMap::new();
         for (s, &w) in self.sites.iter().zip(&self.weights) {
             if w == 0 || !rng.next_u64().is_multiple_of(3) {
@@ -181,28 +112,28 @@ impl SearchSpace {
                 choices.insert(s.key, c);
             }
         }
-        Candidate::new(choices)
+        Schedule::new(choices)
     }
 
     /// A single-site override.
-    pub fn single(&self, site: usize, choice: TileChoice) -> Candidate {
+    pub fn single(&self, site: usize, choice: TileChoice) -> Schedule {
         let mut choices = BTreeMap::new();
         if choice != self.sites[site].baseline {
             choices.insert(self.sites[site].key, choice);
         }
-        Candidate::new(choices)
+        Schedule::new(choices)
     }
 
     /// A point mutation of `parent`: one prior-weighted site flips to a
     /// different candidate (or, 1-in-4 when overridden, back to its
     /// baseline).
-    pub fn mutate(&self, parent: &Candidate, rng: &mut SplitMix64) -> Candidate {
-        let mut choices = parent.choices.clone();
+    pub fn mutate(&self, parent: &Schedule, rng: &mut SplitMix64) -> Schedule {
+        let mut choices: BTreeMap<u64, TileChoice> = parent.iter().collect();
         let site = &self.sites[self.pick_site(rng)];
         let current = choices.get(&site.key).copied();
         if current.is_some() && rng.next_u64().is_multiple_of(4) {
             choices.remove(&site.key);
-            return Candidate::new(choices);
+            return Schedule::new(choices);
         }
         let effective = current.unwrap_or(site.baseline);
         // Up to a handful of redraws to land on a different choice; a
@@ -218,13 +149,13 @@ impl SearchSpace {
                 break;
             }
         }
-        Candidate::new(choices)
+        Schedule::new(choices)
     }
 
     /// Uniform crossover: every site takes its assignment from `a` or
     /// `b` with equal probability (absence — the baseline — is inherited
     /// like any other assignment).
-    pub fn crossover(&self, a: &Candidate, b: &Candidate, rng: &mut SplitMix64) -> Candidate {
+    pub fn crossover(&self, a: &Schedule, b: &Schedule, rng: &mut SplitMix64) -> Schedule {
         let mut choices = BTreeMap::new();
         for s in &self.sites {
             let from = if rng.next_u64().is_multiple_of(2) {
@@ -232,11 +163,11 @@ impl SearchSpace {
             } else {
                 b
             };
-            if let Some(&c) = from.choices.get(&s.key) {
+            if let Some(c) = from.get(s.key) {
                 choices.insert(s.key, c);
             }
         }
-        Candidate::new(choices)
+        Schedule::new(choices)
     }
 }
 
@@ -284,29 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn digest_matches_schedule_digest() {
-        let space = toy_space();
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..16 {
-            let c = space.random(&mut rng);
-            assert_eq!(c.digest(), c.schedule().digest());
-        }
-        assert_eq!(
-            Candidate::baseline().digest(),
-            Schedule::empty().digest(),
-            "the empty candidate is the empty schedule"
-        );
-    }
-
-    #[test]
     fn operators_only_emit_known_choices() {
         let space = toy_space();
-        let legal = |c: &Candidate| {
-            c.choices().iter().all(|(k, v)| {
+        let legal = |c: &Schedule| {
+            c.iter().all(|(k, v)| {
                 space
                     .sites()
                     .iter()
-                    .any(|s| s.key == *k && s.candidates.contains(v))
+                    .any(|s| s.key == k && s.candidates.contains(&v))
             })
         };
         let mut rng = SplitMix64::new(11);
@@ -327,8 +243,8 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let mut heavy = 0usize;
         for _ in 0..200 {
-            let m = space.mutate(&Candidate::baseline(), &mut rng);
-            if m.choices().contains_key(&2) {
+            let m = space.mutate(&Schedule::empty(), &mut rng);
+            if m.get(2).is_some() {
                 heavy += 1;
             }
         }

@@ -22,12 +22,12 @@ use std::collections::HashSet;
 use std::time::Instant;
 use tandem_compiler::{
     schedule_block, schedule_graph_opts, CompileOptions, ExecutionBlock, NodeSignature, OpLowering,
-    Partitioner, TileChoice,
+    Partitioner, Schedule, TileChoice,
 };
 use tandem_fleet::SplitMix64;
 use tandem_model::{zoo, Graph};
 use tandem_npu::{Npu, NpuConfig};
-use tandem_tune::{search_space, tune_in_space, Candidate, SearchSpace, TuneOptions};
+use tandem_tune::{search_space, tune_in_space, SearchSpace, TuneOptions};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
 /// Candidates per model on top of the baseline: half drawn uniformly
@@ -39,14 +39,14 @@ fn models() -> Vec<Graph> {
     vec![zoo::bert_base(128), zoo::gpt2(128), zoo::resnet50()]
 }
 
-fn candidates(space: &SearchSpace, seed: u64) -> Vec<Candidate> {
+fn candidates(space: &SearchSpace, seed: u64) -> Vec<Schedule> {
     let mut rng = SplitMix64::new(seed);
-    let mut out = vec![Candidate::baseline()];
+    let mut out = vec![Schedule::empty()];
     for i in 0..DRAWS {
         out.push(if i % 2 == 0 {
             space.random(&mut rng)
         } else {
-            space.mutate(&Candidate::baseline(), &mut rng)
+            space.mutate(&Schedule::empty(), &mut rng)
         });
     }
     out
@@ -66,9 +66,9 @@ fn gate_key(
     (block.gemm.is_some(), sites.collect())
 }
 
-fn scheduled(cfg: &NpuConfig, cand: &Candidate) -> NpuConfig {
+fn scheduled(cfg: &NpuConfig, cand: &Schedule) -> NpuConfig {
     let mut cfg = cfg.clone();
-    cfg.schedule = cand.schedule();
+    cfg.schedule = cand.clone();
     cfg
 }
 
@@ -88,7 +88,7 @@ fn memoized_gate_matches_whole_graph_verification() {
                 &CompileOptions {
                     verify: true,
                     verify_mode: VerifyMode::Widened,
-                    schedule: cand.schedule(),
+                    schedule: cand.clone(),
                 },
             )
             .is_ok();
@@ -134,8 +134,8 @@ fn memoized_gate_matches_whole_graph_verification() {
         let keys: HashSet<_> = candidates(&space, seed as u64)
             .iter()
             .flat_map(|cand| {
-                let lowering = OpLowering::new(tandem.lanes, tandem.interim_rows)
-                    .with_schedule(cand.schedule());
+                let lowering =
+                    OpLowering::new(tandem.lanes, tandem.interim_rows).with_schedule(cand.clone());
                 let blocks = Partitioner::new().partition(graph);
                 blocks
                     .iter()
@@ -161,8 +161,7 @@ fn block_verdicts_do_not_depend_on_the_sync_group() {
         let blocks = Partitioner::new().partition(graph);
         let mut seen = HashSet::new();
         for cand in candidates(&space, seed as u64) {
-            let lowering =
-                OpLowering::new(tandem.lanes, tandem.interim_rows).with_schedule(cand.schedule());
+            let lowering = OpLowering::new(tandem.lanes, tandem.interim_rows).with_schedule(cand);
             for (i, block) in blocks.iter().enumerate() {
                 if !seen.insert(gate_key(&lowering, graph, block)) {
                     continue;

@@ -35,7 +35,7 @@ fn cached_scores_bit_agree_with_uncached_runs() {
         .chain(std::iter::once(&best));
     for (cand, recorded) in sample {
         let mut cfg = NpuConfig::paper();
-        cfg.schedule = cand.schedule();
+        cfg.schedule = cand.clone();
         let fresh = Npu::uncached(cfg).run(&g).total_cycles;
         assert_eq!(
             *recorded,
@@ -78,7 +78,7 @@ fn bert_siblings_of_one_hub_equal_uncached_runs() {
         let cand = space.random(&mut rng);
         assert!(!cand.is_empty(), "candidate {i} pins no site");
         let mut cfg = NpuConfig::paper();
-        cfg.schedule = cand.schedule();
+        cfg.schedule = cand;
         let sibling = hub.sibling(cfg.clone());
         let uncached = Npu::uncached(cfg);
         let before = hub.stats();

@@ -52,7 +52,7 @@ fn every_accepted_candidate_verifies_clean() {
         let copts = CompileOptions {
             verify: true,
             verify_mode: VerifyMode::Widened,
-            schedule: cand.schedule(),
+            schedule: cand.clone(),
         };
         schedule_graph_opts(&lowering, &g, &copts).unwrap_or_else(|e| {
             panic!(
