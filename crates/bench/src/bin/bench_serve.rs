@@ -415,11 +415,11 @@ fn main() {
 }
 
 /// The floor used when no committed baseline is found: the committed
-/// `smoke_floor_rps`, 2.98x below the 1.61M req/s median slowest
-/// scenario of 12 smoke runs on a 2-vCPU host.
-const DEFAULT_FLOOR_RPS: f64 = 540_000.0;
+/// `smoke_floor_rps`, 2.97x below the 1.69M req/s median slowest
+/// scenario of 24 smoke runs on a 2-vCPU host (0.92M–2.72M across them).
+const DEFAULT_FLOOR_RPS: f64 = 570_000.0;
 
 /// The tokens/sec floor for the `llm_decode` scenario when no committed
 /// baseline carries one: the committed `smoke_floor_llm_tok_ps`, 2.99x
-/// below the 5.81M tok/s median of the same 12 runs.
-const DEFAULT_FLOOR_LLM_TOK_PS: f64 = 1_940_000.0;
+/// below the 6.87M tok/s median of the same 24 runs.
+const DEFAULT_FLOOR_LLM_TOK_PS: f64 = 2_300_000.0;

@@ -156,7 +156,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 fn cmd_asm(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
+    // The path is the first argument that is not a flag, so `--trace`
+    // may come before or after it.
+    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
         return usage();
     };
     let trace = args.iter().any(|a| a == "--trace");

@@ -60,14 +60,20 @@ fn asm_runs_the_example_program() {
 
 #[test]
 fn asm_trace_prints_the_nest_as_chrome_trace_json() {
-    let out = tandem(&["asm", VECTOR_ADD, "--trace"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    let nest = stdout
-        .lines()
-        .find(|l| l.contains("\"name\":\"nest\""))
-        .unwrap_or_else(|| panic!("no nest event in: {stdout}"));
-    assert!(nest.contains("\"iterations\":16"), "{nest}");
+    // The flag may come before or after the path.
+    for args in [
+        ["asm", VECTOR_ADD, "--trace"],
+        ["asm", "--trace", VECTOR_ADD],
+    ] {
+        let out = tandem(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {stdout}");
+        let nest = stdout
+            .lines()
+            .find(|l| l.contains("\"name\":\"nest\""))
+            .unwrap_or_else(|| panic!("no nest event in: {stdout}"));
+        assert!(nest.contains("\"iterations\":16"), "{nest}");
+    }
 }
 
 #[test]

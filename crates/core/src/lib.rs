@@ -30,8 +30,9 @@
 //! the test suite to validate kernels against reference implementations);
 //! [`Mode::Performance`] walks the same instruction stream and produces
 //! *identical* cycle and event counts in closed form without touching data
-//! (used for end-to-end model runs). The equivalence of the two modes is
-//! itself property-tested.
+//! (used for end-to-end model runs). A processor's mode is fixed when it
+//! is built, and a performance-mode processor allocates no scratchpad
+//! storage. The equivalence of the two modes is itself property-tested.
 //!
 //! ```
 //! use tandem_core::{TandemProcessor, TandemConfig, Dram};
@@ -71,7 +72,6 @@ mod config;
 mod dae;
 mod energy;
 mod error;
-mod hbm;
 mod iterator_table;
 mod permute;
 mod processor;
@@ -84,7 +84,6 @@ pub use config::TandemConfig;
 pub use dae::{DataAccessEngine, Dram, TransferPlan};
 pub use energy::{EnergyBreakdown, EnergyModel, EventCounters};
 pub use error::SimError;
-pub use hbm::{link_gbps, HbmModel};
 pub use iterator_table::{IteratorEntry, IteratorTable};
 pub use permute::PermuteEngine;
 pub use processor::{Mode, TandemProcessor};

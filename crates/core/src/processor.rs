@@ -30,6 +30,8 @@ pub enum Mode {
     Functional,
     /// Count cycles and events in closed form without touching data
     /// (fast; produces identical [`RunReport`]s for the same program).
+    /// A processor built in this mode holds no data: its scratchpads
+    /// have no rows, and it needs no DRAM words (`Dram::new(0)` serves).
     Performance,
 }
 
@@ -55,19 +57,26 @@ pub struct TandemProcessor {
 impl TandemProcessor {
     /// Creates a processor in [`Mode::Functional`].
     pub fn new(cfg: TandemConfig) -> Self {
+        Self::with_mode(cfg, Mode::Functional)
+    }
+
+    /// Creates a processor in the given mode, fixed for its lifetime. A
+    /// [`Mode::Performance`] processor allocates no scratchpad storage.
+    pub fn with_mode(cfg: TandemConfig, mode: Mode) -> Self {
+        let rows = |rows: usize| if mode == Mode::Functional { rows } else { 0 };
         let spads = [
-            Scratchpad::new(Namespace::Interim1, cfg.interim_rows, cfg.lanes),
-            Scratchpad::new(Namespace::Interim2, cfg.interim_rows, cfg.lanes),
+            Scratchpad::new(Namespace::Interim1, rows(cfg.interim_rows), cfg.lanes),
+            Scratchpad::new(Namespace::Interim2, rows(cfg.interim_rows), cfg.lanes),
             // The IMM namespace is scalar slots, not a banked pad; this
             // placeholder keeps namespace indexing uniform for the permute
             // engine (which never targets IMM in compiled code).
-            Scratchpad::new(Namespace::Imm, 1, cfg.lanes),
-            Scratchpad::new(Namespace::Obuf, cfg.obuf_rows, cfg.lanes),
+            Scratchpad::new(Namespace::Imm, rows(1), cfg.lanes),
+            Scratchpad::new(Namespace::Obuf, rows(cfg.obuf_rows), cfg.lanes),
         ];
         let imm = vec![0; cfg.imm_slots];
         TandemProcessor {
             cfg,
-            mode: Mode::Functional,
+            mode,
             spads,
             iters: [
                 IteratorTable::new(),
@@ -81,25 +90,14 @@ impl TandemProcessor {
         }
     }
 
-    /// Creates a processor in the given mode.
-    pub fn with_mode(cfg: TandemConfig, mode: Mode) -> Self {
-        let mut p = Self::new(cfg);
-        p.mode = mode;
-        p
-    }
-
-    /// Switches mode (state is preserved).
-    pub fn set_mode(&mut self, mode: Mode) {
-        self.mode = mode;
-    }
-
     /// The configuration.
     pub fn config(&self) -> &TandemConfig {
         &self.cfg
     }
 
     /// Borrows a namespace's scratchpad (test / NPU integration access;
-    /// on the real chip the Output BUF is filled by the GEMM unit).
+    /// on the real chip the Output BUF is filled by the GEMM unit). A
+    /// [`Mode::Performance`] processor's scratchpads have no rows.
     pub fn scratchpad(&self, ns: Namespace) -> &Scratchpad {
         &self.spads[ns as usize]
     }

@@ -82,7 +82,8 @@ pub struct FleetConfig {
     pub batch_marginal: f64,
     /// Per-member private DRAM-link bandwidth in GB/s (one entry per
     /// NPU). `None` derives each member's link from its configuration
-    /// via [`tandem_core::link_gbps`] — 16 GB/s for the paper point.
+    /// (`dram_words_per_cycle` 4-byte words per cycle at `freq_ghz` GHz)
+    /// — 16 GB/s for the paper point.
     /// Only consulted while `hbm_gbps` is set.
     pub bw_gbps: Option<Vec<f64>>,
     /// Shared HBM bandwidth budget in GB/s across the whole fleet.

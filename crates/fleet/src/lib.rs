@@ -28,8 +28,8 @@
 //!   batch-scaling law prices a `k`-batch, and one report builder (on
 //!   [`LatencyAccumulator`]) books every completed request — exact
 //!   percentiles when records are retained, sketched when streaming.
-//! * **The shared memory system** ([`MemorySystem`], backed by
-//!   [`tandem_core::HbmModel`]) — set [`FleetConfig::hbm_gbps`] and the
+//! * **The shared memory system** ([`MemorySystem`], a max-min fair
+//!   split of one HBM budget) — set [`FleetConfig::hbm_gbps`] and the
 //!   members contend for one HBM stack: each unit of work's DMA-byte
 //!   footprint (from the cycle model's DAE accounting) becomes a
 //!   bandwidth demand, a max-min fair share is recomputed whenever the

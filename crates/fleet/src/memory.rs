@@ -1,7 +1,12 @@
 //! The fleet's shared memory system: turns per-model DRAM byte
-//! footprints into bandwidth demands and asks the [`HbmModel`] for a
-//! max-min fair split of the shared budget whenever the set of serving
-//! NPUs changes.
+//! footprints into bandwidth demands and splits the shared HBM budget
+//! max-min fairly among them whenever the set of serving NPUs changes.
+//!
+//! One NPU's Data Access Engine sees a private link whose peak bandwidth
+//! follows from its configuration, but co-located NPUs share the HBM
+//! stack behind those links. The split is progressive filling: a member
+//! demanding less than its equal share keeps its demand, and the budget
+//! it frees is re-shared among the heavier members.
 //!
 //! The engine models each dispatch as streaming its model's byte
 //! footprint at a constant average rate over the service: the demand of
@@ -21,7 +26,14 @@
 //! piecewise-constant in virtual time.
 
 use crate::engine::FleetConfig;
-use tandem_core::{link_gbps, HbmModel};
+use tandem_core::TandemConfig;
+
+/// Peak bandwidth of one NPU's private DRAM link in GB/s, as implied by
+/// its configuration: `dram_words_per_cycle` 4-byte words per cycle at
+/// `freq_ghz` GHz (the paper configuration works out to 16 GB/s).
+fn link_gbps(cfg: &TandemConfig) -> f64 {
+    cfg.dram_words_per_cycle * 4.0 * cfg.freq_ghz
+}
 
 /// A bandwidth demand: average rate and link-busy fraction of one
 /// (NPU, model) service, precomputed once per serving run.
@@ -54,19 +66,20 @@ pub struct Allocation {
     grants: Vec<f64>,
 }
 
-/// The shared memory system of a fleet: one [`HbmModel`] behind the
+/// The shared memory system of a fleet: one HBM budget behind the
 /// members' private links.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
-    hbm: HbmModel,
+    /// The shared budget in GB/s; `None` is unlimited.
+    budget_gbps: Option<f64>,
     links: Vec<f64>,
 }
 
 impl MemorySystem {
     /// Builds the memory system for `cfg`: per-member links from
-    /// `cfg.bw_gbps` (or derived from each member's configuration via
-    /// [`link_gbps`] when unset) behind a shared [`HbmModel`] with
-    /// budget `cfg.hbm_gbps`.
+    /// `cfg.bw_gbps` (or derived from each member's configuration when
+    /// unset) behind a shared budget of `cfg.hbm_gbps`. A non-finite or
+    /// non-positive budget is unlimited.
     pub fn new(cfg: &FleetConfig) -> Self {
         let links = match &cfg.bw_gbps {
             Some(v) => {
@@ -80,7 +93,7 @@ impl MemorySystem {
             None => cfg.npus.iter().map(|n| link_gbps(&n.tandem)).collect(),
         };
         MemorySystem {
-            hbm: HbmModel::new(cfg.hbm_gbps),
+            budget_gbps: cfg.hbm_gbps.filter(|b| b.is_finite() && *b > 0.0),
             links,
         }
     }
@@ -89,12 +102,12 @@ impl MemorySystem {
     /// means the engine takes its uncontended fast path, byte-identical
     /// to a fleet that predates the memory system.
     pub fn enabled(&self) -> bool {
-        !self.hbm.is_unlimited()
+        self.budget_gbps.is_some()
     }
 
     /// The shared budget in GB/s (`None` when unlimited).
     pub fn budget_gbps(&self) -> Option<f64> {
-        self.hbm.budget_gbps()
+        self.budget_gbps
     }
 
     /// The private link bandwidth of member `npu` in GB/s.
@@ -131,7 +144,7 @@ impl MemorySystem {
     pub fn allocate_into(&self, serving: &[Option<BandwidthDemand>], out: &mut Allocation) {
         out.demands.clear();
         out.demands.extend(serving.iter().flatten().map(|d| d.gbps));
-        self.hbm.allocate_into(&out.demands, &mut out.grants);
+        fair_share(self.budget_gbps, &out.demands, &mut out.grants);
         out.rates.clear();
         out.rates.resize(serving.len(), 1.0);
         out.throttled = 0;
@@ -153,6 +166,60 @@ impl MemorySystem {
         }
         out.demand_gbps = out.demands.iter().sum();
         out.granted_gbps = out.grants.iter().sum();
+    }
+}
+
+/// Max-min fair grants of `budget` (GB/s, `None` = unlimited) over
+/// `demands` (GB/s each), into `out`.
+///
+/// When the demands fit inside the budget every consumer receives
+/// exactly its demand — bit-for-bit, no arithmetic touches the values —
+/// so an under-subscribed stack is indistinguishable from an unlimited
+/// one. Over-subscribed, the budget is progressively filled: consumers
+/// demanding no more than the equal share of the remaining budget are
+/// satisfied first, and whatever they leave behind is re-shared among
+/// the rest, which all end up clamped to one common fair level.
+fn fair_share(budget: Option<f64>, demands: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    let budget = match budget {
+        Some(b) => b,
+        None => {
+            out.extend_from_slice(demands);
+            return;
+        }
+    };
+    let total: f64 = demands.iter().sum();
+    if total <= budget {
+        out.extend_from_slice(demands);
+        return;
+    }
+    // Progressive filling without index scratch: `-1.0` marks a
+    // still-active consumer (real grants are never negative — every
+    // active demand is positive and the remaining budget never goes
+    // below zero, since each satisfied demand is at most the share).
+    out.extend(demands.iter().map(|&d| if d > 0.0 { -1.0 } else { 0.0 }));
+    let mut active = demands.iter().filter(|&&d| d > 0.0).count();
+    let mut remaining = budget;
+    while active > 0 {
+        let share = remaining / active as f64;
+        let mut satisfied = 0usize;
+        for (grant, &d) in out.iter_mut().zip(demands) {
+            if *grant == -1.0 && d <= share {
+                *grant = d;
+                remaining -= d;
+                satisfied += 1;
+            }
+        }
+        if satisfied == 0 {
+            // Everyone left wants more than the fair level: clamp.
+            for grant in out.iter_mut() {
+                if *grant == -1.0 {
+                    *grant = share;
+                }
+            }
+            break;
+        }
+        active -= satisfied;
     }
 }
 
@@ -193,6 +260,85 @@ mod tests {
         let mut cfg = FleetConfig::homogeneous(NpuConfig::paper(), n);
         cfg.hbm_gbps = hbm;
         MemorySystem::new(&cfg)
+    }
+
+    /// The grants of a `budget` stack over `demands`.
+    fn allocate(budget: Option<f64>, demands: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        fair_share(budget, demands, &mut out);
+        out
+    }
+
+    #[test]
+    fn paper_link_is_16_gbps() {
+        assert_eq!(link_gbps(&TandemConfig::paper()), 16.0);
+    }
+
+    #[test]
+    fn unlimited_allocation_is_identity() {
+        assert!(!mem(1, None).enabled());
+        assert_eq!(allocate(None, &[3.0, 100.0]), vec![3.0, 100.0]);
+        // Non-finite and non-positive budgets degrade to unlimited.
+        assert!(!mem(1, Some(f64::INFINITY)).enabled());
+        assert!(!mem(1, Some(0.0)).enabled());
+        assert!(mem(1, Some(32.0)).enabled());
+    }
+
+    #[test]
+    fn under_subscription_returns_demands_bitwise() {
+        let d = [16.0, 15.9999, 0.0, 32.0];
+        assert_eq!(allocate(Some(64.0), &d[..3]), d[..3].to_vec());
+        // Exactly at budget still fits.
+        assert_eq!(allocate(Some(64.0), &[32.0, 32.0]), vec![32.0, 32.0]);
+    }
+
+    #[test]
+    fn equal_heavy_demands_split_the_budget_evenly() {
+        assert_eq!(
+            allocate(Some(32.0), &[16.0, 16.0, 16.0, 16.0]),
+            vec![8.0; 4]
+        );
+    }
+
+    #[test]
+    fn light_consumers_keep_their_demand_under_pressure() {
+        // The 2 GB/s consumer is under the fair level and keeps its
+        // demand; the two heavy ones split what's left.
+        let a = allocate(Some(30.0), &[2.0, 16.0, 16.0]);
+        assert_eq!(a[0], 2.0);
+        assert_eq!(a[1], 14.0);
+        assert_eq!(a[2], 14.0);
+        let granted: f64 = a.iter().sum();
+        assert!((granted - 30.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn allocation_never_exceeds_demand_or_budget() {
+        let demands = [1.0, 3.0, 9.0, 27.0];
+        let a = allocate(Some(20.0), &demands);
+        for (ai, di) in a.iter().zip(&demands) {
+            assert!(ai <= di, "allocation may never exceed demand");
+            assert!(*ai >= 0.0);
+        }
+        assert!(a.iter().sum::<f64>() <= 20.0 + 1e-9);
+    }
+
+    #[test]
+    fn shrinking_the_budget_never_grows_an_allocation() {
+        let demands = [4.0, 10.0, 16.0];
+        let wide = allocate(Some(28.0), &demands);
+        let tight = allocate(Some(14.0), &demands);
+        for (w, t) in wide.iter().zip(&tight) {
+            assert!(t <= w, "halving the budget must not raise anyone");
+        }
+    }
+
+    #[test]
+    fn idle_consumers_get_zero() {
+        let a = allocate(Some(8.0), &[0.0, 16.0, 0.0]);
+        assert_eq!(a[0], 0.0);
+        assert_eq!(a[2], 0.0);
+        assert_eq!(a[1], 8.0);
     }
 
     #[test]

@@ -110,17 +110,6 @@ impl Default for NpuConfig {
     }
 }
 
-/// Memoization key of a node's (knob-adjusted) simulation report: the
-/// node's compile-level signature plus the knobs, the one executor
-/// setting that feeds into the report. Granularity only changes how the
-/// executor composes node reports, so siblings that differ in it share
-/// every entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SimKey {
-    sig: NodeSignature,
-    knobs: Despecialization,
-}
-
 /// Memoization key of a whole-graph report: the graph's structural
 /// digest, hardened against (already astronomically unlikely) hash
 /// collisions by the graph's node and tensor counts, plus the
@@ -177,11 +166,15 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 /// Caching is sound because every cached value is a pure function of its
 /// key under one Tandem and one GEMM unit configuration: lowering depends
 /// only on the [`NodeSignature`] (compilation errors are memoized too),
-/// performance-mode simulation produces identical [`RunReport`]s for the
-/// same program, and the knob adjustments are deterministic arithmetic on
-/// that report. The GEMM side has no memo: its closed-form cycle model
-/// ([`GemmUnit::tile_report`]) is a few dozen integer operations, no
-/// dearer than a probe, so every run evaluates it directly.
+/// and a node's simulation runs its programs on a data-free
+/// performance-mode processor whose state each program's configuration
+/// section overwrites, so its [`RunReport`] depends on the programs
+/// alone. `sim` holds that report before the knobs: they are arithmetic
+/// applied after every lookup, so siblings that differ in knobs or
+/// granularity share every entry. The GEMM side has no memo:
+/// its closed-form cycle model ([`GemmUnit::tile_report`]) is a few
+/// dozen integer operations, no dearer than a probe, so every run
+/// evaluates it directly.
 ///
 /// The `demand` key names a graph by the pure `fn(usize) -> Graph` that
 /// builds it and that function's argument. Equal addresses are the same
@@ -192,15 +185,12 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 struct NpuCaches {
     compile: Memo<NodeSignature, Arc<Result<CompiledOp, CompileError>>>,
     gate: Memo<GateKey, bool>,
-    sim: Memo<SimKey, RunReport>,
+    sim: Memo<NodeSignature, RunReport>,
     graph: Memo<GraphKey, NpuReport>,
     plan: Memo<PlanKey, Arc<GraphPlan>>,
     demand: Memo<DemandKey, ServiceDemand>,
     reused_blocks: AtomicU64,
 }
-
-/// A performance-mode Tandem Processor and the DRAM it streams from.
-type Machine = (TandemProcessor, Dram);
 
 /// What one execution block costs before the blocks around it are
 /// known: everything but the cross-block prefetch hiding. A pure
@@ -472,9 +462,9 @@ impl Npu {
             ..Default::default()
         };
         let traced = sink.enabled();
-        // Built on the first simulation miss, so a run the sim memo
-        // answers everywhere builds none.
-        let mut machine = None;
+        // One data-free processor simulates every node of the run (each
+        // program's configuration section overwrites its state).
+        let mut proc = TandemProcessor::with_mode(self.cfg.tandem.clone(), Mode::Performance);
         // Trailing idle window of the previous block's GEMM DRAM channel:
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
@@ -490,11 +480,11 @@ impl Npu {
                     let slot = &mut class_parts[class];
                     reused += u64::from(slot.is_some());
                     &*slot.get_or_insert_with(|| {
-                        self.block_parts(graph, &plan, planned, &mut machine, &mut kinds)
+                        self.block_parts(graph, &plan, planned, &mut proc, &mut kinds)
                     })
                 }
                 None => {
-                    own = self.block_parts(graph, &plan, planned, &mut machine, &mut kinds);
+                    own = self.block_parts(graph, &plan, planned, &mut proc, &mut kinds);
                     &own
                 }
             };
@@ -509,11 +499,8 @@ impl Npu {
                 &mut exposed,
             );
             if traced {
-                let (proc, dram) = machine.get_or_insert_with(|| self.machine());
                 let block = &planned.block;
-                self.trace_block(
-                    graph, &plan, block, proc, dram, cursor, &timing, parts, sink,
-                );
+                self.trace_block(graph, &plan, block, &mut proc, cursor, &timing, parts, sink);
                 sink.counter(
                     "cycle attribution",
                     report.total_cycles,
@@ -528,16 +515,6 @@ impl Npu {
         report.tandem_energy = energy_model.energy(&report.counters);
         report.static_nj = self.cfg.static_power_w * report.seconds() * 1e9;
         report
-    }
-
-    /// A performance-mode processor and the DRAM it streams from. One
-    /// serves every node's programs in a run (each program's
-    /// configuration section overwrites the state).
-    fn machine(&self) -> Machine {
-        (
-            TandemProcessor::with_mode(self.cfg.tandem.clone(), Mode::Performance),
-            Dram::new(16),
-        )
     }
 
     /// Runs every graph, spreading the work across the available cores
@@ -662,65 +639,27 @@ impl Npu {
     }
 
     /// Simulates one non-GEMM node's compiled programs in performance
-    /// mode, returning its (knob-adjusted) aggregate report. Memoized on
-    /// the node's signature `sig` (plus the executor knobs) when there is
-    /// one; a miss lowers through the compile cache under the same
-    /// signature, so the compile cache is consulted only on `sim` misses.
-    /// A simulation runs on `machine`, built first if it is `None`.
+    /// mode and applies the knobs to the report. The simulation is
+    /// memoized on the node's signature `sig` when there is one (the
+    /// knobs apply after the lookup, so siblings that differ only in knobs
+    /// share every entry); a miss lowers through the compile cache under
+    /// the same signature, so the compile cache is consulted only on `sim`
+    /// misses. A simulation runs on the run's data-free `proc`.
     fn tandem_node_report(
         &self,
         graph: &Graph,
         node: &Node,
         sig: Option<NodeSignature>,
-        machine: &mut Option<Machine>,
+        proc: &mut TandemProcessor,
     ) -> RunReport {
-        let Some(sig) = sig else {
-            let compiled = self.lower(graph, node, None);
-            return self.simulate_node(node, &compiled, machine);
+        let mut report = match sig {
+            Some(sig) => self.caches.sim.get_or_insert_with(&sig, || {
+                simulate(proc, &self.lower(graph, node, Some(&sig)))
+            }),
+            None => simulate(proc, &self.lower(graph, node, None)),
         };
-        let key = SimKey {
-            sig,
-            knobs: self.cfg.knobs,
-        };
-        self.caches.sim.get_or_insert_with(&key, || {
-            let compiled = self.lower(graph, node, Some(&key.sig));
-            self.simulate_node(node, &compiled, machine)
-        })
-    }
-
-    /// The simulation body of [`Npu::tandem_node_report`]: runs
-    /// `node`'s lowering `compiled` and applies the knob adjustments.
-    fn simulate_node(
-        &self,
-        node: &Node,
-        compiled: &Result<CompiledOp, CompileError>,
-        machine: &mut Option<Machine>,
-    ) -> RunReport {
-        let compiled = match compiled {
-            Ok(c) => c,
-            Err(_) => return RunReport::default(), // metadata-only ops
-        };
-        let (proc, dram) = machine.get_or_insert_with(|| self.machine());
-        let mut total = RunReport::default();
-        for (prog, reps) in &compiled.tiles {
-            let one = proc
-                .run(prog, dram)
-                .expect("compiled tile program must simulate");
-            total.merge(&one.scaled(*reps));
-        }
-        // De-specialization penalties and special-function credits. The
-        // penalty models extra *instructions*, so it lands in the
-        // `despecialization` bucket; the multiplicative credit rescales
-        // every bucket so the breakdown keeps summing to the cycles.
-        let extra = self.cfg.knobs.extra_cycles(&total.counters);
-        total.compute_cycles += extra;
-        total.breakdown.despecialization += extra;
-        let factor = self.cfg.knobs.special_fn_factor(node.kind);
-        if factor < 1.0 {
-            total.compute_cycles = ((total.compute_cycles as f64) * factor).ceil() as u64;
-            total.breakdown.scale_to(total.compute_cycles);
-        }
-        total
+        self.cfg.knobs.apply(node.kind, &mut report);
+        report
     }
 
     /// The single-pass DATATYPE_CAST stream over `elems` elements.
@@ -838,7 +777,7 @@ impl Npu {
         graph: &Graph,
         plan: &GraphPlan,
         planned: &PlannedBlock,
-        machine: &mut Option<Machine>,
+        proc: &mut TandemProcessor,
         kinds: &mut Vec<(OpKind, u64)>,
     ) -> BlockParts {
         let block = &planned.block;
@@ -848,7 +787,7 @@ impl Npu {
         for &id in &block.non_gemm {
             let node = graph.node(id);
             let sig = plan.signature(graph, &self.lowering, id);
-            let r = self.tandem_node_report(graph, node, sig, machine);
+            let r = self.tandem_node_report(graph, node, sig, proc);
             add_cycles(kinds, start, node.kind, r.compute_cycles);
             tandem.merge(&r);
         }
@@ -1082,7 +1021,6 @@ impl Npu {
         plan: &GraphPlan,
         block: &ExecutionBlock,
         proc: &mut TandemProcessor,
-        dram: &mut Dram,
         cursor: u64,
         timing: &BlockTiming,
         parts: &BlockParts,
@@ -1190,7 +1128,7 @@ impl Npu {
                         &[],
                     );
                 }
-                self.trace_programs(&lowered, proc, dram, cursor, sink);
+                self.trace_programs(&lowered, proc, cursor, sink);
                 for _ in 0..tiles {
                     ctrl.on_event(ControllerEvent::TandemDone);
                 }
@@ -1273,7 +1211,7 @@ impl Npu {
                     }
                     self.trace_gemm_passes(gemm_detail, cursor, sink);
                     self.trace_dae_stream(tandem_total, cursor + g, sink);
-                    self.trace_programs(&lowered, proc, dram, cursor + g, sink);
+                    self.trace_programs(&lowered, proc, cursor + g, sink);
                     for k in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1337,7 +1275,7 @@ impl Npu {
                         &[("ops", block.non_gemm.len() as u64)],
                     );
                     self.trace_dae_stream(tandem_total, tandem_start, sink);
-                    self.trace_programs(&lowered, proc, dram, tandem_start, sink);
+                    self.trace_programs(&lowered, proc, tandem_start, sink);
                     for _ in 0..tiles {
                         ctrl.on_event(ControllerEvent::GemmTileDone);
                         ctrl.on_event(ControllerEvent::ObufReleased);
@@ -1412,7 +1350,6 @@ impl Npu {
         &self,
         lowered: &[Arc<Result<CompiledOp, CompileError>>],
         proc: &mut TandemProcessor,
-        dram: &mut Dram,
         start: u64,
         sink: &mut dyn TraceSink,
     ) {
@@ -1422,7 +1359,7 @@ impl Npu {
             for (prog, reps) in &c.tiles {
                 let one = {
                     let mut off = OffsetSink::new(sink, at, Track::Program);
-                    proc.run_traced(prog, dram, &mut off)
+                    proc.run_traced(prog, &mut Dram::new(0), &mut off)
                         .expect("compiled tile program must simulate")
                 };
                 at += one.compute_cycles;
@@ -1441,6 +1378,25 @@ impl Npu {
             }
         }
     }
+}
+
+/// The performance-mode report of a node's lowering `compiled`, summed
+/// over its tile programs and run on the data-free `proc`: a pure
+/// function of the programs, since each program's configuration section
+/// overwrites whatever state an earlier one left. A metadata-only op (a
+/// compile error) costs nothing.
+fn simulate(proc: &mut TandemProcessor, compiled: &Result<CompiledOp, CompileError>) -> RunReport {
+    let Ok(compiled) = compiled else {
+        return RunReport::default();
+    };
+    let mut total = RunReport::default();
+    for (prog, reps) in &compiled.tiles {
+        let one = proc
+            .run(prog, &mut Dram::new(0))
+            .expect("compiled tile program must simulate");
+        total.merge(&one.scaled(*reps));
+    }
+    total
 }
 
 /// The largest divisor of `n` that is at most `cap` (≥ 1): the biggest

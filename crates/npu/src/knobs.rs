@@ -2,7 +2,7 @@
 //! decision, converting the simulator into the corresponding conventional
 //! design point. These generate the ablations of Figures 6, 8, 18 and 19.
 
-use tandem_core::EventCounters;
+use tandem_core::{EventCounters, RunReport};
 use tandem_model::OpKind;
 
 /// Which specializations to *disable* (all `false` = the Tandem
@@ -90,6 +90,22 @@ impl Despecialization {
             (2.0 / expansion).clamp(0.05, 1.0)
         } else {
             1.0
+        }
+    }
+
+    /// Applies these knobs to the performance-mode report of one node of
+    /// `kind`. The penalty models extra *instructions*, so it lands in the
+    /// `despecialization` bucket; the multiplicative special-function
+    /// credit then rescales every bucket, so the breakdown keeps summing
+    /// to the cycles.
+    pub(crate) fn apply(&self, kind: OpKind, report: &mut RunReport) {
+        let extra = self.extra_cycles(&report.counters);
+        report.compute_cycles += extra;
+        report.breakdown.despecialization += extra;
+        let factor = self.special_fn_factor(kind);
+        if factor < 1.0 {
+            report.compute_cycles = ((report.compute_cycles as f64) * factor).ceil() as u64;
+            report.breakdown.scale_to(report.compute_cycles);
         }
     }
 

@@ -11,7 +11,9 @@
 
 use std::collections::BTreeMap;
 use tandem_model::zoo;
-use tandem_npu::{ExecStats, Npu, NpuConfig, Schedule, TileChoice, TileGranularity};
+use tandem_npu::{
+    Despecialization, ExecStats, Npu, NpuConfig, Schedule, TileChoice, TileGranularity,
+};
 
 /// `[compile hits, compile misses, sim hits, sim misses, graph hits, graph
 /// misses, gate hits, gate misses, reused blocks]`.
@@ -97,22 +99,32 @@ fn every_step_moves_the_counters_exactly_as_pinned() {
     }
 }
 
-/// Granularity only composes node reports, so it is not part of the
-/// per-node sim key: a Layer-granularity sibling of a warm Tile hub
-/// simulates no node again, and still reports what the uncached
-/// reference does at Layer granularity.
+/// Granularity only composes node reports and the knobs are arithmetic
+/// on them after the simulation, so neither is part of the per-node sim
+/// key: a sibling of a warm Tile hub at Layer granularity, with software
+/// loops or as a VPU-like vector unit simulates no node again, and still
+/// reports what the uncached reference does under its own config.
 #[test]
-fn a_layer_sibling_of_a_warm_hub_simulates_no_node() {
+fn a_granularity_or_knob_sibling_of_a_warm_hub_simulates_no_node() {
     let graph = zoo::mobilenetv2();
     let hub = Npu::new(NpuConfig::paper());
     hub.run(&graph);
     let mut layer = NpuConfig::paper();
     layer.granularity = TileGranularity::Layer;
-    let sibling = hub.sibling(layer.clone());
-    let before = hub.stats();
-    let report = sibling.run(&graph);
-    let d = hub.stats().delta(&before);
-    assert_eq!(d.sim_misses, 0, "{d:?}");
-    assert!(d.sim_hits > 0, "{d:?}");
-    assert_eq!(report, Npu::uncached(layer).run(&graph));
+    let mut loops = NpuConfig::paper();
+    loops.knobs = Despecialization {
+        branch_loops: true,
+        ..Despecialization::none()
+    };
+    let mut vpu = NpuConfig::paper();
+    vpu.knobs = Despecialization::vpu_like();
+    for (name, cfg) in [("layer", layer), ("branch_loops", loops), ("vpu_like", vpu)] {
+        let sibling = hub.sibling(cfg.clone());
+        let before = hub.stats();
+        let report = sibling.run(&graph);
+        let d = hub.stats().delta(&before);
+        assert_eq!(d.sim_misses, 0, "{name}: {d:?}");
+        assert!(d.sim_hits > 0, "{name}: {d:?}");
+        assert_eq!(report, Npu::uncached(cfg).run(&graph), "{name}");
+    }
 }
