@@ -8,8 +8,10 @@
 //!                                       de-specialize (Figure 6/18 ablations)
 //!     --iso-a100                        216x scale-up (Figure 21 setting)
 //!     --seq <n>                         sequence length (n >= 1) for BERT/GPT-2
-//! tandem asm <file.tasm> [--trace]      assemble + run a Tandem program
-//!                                       functionally, print the report
+//! tandem asm <file.tasm> [--trace]      assemble + verify a Tandem program,
+//!                                       print its diagnostics to stderr and,
+//!                                       if none is an error, run it
+//!                                       functionally and print the report
 //!                                       (--trace: and its Chrome trace JSON)
 //! tandem figure <id>|all                print one paper table/figure, or
 //!                                       all of them in paper order
@@ -23,12 +25,13 @@ use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
 use tandem_npu::{Despecialization, Npu, NpuConfig, TileGranularity};
 use tandem_trace::ChromeTraceSink;
+use tandem_verify::{Verifier, VerifyConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tandem models\n  tandem run <model> [--layer-granularity] \
-         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm> [--trace]\n  \
-         tandem figure <id>|all"
+         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm> [--trace]  \
+         (verifies first; exit 1 on a verifier error)\n  tandem figure <id>|all"
     );
     ExitCode::from(2)
 }
@@ -181,7 +184,19 @@ fn cmd_asm(args: &[String]) -> ExitCode {
         program.len(),
         program.compute_count()
     );
-    let mut proc = TandemProcessor::new(TandemConfig::paper());
+    let cfg = TandemConfig::paper();
+    let report = Verifier::new(VerifyConfig::from(&cfg)).verify(&program);
+    for d in &report.diagnostics {
+        eprintln!("{path}: {d}");
+    }
+    if !report.is_clean() {
+        eprintln!(
+            "{path}: {} verifier error(s); not simulating",
+            report.errors().count()
+        );
+        return ExitCode::FAILURE;
+    }
+    let mut proc = TandemProcessor::new(cfg);
     let mut dram = Dram::new(1 << 20);
     let result = if trace {
         let mut sink = ChromeTraceSink::new();

@@ -54,8 +54,35 @@ const VECTOR_ADD: &str = concat!(
 fn asm_runs_the_example_program() {
     let out = tandem(&["asm", VECTOR_ADD]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}{stderr}");
     assert!(stdout.contains("compute cycles : 28"), "{stdout}");
+    // The example is verifier-clean: no diagnostic at all.
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn asm_refuses_a_program_the_verifier_rejects() {
+    // The example's nest, but the add reads an IMM slot nothing wrote.
+    let bad = concat!(env!("CARGO_TARGET_TMPDIR"), "/uninit_imm.tasm");
+    std::fs::write(
+        bad,
+        "iter.base IBUF1[0], 0\niter.stride IBUF1[0], 1\nloop.iter L0, 16\n\
+         loop.ninst L0, 1\nadd IBUF1[0], IBUF1[0], IMM[3]\n",
+    )
+    .expect("write program");
+    for args in [["asm", bad, "--trace"], ["asm", "--trace", bad]] {
+        let out = tandem(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("0004: error [imm-uninitialized-read]"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stdout.contains("compute cycles"), "{args:?}: {stdout}");
+        assert!(!stdout.contains("Chrome trace"), "{args:?}: {stdout}");
+    }
 }
 
 #[test]

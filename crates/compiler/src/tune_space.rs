@@ -341,7 +341,7 @@ pub fn enumerate_sites(
                 if let Some((baseline, candidates)) = choices {
                     sites.push(TuneSite {
                         key,
-                        name: node.name.clone(),
+                        name: node.name.to_string(),
                         node: node.id,
                         instances: 1,
                         baseline,

@@ -1,10 +1,9 @@
 //! [`GraphBuilder`] — ergonomic construction of operator graphs with
 //! inline shape inference.
 
-use crate::graph::{Graph, NodeId, TensorId};
+use crate::graph::{Graph, Head, Name, NodeId, TensorId};
 use crate::op::{OpAttrs, OpClass, OpKind, Padding};
 use crate::shape::Shape;
-use std::fmt::Write;
 
 /// Builds a [`Graph`] node by node, inferring output shapes as it goes.
 ///
@@ -28,7 +27,7 @@ use std::fmt::Write;
 #[derive(Debug)]
 pub struct GraphBuilder {
     graph: Graph,
-    counter: usize,
+    counter: u32,
 }
 
 impl GraphBuilder {
@@ -40,17 +39,11 @@ impl GraphBuilder {
         }
     }
 
-    /// `{head}{kind}_{n}` for the next counter value `n`, with `kind`
-    /// lowercased, written into one exact-capacity string.
-    fn fresh_name(&mut self, head: &str, kind: &str) -> String {
+    /// The generated name `{head}{kind lowercased}_{n}` for the next
+    /// counter value `n`, kept as its parts (see [`Name`]).
+    fn fresh_name(&mut self, head: Head, kind: &'static str) -> Name {
         self.counter += 1;
-        let digits = self.counter.ilog10() as usize + 1;
-        let mut name = String::with_capacity(head.len() + kind.len() + 1 + digits);
-        name.push_str(head);
-        name.push_str(kind);
-        name[head.len()..].make_ascii_lowercase();
-        write!(name, "_{}", self.counter).expect("writing to a String cannot fail");
-        name
+        Name::generated(head, kind, self.counter)
     }
 
     /// Shape of `t`, borrowed (the builder's own shape inference reads
@@ -61,14 +54,14 @@ impl GraphBuilder {
 
     /// Declares a graph input activation.
     pub fn input(&mut self, name: &str, shape: impl Into<Shape>) -> TensorId {
-        let id = self.graph.add_tensor(name.to_string(), shape.into(), false);
+        let id = self.graph.add_tensor(name.into(), shape.into(), false);
         self.graph.mark_input(id);
         id
     }
 
     /// Declares a weight/constant tensor (ONNX initializer).
     pub fn weight(&mut self, shape: impl Into<Shape>) -> TensorId {
-        let name = self.fresh_name("w", "");
+        let name = self.fresh_name(Head::Weight, "");
         self.graph.add_tensor(name, shape.into(), true)
     }
 
@@ -103,9 +96,9 @@ impl GraphBuilder {
         out_shape: Shape,
         attrs: OpAttrs,
     ) -> TensorId {
-        let out_name = self.fresh_name("", kind.onnx_name());
+        let out_name = self.fresh_name(Head::Output, kind.onnx_name());
         let out = self.graph.add_tensor(out_name, out_shape, false);
-        let node_name = self.fresh_name("n_", kind.onnx_name());
+        let node_name = self.fresh_name(Head::Node, kind.onnx_name());
         self.graph
             .add_node(kind, node_name, inputs, vec![out], attrs);
         out
@@ -120,11 +113,11 @@ impl GraphBuilder {
     ) -> (NodeId, Vec<TensorId>) {
         let outs: Vec<TensorId> = out_shapes
             .map(|s| {
-                let name = self.fresh_name("", kind.onnx_name());
+                let name = self.fresh_name(Head::Output, kind.onnx_name());
                 self.graph.add_tensor(name, s, false)
             })
             .collect();
-        let node_name = self.fresh_name("n_", kind.onnx_name());
+        let node_name = self.fresh_name(Head::Node, kind.onnx_name());
         let id = self
             .graph
             .add_node(kind, node_name, inputs, outs.clone(), attrs);

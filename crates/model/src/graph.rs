@@ -4,7 +4,7 @@ use crate::op::{OpAttrs, OpKind};
 use crate::shape::Shape;
 use crate::stats::GraphStats;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Identifier of a [`Tensor`] within its [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,13 +28,89 @@ impl NodeId {
     }
 }
 
+/// The name of a [`Tensor`] or [`Node`], rendered only when displayed.
+///
+/// A name the [`GraphBuilder`](crate::GraphBuilder) generates is stored
+/// as its parts — a head (`""` for an operator output, `"n_"` for a node,
+/// `"w"` for a weight), the node's `&'static` ONNX kind (empty for a
+/// weight) and the builder's counter — and [`Display`](fmt::Display)
+/// renders it as `{head}{kind lowercased}_{n}` (`relu_3`, `n_relu_4`,
+/// `w_5`). Building, cloning or dropping such a name touches no heap, and
+/// it is no larger than a `String`. A caller-given name (a graph input)
+/// is kept as written and renders verbatim.
+///
+/// Equality compares the stored parts, not the rendering: a given name
+/// `"relu_3"` is not equal to the generated `relu_3`. Callers that need
+/// text compare the rendered strings.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Name(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    Generated {
+        head: Head,
+        kind: &'static str,
+        n: u32,
+    },
+    Given(Box<str>),
+}
+
+/// The head of a generated [`Name`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Head {
+    /// `""`: an operator's output tensor.
+    Output,
+    /// `"n_"`: an operator node.
+    Node,
+    /// `"w"`: a weight.
+    Weight,
+}
+
+impl Name {
+    /// The generated name `{head}{kind lowercased}_{n}`.
+    pub(crate) fn generated(head: Head, kind: &'static str, n: u32) -> Self {
+        Name(Repr::Generated { head, kind, n })
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Self {
+        Name(Repr::Given(name.into()))
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Repr::Generated { head, kind, n } => {
+                f.write_str(match head {
+                    Head::Output => "",
+                    Head::Node => "n_",
+                    Head::Weight => "w",
+                })?;
+                for c in kind.chars() {
+                    f.write_char(c.to_ascii_lowercase())?;
+                }
+                write!(f, "_{n}")
+            }
+            Repr::Given(name) => f.write_str(name),
+        }
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
+    }
+}
+
 /// A value flowing along a graph edge: an activation tensor or a weight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     /// Identifier within the graph.
     pub id: TensorId,
     /// Human-readable name (unique within the graph).
-    pub name: String,
+    pub name: Name,
     /// Shape of the value.
     pub shape: Shape,
     /// `true` for weights/constants known before execution (ONNX
@@ -56,8 +132,8 @@ pub struct Node {
     pub id: NodeId,
     /// Operator kind.
     pub kind: OpKind,
-    /// Human-readable name.
-    pub name: String,
+    /// Human-readable name (unique within the graph).
+    pub name: Name,
     /// Input tensors, in operator-defined order (activations first, then
     /// weights/constants).
     pub inputs: Vec<TensorId>,
@@ -158,7 +234,7 @@ impl Graph {
         self.digest = self.structural_digest();
     }
 
-    pub(crate) fn add_tensor(&mut self, name: String, shape: Shape, is_weight: bool) -> TensorId {
+    pub(crate) fn add_tensor(&mut self, name: Name, shape: Shape, is_weight: bool) -> TensorId {
         let id = TensorId(self.tensors.len() as u32);
         self.tensors.push(Tensor {
             id,
@@ -172,7 +248,7 @@ impl Graph {
     pub(crate) fn add_node(
         &mut self,
         kind: OpKind,
-        name: String,
+        name: Name,
         inputs: Vec<TensorId>,
         outputs: Vec<TensorId>,
         attrs: OpAttrs,
@@ -316,27 +392,27 @@ impl Graph {
             for &input in &node.inputs {
                 if input.index() >= self.tensors.len() {
                     return Err(GraphError::DanglingTensor {
-                        node: node.name.clone(),
+                        node: node.name.to_string(),
                         tensor: input.0,
                     });
                 }
                 if !defined[input.index()] {
                     return Err(GraphError::UseBeforeDef {
-                        node: node.name.clone(),
-                        tensor: self.tensor(input).name.clone(),
+                        node: node.name.to_string(),
+                        tensor: self.tensor(input).name.to_string(),
                     });
                 }
             }
             for &output in &node.outputs {
                 if output.index() >= self.tensors.len() {
                     return Err(GraphError::DanglingTensor {
-                        node: node.name.clone(),
+                        node: node.name.to_string(),
                         tensor: output.0,
                     });
                 }
                 if std::mem::replace(&mut written[output.index()], true) {
                     return Err(GraphError::MultipleWriters {
-                        tensor: self.tensor(output).name.clone(),
+                        tensor: self.tensor(output).name.to_string(),
                     });
                 }
                 defined[output.index()] = true;
@@ -456,6 +532,59 @@ mod tests {
                 node: "s".into(),
                 tensor: 9
             })
+        );
+    }
+
+    #[test]
+    fn generated_names_render_as_the_builder_spelled_them() {
+        let cases = [
+            (
+                Name::generated(Head::Output, OpKind::Relu.onnx_name(), 3),
+                "relu_3",
+            ),
+            (
+                Name::generated(Head::Node, OpKind::Relu.onnx_name(), 4),
+                "n_relu_4",
+            ),
+            (Name::generated(Head::Weight, "", 5), "w_5"),
+            (
+                Name::generated(Head::Output, OpKind::ReduceMean.onnx_name(), 7),
+                "reducemean_7",
+            ),
+            (
+                Name::generated(Head::Node, OpKind::MatMul.onnx_name(), 1234),
+                "n_matmul_1234",
+            ),
+        ];
+        for (name, text) in cases {
+            assert_eq!(name.to_string(), text);
+            assert_eq!(format!("{name:?}"), format!("{text:?}"));
+        }
+    }
+
+    #[test]
+    fn the_builder_names_outputs_nodes_and_weights_from_one_counter() {
+        let mut b = crate::GraphBuilder::new("names", 2024);
+        let x = b.input("x", [1, 4]);
+        let y = b.mul_const(x, [4]);
+        let z = b.reduce_mean(y, -1);
+        b.output(z);
+        let g = b.finish();
+        let tensors: Vec<String> = g.tensors().iter().map(|t| t.name.to_string()).collect();
+        let nodes: Vec<String> = g.nodes().iter().map(|n| n.name.to_string()).collect();
+        assert_eq!(tensors, ["x", "w_1", "mul_2", "reducemean_4"]);
+        assert_eq!(nodes, ["n_mul_3", "n_reducemean_5"]);
+    }
+
+    #[test]
+    fn a_given_name_renders_verbatim_and_equality_compares_parts() {
+        let given = Name::from("Input.0_X");
+        assert_eq!(given.to_string(), "Input.0_X");
+        assert_eq!(format!("{given:?}"), "\"Input.0_X\"");
+        assert_eq!(given, Name::from("Input.0_X"));
+        assert_ne!(
+            Name::from("relu_3"),
+            Name::generated(Head::Output, "Relu", 3)
         );
     }
 

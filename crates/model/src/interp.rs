@@ -127,7 +127,7 @@ pub fn run(
             .get(&id)
             .cloned()
             .ok_or_else(|| InterpError::MissingInput {
-                name: t.name.clone(),
+                name: t.name.to_string(),
             })?;
         env.insert(id, v);
     }

@@ -39,7 +39,7 @@ mod stats;
 pub mod zoo;
 
 pub use builder::GraphBuilder;
-pub use graph::{Graph, GraphError, Node, NodeId, Tensor, TensorId};
+pub use graph::{Graph, GraphError, Name, Node, NodeId, Tensor, TensorId};
 pub use op::{OpAttrs, OpClass, OpKind, Padding};
 pub use roofline::{operator_roofline, RooflinePoint};
 pub use shape::Shape;

@@ -2,8 +2,12 @@
 //! decode step is the largest host stage of LLM serving (its tables build
 //! one graph per context knot), and wall-time floors are too noisy on a
 //! shared host to guard it. The allocation count is deterministic, so it
-//! is pinned here under a counting global allocator. This file holds a
-//! single test so that no other test's allocations are counted.
+//! is pinned here under a counting global allocator. Node and tensor
+//! names are stored as parts (`tandem_model::Name`) and allocate nothing,
+//! so the budgets sit about 3.5% above the measured counts (2,212 and
+//! 2,188): a build that allocated one string per name again would make
+//! about 1,600 more. This file holds a single test so that no other
+//! test's allocations are counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,11 +59,11 @@ fn graph_builds_stay_within_allocation_budget() {
     let bert = allocations(|| zoo::bert_base(128));
     eprintln!("gpt2_decode_step(16): {decode} allocations; bert_base(128): {bert}");
     assert!(
-        decode <= 4_200,
-        "gpt2_decode_step(16) made {decode} allocations (budget 4200)"
+        decode <= 2_290,
+        "gpt2_decode_step(16) made {decode} allocations (budget 2290)"
     );
     assert!(
-        bert <= 4_000,
-        "bert_base(128) made {bert} allocations (budget 4000)"
+        bert <= 2_270,
+        "bert_base(128) made {bert} allocations (budget 2270)"
     );
 }

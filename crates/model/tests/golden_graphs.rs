@@ -16,7 +16,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn line(label: &str, g: &Graph) -> String {
-    let names: Vec<&str> = g.nodes().iter().map(|n| n.name.as_str()).collect();
+    let names: Vec<String> = g.nodes().iter().map(|n| n.name.to_string()).collect();
     format!(
         "{label}: nodes={} tensors={} display={:016x} names={:016x}\n",
         g.nodes().len(),

@@ -1,7 +1,8 @@
 //! Randomized tests over constructed graphs: the builder's shape
-//! inference, validation, and statistics must be self-consistent for any
-//! MLP/CNN the seeded generator produces.
+//! inference, validation, statistics and names must be self-consistent
+//! for any MLP/CNN the seeded generator produces.
 
+use std::collections::HashSet;
 use tandem_model::{GraphBuilder, OpClass, OpKind, Padding, Shape};
 
 /// xorshift64* — deterministic, dependency-free randomness for tests.
@@ -115,6 +116,21 @@ fn random_cnns_validate_and_count_consistently() {
         // graph output is produced by some node or is the input
         let out = g.outputs()[0];
         assert!(g.producer(out).is_some() || g.inputs().contains(&out));
+        // rendered names are unique within the graph: tensors among
+        // tensors, nodes among nodes
+        let tensor_names: HashSet<String> =
+            g.tensors().iter().map(|t| t.name.to_string()).collect();
+        assert_eq!(
+            tensor_names.len(),
+            g.tensors().len(),
+            "case {case}: tensor names repeat"
+        );
+        let node_names: HashSet<String> = g.nodes().iter().map(|n| n.name.to_string()).collect();
+        assert_eq!(
+            node_names.len(),
+            g.nodes().len(),
+            "case {case}: node names repeat"
+        );
     }
 }
 

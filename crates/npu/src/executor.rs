@@ -727,7 +727,7 @@ impl Npu {
             index.insert(key, sites.len());
             sites.push(TuneSite {
                 key,
-                name: node.name.clone(),
+                name: node.name.to_string(),
                 node: node.id,
                 instances: 1,
                 baseline,
@@ -1052,14 +1052,13 @@ impl Npu {
                 )
             })
             .collect();
-        let label = match (block.gemm, block.non_gemm.first()) {
-            (Some(g), _) => graph.node(g).name.as_str(),
-            (None, Some(&n)) => graph.node(n).name.as_str(),
-            (None, None) => "empty block",
+        let label = match block.gemm.or(block.non_gemm.first().copied()) {
+            Some(id) => graph.node(id).name.to_string(),
+            None => "empty block".to_string(),
         };
         sink.span(
             Track::Blocks,
-            label,
+            &label,
             "block",
             cursor,
             block_cycles,

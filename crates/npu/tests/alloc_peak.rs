@@ -1,10 +1,12 @@
-//! Peak heap-allocation size of a model run. A run simulates every node
-//! in performance mode, which reads no data, so it needs no scratchpad or
-//! DRAM storage: no single allocation during a cold run, cached or
-//! uncached, may be as large as one Interim BUF. The sizes are
-//! deterministic, so they are checked under a counting global allocator.
-//! This file holds a single test so that no other test's allocations are
-//! measured.
+//! Peak heap-allocation size and allocation count of a model run. A run
+//! simulates every node in performance mode, which reads no data, so it
+//! needs no scratchpad or DRAM storage: no single allocation during a
+//! cold run, cached or uncached, may be as large as one Interim BUF. The
+//! number of allocations is the host cost that wall-time floors are too
+//! noisy to guard on a shared host, so it is pinned too. Sizes and counts
+//! are deterministic, so they are checked under a counting global
+//! allocator. This file holds a single test so that no other test's
+//! allocations are measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,13 +17,21 @@ struct Counting;
 
 /// The largest allocation, in bytes, since the last reset.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Allocations (including reallocations) since the last reset.
+static COUNT: AtomicUsize = AtomicUsize::new(0);
+
+/// Records one allocation of `size` bytes.
+fn record(size: usize) {
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+    COUNT.fetch_add(1, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // so `System`'s guarantees are the caller's; the counter touches no
 // allocated memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -30,12 +40,12 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,11 +53,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The largest allocation `step` makes.
-fn largest(step: impl FnOnce()) -> usize {
+/// The largest allocation `step` makes, in bytes, and how many it makes.
+fn allocations(step: impl FnOnce()) -> (usize, usize) {
     LARGEST.store(0, Ordering::Relaxed);
+    COUNT.store(0, Ordering::Relaxed);
     step();
-    LARGEST.load(Ordering::Relaxed)
+    (
+        LARGEST.load(Ordering::Relaxed),
+        COUNT.load(Ordering::Relaxed),
+    )
 }
 
 #[test]
@@ -55,15 +69,29 @@ fn a_cold_run_allocates_nothing_the_size_of_an_interim_buf() {
     let graph = zoo::resnet50();
     let cfg = NpuConfig::paper();
     let interim_buf = cfg.tandem.interim_rows * cfg.tandem.lanes * 4;
-    let cached = largest(|| {
+    let (cached, cached_count) = allocations(|| {
         Npu::new(cfg.clone()).run(&graph);
     });
-    let uncached = largest(|| {
+    let (uncached, uncached_count) = allocations(|| {
         Npu::uncached(cfg.clone()).run(&graph);
     });
     eprintln!(
         "largest allocation of a cold ResNet-50 run: cached {cached} B, \
          uncached {uncached} B (Interim BUF {interim_buf} B)"
+    );
+    eprintln!(
+        "allocations of a cold ResNet-50 run: cached {cached_count}, \
+         uncached {uncached_count}"
+    );
+    // Budgets: 1.05x the counts measured in a debug build (539 cached,
+    // 789 uncached; a release build makes 499 and 789).
+    assert!(
+        cached_count <= 566,
+        "cached run made {cached_count} allocations (budget 566)"
+    );
+    assert!(
+        uncached_count <= 828,
+        "uncached run made {uncached_count} allocations (budget 828)"
     );
     assert!(cached < interim_buf, "cached run allocated {cached} B");
     assert!(
