@@ -215,8 +215,10 @@ pub fn schedule_graph_opts(
 
 /// The body of [`schedule_graph_opts`] with the node lowering supplied
 /// by the caller (see [`schedule_block`]): partitions `graph`, assembles
-/// every block under sync group `index % 32`, then runs `verifier` (if
-/// any) over the assembled programs in block order.
+/// every block under sync group `index % 32`, then gates the assembled
+/// programs in block order on [`Verifier::is_clean`] (if a `verifier`
+/// is given), which skips the warnings-only dead-traffic pass. The first
+/// failing block is verified in full for its report.
 ///
 /// A block whose syncs all carry its own group and whose program equals
 /// an earlier clean block's up to that group is clean without being
@@ -252,8 +254,8 @@ where
             if has_clean_twin(&blocks, &clean, fingerprint, &sb.program) {
                 continue;
             }
-            let report = verifier.verify(&sb.program);
-            if !report.is_clean() {
+            if !verifier.is_clean(&sb.program) {
+                let report = verifier.verify(&sb.program);
                 return Err(CompileError::Verification { block: i, report });
             }
             if let Some(fp) = fingerprint {

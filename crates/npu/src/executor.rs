@@ -577,7 +577,7 @@ impl Npu {
             let block = &planned.block;
             let mut verdict = || {
                 schedule_block(graph, block, (i % 32) as u8, &mut lower)
-                    .is_ok_and(|sb| self.verifier.verify(&sb.program).is_clean())
+                    .is_ok_and(|sb| self.verifier.is_clean(&sb.program))
             };
             let Some(site_keys) = site_keys else {
                 return verdict();

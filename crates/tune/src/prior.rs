@@ -3,7 +3,9 @@
 //!
 //! `tandem-verify`'s dead-traffic lints attach a structured
 //! wasted-word estimate to every dead scratchpad store and redundant
-//! IMM write ([`tandem_verify::VerifyReport::wasted_words`]). A site
+//! IMM write. [`tandem_verify::Verifier::wasted_words`] runs that pass
+//! alone and sums the estimates; the prior reads nothing else of the
+//! verifier. A site
 //! whose baseline lowering moves words for nothing is where a different
 //! tile shape is most likely to pay off, so the search mutates it more
 //! often. Sites that govern many graph nodes get a proportional boost
@@ -33,7 +35,7 @@ pub fn site_weights(
             if node.kind.class() != OpClass::Gemm {
                 if let Ok(compiled) = lowering.lower_node(graph, node) {
                     for (prog, reps) in &compiled.tiles {
-                        wasted += verifier.verify(prog).wasted_words() * reps;
+                        wasted += verifier.wasted_words(prog) * reps;
                     }
                 }
             }

@@ -51,7 +51,7 @@ pub use diag::{Diagnostic, Rule, Severity, VerifyReport};
 
 use std::time::Instant;
 use tandem_core::TandemConfig;
-use tandem_isa::{Namespace, Program};
+use tandem_isa::{Instruction, Namespace, Program};
 
 /// The machine capacities the verifier checks programs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +159,33 @@ impl Verifier {
         self.verify_timed(program).report
     }
 
+    /// `verify(program).is_clean()`, computed by only the passes that can
+    /// report an error: closure, sync pairing, deadlock and scratchpad,
+    /// untimed. The dead-traffic pass is skipped because it reports only
+    /// [`Rule::DeadStore`] and [`Rule::RedundantImmWrite`], both
+    /// [`Severity::Warning`], so it can never change the verdict. The
+    /// compiler's and the NPU's verify gates call this; a caller that
+    /// needs the findings of a failing program runs [`Verifier::verify`]
+    /// on it.
+    pub fn is_clean(&self, program: &Program) -> bool {
+        let mut diags = Vec::new();
+        check_closure(program, &mut diags);
+        sync::check(program, &mut diags);
+        deadlock::check(program, &mut diags);
+        dataflow::check(&self.cfg, program, &mut diags);
+        report(program, diags).is_clean()
+    }
+
+    /// `verify(program).wasted_words()`, computed by the dead-traffic
+    /// pass alone: it is the only pass whose findings carry a
+    /// [`Diagnostic::wasted_words`] estimate. The autotuner's mutation
+    /// prior calls this.
+    pub fn wasted_words(&self, program: &Program) -> u64 {
+        let mut diags = Vec::new();
+        deadcode::check(&self.cfg, program, &mut diags);
+        report(program, diags).wasted_words()
+    }
+
     /// Like [`Verifier::verify`], additionally returning wall-time and
     /// diagnostic counts per pass (for `TANDEM_LINT.json` and the
     /// autotuner budget guard).
@@ -181,12 +208,17 @@ impl Verifier {
         });
         diags.sort_by_key(|d| d.pc);
         VerifyRun {
-            report: VerifyReport {
-                instructions: program.len(),
-                diagnostics: diags,
-            },
+            report: report(program, diags),
             passes: vec![closure, pairing, deadlock, scratchpad, summaries, dead],
         }
+    }
+}
+
+/// The report of `program` with findings `diags`.
+fn report(program: &Program, diags: Vec<Diagnostic>) -> VerifyReport {
+    VerifyReport {
+        instructions: program.len(),
+        diagnostics: diags,
     }
 }
 
@@ -211,44 +243,23 @@ fn timed<R>(
 /// Encode/decode closure: a verified program must survive the trip
 /// through its 32-bit binary form bit-identically (any instruction the
 /// rest of the pipeline — caches, dispatch, the simulator — re-decodes
-/// must mean the same thing).
+/// must mean the same thing). Each instruction is checked on its own
+/// word, so the check allocates nothing for a program that round-trips.
 fn check_closure(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let words = program.encode();
-    match Program::decode(&words) {
-        Ok(decoded) => {
-            for (pc, (a, b)) in program.iter().zip(decoded.iter()).enumerate() {
-                if a != b {
-                    diags.push(Diagnostic::new(
-                        pc,
-                        Rule::EncodeDecodeMismatch,
-                        format!("instruction re-decodes as `{b}` instead of `{a}`"),
-                    ));
-                }
-            }
-            if decoded.len() != program.len() {
-                diags.push(Diagnostic::new(
-                    program.len().saturating_sub(1),
-                    Rule::EncodeDecodeMismatch,
-                    format!(
-                        "program of {} instructions decodes to {}",
-                        program.len(),
-                        decoded.len()
-                    ),
-                ));
-            }
-        }
-        Err(e) => diags.push(Diagnostic::new(
-            0,
-            Rule::EncodeDecodeMismatch,
-            format!("encoded program fails to decode: {e}"),
-        )),
+    for (pc, &instr) in program.iter().enumerate() {
+        let message = match Instruction::decode(instr.encode()) {
+            Ok(back) if back == instr => continue,
+            Ok(back) => format!("instruction re-decodes as `{back}` instead of `{instr}`"),
+            Err(e) => format!("encoded instruction fails to decode: {e}"),
+        };
+        diags.push(Diagnostic::new(pc, Rule::EncodeDecodeMismatch, message));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tandem_isa::{AluFunc, Instruction, Operand};
+    use tandem_isa::{AluFunc, Operand};
 
     #[test]
     fn empty_program_is_clean() {

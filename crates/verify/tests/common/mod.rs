@@ -6,6 +6,7 @@
 use tandem_isa::{
     AluFunc, Instruction, LoopBindings, Namespace, Operand, Program, SyncEdge, SyncKind, SyncUnit,
 };
+use tandem_verify::Verifier;
 
 /// xorshift64* — deterministic, dependency-free randomness.
 pub struct Rng(u64);
@@ -172,4 +173,12 @@ pub fn forall_programs(
             describe(&minimal),
         );
     }
+}
+
+/// Whether `verifier`'s gate and prior entry points agree with its full
+/// report on `p`: `is_clean` with the report's verdict and
+/// `wasted_words` with its wasted-traffic total.
+pub fn entry_points_agree(verifier: &Verifier, p: &Program) -> bool {
+    let report = verifier.verify(p);
+    (verifier.is_clean(p), verifier.wasted_words(p)) == (report.is_clean(), report.wasted_words())
 }

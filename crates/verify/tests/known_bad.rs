@@ -3,13 +3,23 @@
 //! the precise instruction.
 
 use tandem_isa::{
-    AluFunc, Instruction, LoopBindings, Namespace, Operand, Program, SyncEdge, SyncKind, SyncUnit,
+    AluFunc, Instruction, LoopBindings, Namespace, Operand, Program, SyncEdge, SyncInfo, SyncKind,
+    SyncUnit,
 };
 use tandem_verify::{Rule, Severity, Verifier, VerifyConfig, VerifyReport};
 
 fn verify(p: &Program) -> VerifyReport {
     // tiny machine: 8 lanes, 64 Interim rows, 128 OBUF rows, 32 IMM slots
-    Verifier::new(VerifyConfig::tiny()).verify(p)
+    let verifier = Verifier::new(VerifyConfig::tiny());
+    let report = verifier.verify(p);
+    // The gate and prior entry points run a subset of the passes; on
+    // every fixture they must agree with the full report.
+    assert_eq!(
+        (verifier.is_clean(p), verifier.wasted_words(p)),
+        (report.is_clean(), report.wasted_words()),
+        "entry points disagree with verify:\n{report}"
+    );
+    report
 }
 
 #[track_caller]
@@ -755,6 +765,40 @@ fn one_store_kills_two_earlier_stores_with_a_count_each() {
         .collect();
     assert!(texts[0].contains("writes 2 row(s)"), "{r}");
     assert!(texts[1].contains("writes 4 row(s)"), "{r}");
+}
+
+// --- binary closure ---
+
+/// A sync group past the 5-bit field (built directly, bypassing
+/// `Instruction::sync`'s range assert) encodes with its high bit cut
+/// off: group 40 re-decodes as group 8. The region is otherwise well
+/// paired, so the closure check alone must reject it.
+#[test]
+fn sync_group_past_its_field_fails_the_round_trip() {
+    let sync = |edge| {
+        Instruction::Sync(SyncInfo {
+            unit: SyncUnit::Simd,
+            edge,
+            kind: SyncKind::Exec,
+            group: 40,
+        })
+    };
+    let mut p = Program::new();
+    p.push(sync(SyncEdge::Start)); // 0
+    p.push(sync(SyncEdge::End)); // 1
+    let r = verify(&p);
+    assert!(!r.is_clean());
+    assert!(!Verifier::new(VerifyConfig::tiny()).is_clean(&p));
+    let found: Vec<(usize, Rule)> = r.diagnostics.iter().map(|d| (d.pc, d.rule)).collect();
+    assert_eq!(
+        found,
+        vec![
+            (0, Rule::EncodeDecodeMismatch),
+            (1, Rule::EncodeDecodeMismatch)
+        ],
+        "{r}"
+    );
+    assert!(r.diagnostics[0].message.contains("re-decodes as"), "{r}");
 }
 
 // --- widened vs exact agreement on a known overflow ---

@@ -596,7 +596,10 @@ fn dead_traffic_matches_the_per_row_reference() {
         0xDEAD_0057,
         3000,
         arb_dead_traffic_program,
-        |p| tiny_dead_traffic(p) == tiny_reference(p),
+        |p| {
+            tiny_dead_traffic(p) == tiny_reference(p)
+                && common::entry_points_agree(&Verifier::new(VerifyConfig::tiny()), p)
+        },
         |p| {
             format!(
                 "  verifier:\n{}  reference:\n{}",

@@ -17,8 +17,12 @@ use common::{arb_program, Rng};
 use tandem_isa::Program;
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode, VerifyReport};
 
+fn verifier(mode: VerifyMode) -> Verifier {
+    Verifier::new(VerifyConfig::tiny().with_mode(mode))
+}
+
 fn verify(mode: VerifyMode, p: &Program) -> VerifyReport {
-    Verifier::new(VerifyConfig::tiny().with_mode(mode)).verify(p)
+    verifier(mode).verify(p)
 }
 
 fn errors(r: &VerifyReport) -> usize {
@@ -49,11 +53,15 @@ fn widened_never_reports_fewer_errors_than_exact() {
 
 /// Precision: on affine address streams — all the ISA can express — the
 /// interval summaries are exact, so the two modes agree diagnostic for
-/// diagnostic, not just on counts.
+/// diagnostic, not just on counts. In both modes the gate and prior
+/// entry points agree with the full report.
 #[test]
 fn widened_and_exact_agree_bit_for_bit_on_random_programs() {
     forall_programs(0xD1FF5, 1500, |p| {
         verify(VerifyMode::Widened, p).diagnostics == verify(VerifyMode::Exact, p).diagnostics
+            && [VerifyMode::Widened, VerifyMode::Exact]
+                .into_iter()
+                .all(|mode| common::entry_points_agree(&verifier(mode), p))
     });
 }
 

@@ -31,11 +31,20 @@ fn verify_zoo(lanes: usize, rows: usize, graphs: Vec<Graph>) -> Vec<Block> {
             panic!("{}: scheduling failed: {e:?}", graph.name);
         });
         for (index, block) in blocks.iter().enumerate() {
+            let p = &block.program;
+            let report = verifier.verify(p);
+            // The gate and prior entry points agree with the full report.
+            assert_eq!(
+                (verifier.is_clean(p), verifier.wasted_words(p)),
+                (report.is_clean(), report.wasted_words()),
+                "{} block {index}: entry points disagree with verify",
+                graph.name
+            );
             out.push(Block {
                 model: graph.name.clone(),
                 machine: (lanes, rows),
                 index,
-                report: verifier.verify(&block.program),
+                report,
             });
         }
     }
