@@ -101,13 +101,15 @@ cargo run --release -q --bin bench_serve -- --smoke --out artifacts/BENCH_SERVE_
 echo "==> tandem-tune (schedule autotuner, smoke + regression floors)"
 cargo run --release -q --bin tandem_tune -- --smoke --out artifacts/BENCH_TUNE_SMOKE.json
 
-# Whole-stack host benchmark, correctness only: a short transformer_cold
-# run (every cache cold) and a short cnn_warm run (caches filled in
-# set-up, so runs, tuner siblings and serving tables take the warm
-# paths) check every phase's result against the uncached reference and
-# must report "correct": true on their last line. Their timings are not
-# gated here (a 2 s run on a shared CI runner is too noisy for that).
-for workload in transformer_cold cnn_warm; do
+# Whole-stack host benchmark, correctness only: short transformer_cold
+# and cnn_cold runs (every cache cold, so every node is lowered, verified
+# and simulated on the cold compile path) and a short cnn_warm run
+# (caches filled in set-up, so runs, tuner siblings and serving tables
+# take the warm paths) check every phase's result against the uncached
+# reference and must report "correct": true on their last line. Their
+# timings are not gated here (a 2 s run on a shared CI runner is too
+# noisy for that).
+for workload in transformer_cold cnn_cold cnn_warm; do
     echo "==> hostbench (whole-stack correctness smoke, $workload)"
     hostbench_out=$(cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)

@@ -3,7 +3,6 @@
 //! operator template builds on.
 
 use crate::lower::CompileError;
-use std::collections::HashMap;
 use tandem_isa::{
     Instruction, LoopBindings, Namespace, Operand, Program, IMM_BUF_SLOTS, ITERATOR_TABLE_ENTRIES,
     MAX_LOOP_LEVELS,
@@ -57,30 +56,56 @@ pub struct NestLevel {
     pub src2: Option<Operand>,
 }
 
+/// Rows of one Interim BUF that tile programs can address: the machine's
+/// `interim_rows`, capped at `u16::MAX` because iterator base rows are
+/// 16-bit. [`TileProgramBuilder`] allocates within it and
+/// [`crate::Tiler`] sizes tiles by it, so the two agree on every machine.
+pub(crate) fn usable_rows(interim_rows: usize) -> u16 {
+    interim_rows.min(usize::from(u16::MAX)) as u16
+}
+
+/// Instructions a builder's program and its staged loop body have room
+/// for before they grow: every zoo template fits (the longest program,
+/// Softmax, has 98 instructions; the longest body, Sqrt, 71).
+const TILE_CAPACITY: usize = 128;
+
 /// Builds the Tandem program for one tile: allocates iterator-table
 /// entries, IMM-BUF slots and scratchpad rows, and emits configuration +
 /// loop + compute instructions.
+///
+/// A builder makes at most two heap allocations: its program, sized once
+/// for 128 instructions (every zoo template fits), and, on the first
+/// [`stage`](Self::stage), one staged-body buffer of the same size that
+/// every [`nest_staged`](Self::nest_staged) reuses. The IMM constant
+/// cache is a fixed array and constant writes come inline
+/// ([`Instruction::imm_write`]), so a template that fits allocates
+/// nothing else.
 #[derive(Debug)]
 pub struct TileProgramBuilder {
     lanes: usize,
     interim_rows: u16,
     prog: Program,
-    imm_cache: HashMap<i32, u8>,
+    /// The constant held by each IMM BUF slot below `imm_next`.
+    imm_values: [i32; IMM_BUF_SLOTS],
     imm_next: u8,
+    /// The loop body the next [`nest_staged`](Self::nest_staged) emits.
+    body: Vec<Instruction>,
     iter_next: [u8; 4],
     row_next: [u16; 2], // bump allocators for Interim1 / Interim2
 }
 
 impl TileProgramBuilder {
     /// Creates a builder for a machine with `lanes` lanes and
-    /// `interim_rows` rows per Interim BUF.
+    /// `interim_rows` rows per Interim BUF (at most `u16::MAX` of them are
+    /// addressable).
     pub fn new(lanes: usize, interim_rows: usize) -> Self {
         TileProgramBuilder {
             lanes,
-            interim_rows: interim_rows as u16,
-            prog: Program::new(),
-            imm_cache: HashMap::new(),
+            interim_rows: usable_rows(interim_rows),
+            prog: Program::with_capacity(TILE_CAPACITY),
+            imm_values: [0; IMM_BUF_SLOTS],
             imm_next: 0,
+            body: Vec::new(),
             iter_next: [0; 4],
             row_next: [0; 2],
         }
@@ -108,18 +133,17 @@ impl TileProgramBuilder {
     ///
     /// [`CompileError::OutOfImmSlots`] when all 32 slots are taken.
     pub fn imm(&mut self, value: i32) -> Result<Operand, CompileError> {
-        if let Some(&slot) = self.imm_cache.get(&value) {
-            return Ok(Operand::new(Namespace::Imm, slot));
+        let held = &self.imm_values[..usize::from(self.imm_next)];
+        if let Some(slot) = held.iter().position(|&v| v == value) {
+            return Ok(Operand::new(Namespace::Imm, slot as u8));
         }
-        if self.imm_next as usize >= IMM_BUF_SLOTS {
+        if held.len() >= IMM_BUF_SLOTS {
             return Err(CompileError::OutOfImmSlots);
         }
         let slot = self.imm_next;
+        self.imm_values[usize::from(slot)] = value;
         self.imm_next += 1;
-        self.imm_cache.insert(value, slot);
-        for i in Instruction::imm_write(slot, value) {
-            self.prog.push(i);
-        }
+        self.prog.extend(Instruction::imm_write(slot, value));
         Ok(Operand::new(Namespace::Imm, slot))
     }
 
@@ -253,10 +277,32 @@ impl TileProgramBuilder {
             loop_id: levels.len().saturating_sub(1) as u8,
             count: body.len() as u16,
         });
-        for &i in body {
-            self.prog.push(i);
-        }
+        self.prog.extend(body.iter().copied());
         Ok(())
+    }
+
+    /// Appends `instr` to the staged loop body: templates whose bodies
+    /// interleave with IMM and iterator allocation stage them here and
+    /// emit them with [`nest_staged`](Self::nest_staged).
+    pub fn stage(&mut self, instr: Instruction) {
+        if self.body.capacity() == 0 {
+            self.body.reserve(TILE_CAPACITY);
+        }
+        self.body.push(instr);
+    }
+
+    /// [`nest`](Self::nest) over the staged body, which is then emptied
+    /// (its buffer is kept for the next nest).
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::TooDeep`] beyond 8 levels.
+    pub fn nest_staged(&mut self, levels: &[NestLevel]) -> Result<(), CompileError> {
+        let body = std::mem::take(&mut self.body);
+        let emitted = self.nest(levels, &body);
+        self.body = body;
+        self.body.clear();
+        emitted
     }
 
     /// Rows needed to hold `elems` elements at this lane width.

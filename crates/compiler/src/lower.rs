@@ -185,10 +185,10 @@ impl OpLowering {
     // element-wise templates (single 1-level nest over `rows`)
     // =====================================================================
 
-    /// Emits the per-element instruction sequence of `kind` into `body`,
-    /// reading `x` (and `x2` for binary operators) and writing `y`; all
-    /// operands advance one row per iteration. Returns temp views so the
-    /// caller can account scratchpad pressure.
+    /// Stages the per-element instruction sequence of `kind` in `b`
+    /// ([`TileProgramBuilder::stage`]), reading `x` (and `x2` for binary
+    /// operators) and writing `y`; all operands advance one row per
+    /// iteration, temps included (allocated in Interim BUF 2).
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn emit_elementwise_body(
         &self,
@@ -200,7 +200,6 @@ impl OpLowering {
         x: Operand,
         x2: Option<Operand>,
         y: Operand,
-        body: &mut Vec<Instruction>,
     ) -> Result<(), CompileError> {
         use AluFunc::*;
         let q = self.fixed.q;
@@ -210,33 +209,33 @@ impl OpLowering {
             b.iter_at(v, 1)
         };
         match kind {
-            OpKind::Add => body.push(Instruction::alu(Add, y, x, x2.expect("binary"))),
-            OpKind::Sub => body.push(Instruction::alu(Sub, y, x, x2.expect("binary"))),
+            OpKind::Add => b.stage(Instruction::alu(Add, y, x, x2.expect("binary"))),
+            OpKind::Sub => b.stage(Instruction::alu(Sub, y, x, x2.expect("binary"))),
             OpKind::Mul => {
                 // Fixed-point multiply: product then rescale.
                 let qi = b.imm(q as i32)?;
-                body.push(Instruction::alu(Mul, y, x, x2.expect("binary")));
-                body.push(Instruction::alu(Shr, y, y, qi));
+                b.stage(Instruction::alu(Mul, y, x, x2.expect("binary")));
+                b.stage(Instruction::alu(Shr, y, y, qi));
             }
             OpKind::Div => {
                 // y = (x ≪ q) / x2 keeps Q(q).
                 let qi = b.imm(q as i32)?;
-                body.push(Instruction::alu(Shl, y, x, qi));
-                body.push(Instruction::alu(Div, y, y, x2.expect("binary")));
+                b.stage(Instruction::alu(Shl, y, x, qi));
+                b.stage(Instruction::alu(Div, y, y, x2.expect("binary")));
             }
-            OpKind::Greater => body.push(Instruction::comparison(
+            OpKind::Greater => b.stage(Instruction::comparison(
                 ComparisonFunc::Gt,
                 y,
                 x,
                 x2.expect("binary"),
             )),
-            OpKind::Equal => body.push(Instruction::comparison(
+            OpKind::Equal => b.stage(Instruction::comparison(
                 ComparisonFunc::Eq,
                 y,
                 x,
                 x2.expect("binary"),
             )),
-            OpKind::Less => body.push(Instruction::comparison(
+            OpKind::Less => b.stage(Instruction::comparison(
                 ComparisonFunc::Lt,
                 y,
                 x,
@@ -246,48 +245,48 @@ impl OpLowering {
                 // Small integer exponents (2 and 3 are what the zoo uses).
                 let e = alpha.round() as u32;
                 let qi = b.imm(q as i32)?;
-                body.push(Instruction::alu(Mul, y, x, x));
-                body.push(Instruction::alu(Shr, y, y, qi));
+                b.stage(Instruction::alu(Mul, y, x, x));
+                b.stage(Instruction::alu(Shr, y, y, qi));
                 for _ in 2..e.max(2) {
-                    body.push(Instruction::alu(Mul, y, y, x));
-                    body.push(Instruction::alu(Shr, y, y, qi));
+                    b.stage(Instruction::alu(Mul, y, y, x));
+                    b.stage(Instruction::alu(Shr, y, y, qi));
                 }
             }
             OpKind::Reciprocal => {
                 let num = b.imm(1i32 << (2 * q))?;
-                body.push(Instruction::alu(Div, y, num, x));
+                b.stage(Instruction::alu(Div, y, num, x));
             }
             OpKind::Floor | OpKind::Ceil => {
                 // Integers are already integral under Q-format flooring; a
                 // Move keeps the dataflow explicit.
-                body.push(Instruction::alu(Move, y, x, x));
+                b.stage(Instruction::alu(Move, y, x, x));
             }
             OpKind::Relu => {
                 let zero = b.imm(0)?;
-                body.push(Instruction::alu(Max, y, x, zero));
+                b.stage(Instruction::alu(Max, y, x, zero));
             }
             OpKind::LeakyRelu => {
                 let zero = b.imm(0)?;
                 let a = b.imm(self.fixed.of(alpha))?;
                 let qi = b.imm(q as i32)?;
                 let n = temp(b)?;
-                body.push(Instruction::alu(Min, n, x, zero));
-                body.push(Instruction::alu(Mul, n, n, a));
-                body.push(Instruction::alu(Shr, n, n, qi));
-                body.push(Instruction::alu(Max, y, x, zero));
-                body.push(Instruction::alu(Add, y, y, n));
+                b.stage(Instruction::alu(Min, n, x, zero));
+                b.stage(Instruction::alu(Mul, n, n, a));
+                b.stage(Instruction::alu(Shr, n, n, qi));
+                b.stage(Instruction::alu(Max, y, x, zero));
+                b.stage(Instruction::alu(Add, y, y, n));
             }
             OpKind::Clip => {
                 let lo = b.imm(self.fixed.of(clip.0))?;
                 let hi = b.imm(self.fixed.of(clip.1))?;
-                body.push(Instruction::alu(Max, y, x, lo));
-                body.push(Instruction::alu(Min, y, y, hi));
+                b.stage(Instruction::alu(Max, y, x, lo));
+                b.stage(Instruction::alu(Min, y, y, hi));
             }
             OpKind::Exp => {
-                self.emit_exp(b, rows, x, y, body)?;
+                self.emit_exp(b, rows, x, y)?;
             }
             OpKind::Erf => {
-                self.emit_erf(b, rows, x, y, body)?;
+                self.emit_erf(b, rows, x, y)?;
             }
             OpKind::Gelu => {
                 // x/√2 → erf → gate: gelu = x·(1+erf)/2
@@ -297,16 +296,16 @@ impl OpLowering {
                 let onesh = b.imm(1)?;
                 let xr = temp(b)?;
                 let e = temp(b)?;
-                body.push(Instruction::alu(Mul, xr, x, inv_sqrt2));
-                body.push(Instruction::alu(Shr, xr, xr, qi));
-                self.emit_erf(b, rows, xr, e, body)?;
-                body.push(Instruction::alu(Add, e, e, onei));
-                body.push(Instruction::alu(Shr, e, e, onesh));
-                body.push(Instruction::alu(Mul, y, x, e));
-                body.push(Instruction::alu(Shr, y, y, qi));
+                b.stage(Instruction::alu(Mul, xr, x, inv_sqrt2));
+                b.stage(Instruction::alu(Shr, xr, xr, qi));
+                self.emit_erf(b, rows, xr, e)?;
+                b.stage(Instruction::alu(Add, e, e, onei));
+                b.stage(Instruction::alu(Shr, e, e, onesh));
+                b.stage(Instruction::alu(Mul, y, x, e));
+                b.stage(Instruction::alu(Shr, y, y, qi));
             }
             OpKind::Sigmoid => {
-                self.emit_sigmoid(b, rows, x, y, body)?;
+                self.emit_sigmoid(b, rows, x, y)?;
             }
             OpKind::Tanh => {
                 // tanh(x) = 2σ(2x) − 1, with 2x clamped like the kernel.
@@ -315,25 +314,25 @@ impl OpLowering {
                 let nlim = b.imm(-(20 << q))?;
                 let onei = b.imm(one)?;
                 let t = temp(b)?;
-                body.push(Instruction::alu(Shl, t, x, two));
-                body.push(Instruction::alu(Min, t, t, lim));
-                body.push(Instruction::alu(Max, t, t, nlim));
-                self.emit_sigmoid(b, rows, t, y, body)?;
-                body.push(Instruction::alu(Shl, y, y, two));
-                body.push(Instruction::alu(Sub, y, y, onei));
+                b.stage(Instruction::alu(Shl, t, x, two));
+                b.stage(Instruction::alu(Min, t, t, lim));
+                b.stage(Instruction::alu(Max, t, t, nlim));
+                self.emit_sigmoid(b, rows, t, y)?;
+                b.stage(Instruction::alu(Shl, y, y, two));
+                b.stage(Instruction::alu(Sub, y, y, onei));
             }
             OpKind::Sqrt => {
-                self.emit_sqrt(b, rows, x, y, body)?;
+                self.emit_sqrt(b, rows, x, y)?;
             }
             OpKind::Where => {
                 // inputs: x = condition, x2 = "then"; the "else" value is a
                 // broadcast constant in compiled graphs (causal masking).
                 let else_v = b.imm(-(8 << q))?;
-                body.push(Instruction::alu(Move, y, else_v, else_v));
-                body.push(Instruction::alu(CondMove, y, x2.expect("binary"), x));
+                b.stage(Instruction::alu(Move, y, else_v, else_v));
+                b.stage(Instruction::alu(CondMove, y, x2.expect("binary"), x));
             }
             OpKind::Cast => {
-                body.push(Instruction::DatatypeCast {
+                b.stage(Instruction::DatatypeCast {
                     target: CastTarget::Fxp8,
                     dst: y,
                     src1: x,
@@ -341,7 +340,7 @@ impl OpLowering {
             }
             OpKind::BitShift => {
                 let s = b.imm(alpha.max(0.0) as i32)?;
-                body.push(Instruction::alu(Shr, y, x, s));
+                b.stage(Instruction::alu(Shr, y, x, s));
             }
             other => return Err(CompileError::Unsupported { kind: other }),
         }
@@ -355,7 +354,6 @@ impl OpLowering {
         rows: u16,
         x: Operand,
         y: Operand,
-        body: &mut Vec<Instruction>,
     ) -> Result<(), CompileError> {
         use AluFunc::*;
         let q = self.fixed.q;
@@ -372,19 +370,19 @@ impl OpLowering {
         let z = b.iter_at(zv, 1)?;
         let tv = b.alloc(Namespace::Interim2, rows)?;
         let t = b.iter_at(tv, 1)?;
-        body.push(Instruction::alu(Min, x2, x, zero));
-        body.push(Instruction::alu(Max, x2, x2, lo));
-        body.push(Instruction::calculus(CalculusFunc::Neg, z, x2));
-        body.push(Instruction::alu(Div, z, z, ln2));
-        body.push(Instruction::alu(Mul, t, z, ln2));
-        body.push(Instruction::alu(Add, t, x2, t)); // r = x + z·ln2 … x negative
-        body.push(Instruction::alu(Add, t, t, bb)); // t = r + b
-        body.push(Instruction::alu(Mul, t, t, t)); // t²
-        body.push(Instruction::alu(Shr, t, t, qi));
-        body.push(Instruction::alu(Mul, t, t, a));
-        body.push(Instruction::alu(Shr, t, t, qi));
-        body.push(Instruction::alu(Add, t, t, c));
-        body.push(Instruction::alu(Shr, y, t, z)); // p ≫ z (vector shift)
+        b.stage(Instruction::alu(Min, x2, x, zero));
+        b.stage(Instruction::alu(Max, x2, x2, lo));
+        b.stage(Instruction::calculus(CalculusFunc::Neg, z, x2));
+        b.stage(Instruction::alu(Div, z, z, ln2));
+        b.stage(Instruction::alu(Mul, t, z, ln2));
+        b.stage(Instruction::alu(Add, t, x2, t)); // r = x + z·ln2 … x negative
+        b.stage(Instruction::alu(Add, t, t, bb)); // t = r + b
+        b.stage(Instruction::alu(Mul, t, t, t)); // t²
+        b.stage(Instruction::alu(Shr, t, t, qi));
+        b.stage(Instruction::alu(Mul, t, t, a));
+        b.stage(Instruction::alu(Shr, t, t, qi));
+        b.stage(Instruction::alu(Add, t, t, c));
+        b.stage(Instruction::alu(Shr, y, t, z)); // p ≫ z (vector shift)
         Ok(())
     }
 
@@ -395,7 +393,6 @@ impl OpLowering {
         rows: u16,
         x: Operand,
         y: Operand,
-        body: &mut Vec<Instruction>,
     ) -> Result<(), CompileError> {
         use AluFunc::*;
         let q = self.fixed.q;
@@ -408,16 +405,16 @@ impl OpLowering {
         let s = b.iter_at(sv, 1)?;
         let tv = b.alloc(Namespace::Interim2, rows)?;
         let t = b.iter_at(tv, 1)?;
-        body.push(Instruction::calculus(CalculusFunc::Sign, s, x));
-        body.push(Instruction::calculus(CalculusFunc::Abs, t, x));
-        body.push(Instruction::alu(Min, t, t, bneg));
-        body.push(Instruction::alu(Add, t, t, bc));
-        body.push(Instruction::alu(Mul, t, t, t));
-        body.push(Instruction::alu(Shr, t, t, qi));
-        body.push(Instruction::alu(Mul, t, t, a));
-        body.push(Instruction::alu(Shr, t, t, qi));
-        body.push(Instruction::alu(Add, t, t, c));
-        body.push(Instruction::alu(Mul, y, s, t));
+        b.stage(Instruction::calculus(CalculusFunc::Sign, s, x));
+        b.stage(Instruction::calculus(CalculusFunc::Abs, t, x));
+        b.stage(Instruction::alu(Min, t, t, bneg));
+        b.stage(Instruction::alu(Add, t, t, bc));
+        b.stage(Instruction::alu(Mul, t, t, t));
+        b.stage(Instruction::alu(Shr, t, t, qi));
+        b.stage(Instruction::alu(Mul, t, t, a));
+        b.stage(Instruction::alu(Shr, t, t, qi));
+        b.stage(Instruction::alu(Add, t, t, c));
+        b.stage(Instruction::alu(Mul, y, s, t));
         Ok(())
     }
 
@@ -429,7 +426,6 @@ impl OpLowering {
         rows: u16,
         x: Operand,
         y: Operand,
-        body: &mut Vec<Instruction>,
     ) -> Result<(), CompileError> {
         use AluFunc::*;
         let q = self.fixed.q;
@@ -445,18 +441,18 @@ impl OpLowering {
         let pv = b.alloc(Namespace::Interim2, rows)?;
         let p = b.iter_at(pv, 1)?;
         // e = i_exp(−|x|)
-        body.push(Instruction::calculus(CalculusFunc::Abs, nx, x));
-        body.push(Instruction::calculus(CalculusFunc::Neg, nx, nx));
-        self.emit_exp(b, rows, nx, e, body)?;
+        b.stage(Instruction::calculus(CalculusFunc::Abs, nx, x));
+        b.stage(Instruction::calculus(CalculusFunc::Neg, nx, nx));
+        self.emit_exp(b, rows, nx, e)?;
         // d = (e ≪ q) / (1 + e)  — the negative branch
-        body.push(Instruction::alu(Add, d, e, one));
-        body.push(Instruction::alu(Shl, e, e, qi));
-        body.push(Instruction::alu(Div, d, e, d));
+        b.stage(Instruction::alu(Add, d, e, one));
+        b.stage(Instruction::alu(Shl, e, e, qi));
+        b.stage(Instruction::alu(Div, d, e, d));
         // positive branch = 1 − d; select on x ≥ 0
-        body.push(Instruction::comparison(ComparisonFunc::Ge, p, x, zero));
-        body.push(Instruction::alu(Sub, e, one, d)); // reuse e as pos value
-        body.push(Instruction::alu(Move, y, d, d));
-        body.push(Instruction::alu(CondMove, y, e, p));
+        b.stage(Instruction::comparison(ComparisonFunc::Ge, p, x, zero));
+        b.stage(Instruction::alu(Sub, e, one, d)); // reuse e as pos value
+        b.stage(Instruction::alu(Move, y, d, d));
+        b.stage(Instruction::alu(CondMove, y, e, p));
         Ok(())
     }
 
@@ -467,7 +463,6 @@ impl OpLowering {
         rows: u16,
         x: Operand,
         y: Operand,
-        body: &mut Vec<Instruction>,
     ) -> Result<(), CompileError> {
         use AluFunc::*;
         let q = self.fixed.q;
@@ -484,20 +479,20 @@ impl OpLowering {
         let d = b.iter_at(dv, 1)?;
         let pv = b.alloc(Namespace::Interim2, rows)?;
         let p = b.iter_at(pv, 1)?;
-        body.push(Instruction::alu(Max, v, x, zero));
-        body.push(Instruction::alu(Min, v, v, lim));
-        body.push(Instruction::alu(Shl, target, v, qi));
-        body.push(Instruction::alu(Shr, y, v, qh));
-        body.push(Instruction::alu(Max, y, y, one));
+        b.stage(Instruction::alu(Max, v, x, zero));
+        b.stage(Instruction::alu(Min, v, v, lim));
+        b.stage(Instruction::alu(Shl, target, v, qi));
+        b.stage(Instruction::alu(Shr, y, v, qh));
+        b.stage(Instruction::alu(Max, y, y, one));
         for _ in 0..16 {
-            body.push(Instruction::alu(Div, d, target, y));
-            body.push(Instruction::alu(Add, y, y, d));
-            body.push(Instruction::alu(Shr, y, y, one));
-            body.push(Instruction::alu(Max, y, y, one));
+            b.stage(Instruction::alu(Div, d, target, y));
+            b.stage(Instruction::alu(Add, y, y, d));
+            b.stage(Instruction::alu(Shr, y, y, one));
+            b.stage(Instruction::alu(Max, y, y, one));
         }
         // zero out non-positive inputs, like the kernel
-        body.push(Instruction::comparison(ComparisonFunc::Le, p, x, zero));
-        body.push(Instruction::alu(CondMove, y, zero, p));
+        b.stage(Instruction::comparison(ComparisonFunc::Le, p, x, zero));
+        b.stage(Instruction::alu(CondMove, y, zero, p));
         Ok(())
     }
 
@@ -549,8 +544,7 @@ impl OpLowering {
             None => None,
         };
         let yi = b.iter_at(y, 1)?;
-        let mut body = Vec::new();
-        self.emit_elementwise_body(&mut b, kind, alpha, clip, rows, xi, x2i, yi, &mut body)?;
+        self.emit_elementwise_body(&mut b, kind, alpha, clip, rows, xi, x2i, yi)?;
         let split = split.max(1);
         if split > 1 && rows.is_multiple_of(split) && rows > split {
             // Outer level advances whole sub-tiles: one shared iterator
@@ -558,33 +552,27 @@ impl OpLowering {
             // come from each operand's own base; bindings contribute the
             // stride), the inner level reuses the flat stride-1 walk.
             let outer = b.iter(y.ns, y.base, split as i16)?;
-            b.nest(
-                &[
-                    NestLevel {
-                        count: rows / split,
-                        dst: Some(outer),
-                        src1: Some(outer),
-                        src2: Some(outer),
-                    },
-                    NestLevel {
-                        count: split,
-                        dst: Some(yi),
-                        src1: Some(yi),
-                        src2: Some(yi),
-                    },
-                ],
-                &body,
-            )?;
-        } else {
-            b.nest(
-                &[NestLevel {
-                    count: rows,
+            b.nest_staged(&[
+                NestLevel {
+                    count: rows / split,
+                    dst: Some(outer),
+                    src1: Some(outer),
+                    src2: Some(outer),
+                },
+                NestLevel {
+                    count: split,
                     dst: Some(yi),
                     src1: Some(yi),
                     src2: Some(yi),
-                }],
-                &body,
-            )?;
+                },
+            ])?;
+        } else {
+            b.nest_staged(&[NestLevel {
+                count: rows,
+                dst: Some(yi),
+                src1: Some(yi),
+                src2: Some(yi),
+            }])?;
         }
         Ok(b.finish())
     }
@@ -621,19 +609,18 @@ impl OpLowering {
         let y_outer = b.iter_at(y, d as i16)?;
         let y_inner = b.iter(y.ns, y.base, 1)?;
         let qi = b.imm(self.fixed.q as i32)?;
-        let mut body = vec![Instruction::alu(func, y_inner, x_inner, c_inner)];
-        match kind {
-            OpKind::Mul => {
-                body.push(Instruction::alu(AluFunc::Shr, y_inner, y_inner, qi));
-            }
-            OpKind::Div => {
-                // (x ≪ q) / c: pre-shift x into y, divide in place.
-                body.clear();
-                body.push(Instruction::alu(AluFunc::Shl, y_inner, x_inner, qi));
-                body.push(Instruction::alu(AluFunc::Div, y_inner, y_inner, c_inner));
-            }
-            _ => {}
-        }
+        let body: &[Instruction] = match kind {
+            OpKind::Mul => &[
+                Instruction::alu(func, y_inner, x_inner, c_inner),
+                Instruction::alu(AluFunc::Shr, y_inner, y_inner, qi),
+            ],
+            // (x ≪ q) / c: pre-shift x into y, divide in place.
+            OpKind::Div => &[
+                Instruction::alu(AluFunc::Shl, y_inner, x_inner, qi),
+                Instruction::alu(AluFunc::Div, y_inner, y_inner, c_inner),
+            ],
+            _ => &[Instruction::alu(func, y_inner, x_inner, c_inner)],
+        };
         b.nest(
             &[
                 NestLevel {
@@ -649,7 +636,7 @@ impl OpLowering {
                     src2: Some(c_inner),
                 },
             ],
-            &body,
+            body,
         )?;
         Ok(b.finish())
     }
@@ -799,17 +786,13 @@ impl OpLowering {
         // 3) e = i_exp(s), flat over all rows
         let s_flat = b.iter(s.ns, s.base, 1)?;
         let e_flat = b.iter_at(e, 1)?;
-        let mut body = Vec::new();
-        self.emit_exp(&mut b, rows, s_flat, e_flat, &mut body)?;
-        b.nest(
-            &[NestLevel {
-                count: rows,
-                dst: Some(e_flat),
-                src1: Some(e_flat),
-                src2: Some(e_flat),
-            }],
-            &body,
-        )?;
+        self.emit_exp(&mut b, rows, s_flat, e_flat)?;
+        b.nest_staged(&[NestLevel {
+            count: rows,
+            dst: Some(e_flat),
+            src1: Some(e_flat),
+            src2: Some(e_flat),
+        }])?;
         // 4) sum = Σ e, guarded to ≥ 1
         let sum1 = b.iter_at(sum, 1)?;
         let sum0 = b.iter(sum.ns, sum.base, 0)?;
@@ -949,10 +932,10 @@ impl OpLowering {
 
         // main 4-level window nest
         let body = match kind {
-            OpKind::MaxPool => vec![Instruction::alu(Max, y_oy, y_oy, x_kx)],
+            OpKind::MaxPool => Instruction::alu(Max, y_oy, y_oy, x_kx),
             OpKind::AveragePool => {
                 let onei = b.imm(1)?;
-                vec![Instruction::alu(Macc, y_oy, x_kx, onei)]
+                Instruction::alu(Macc, y_oy, x_kx, onei)
             }
             OpKind::DepthwiseConv => {
                 let wv = w.ok_or(CompileError::Unsupported { kind })?;
@@ -1051,7 +1034,7 @@ impl OpLowering {
         if swap_kernel_loops {
             levels.swap(2, 3);
         }
-        b.nest(&levels, &body)?;
+        b.nest(&levels, &[body])?;
         if kind == OpKind::AveragePool {
             let k2 = b.imm((kernel * kernel) as i32)?;
             b.nest(

@@ -89,7 +89,22 @@ pub fn schedule_block<R>(
 where
     R: Borrow<Result<CompiledOp, CompileError>>,
 {
-    let mut program = Program::new();
+    // Lower the nodes first (up to the first error that is not
+    // `Unsupported`, as assembly would meet it) so the program is sized
+    // once: up to three GEMM-region instructions, the Tandem region's
+    // start, end and Output-BUF release, and every tile program.
+    let mut lowered = Vec::with_capacity(block.non_gemm.len());
+    let mut len = 6;
+    for &id in &block.non_gemm {
+        let r = lower(graph.node(id));
+        match r.borrow() {
+            Ok(c) => len += c.tiles.iter().map(|(p, _)| p.len()).sum::<usize>(),
+            Err(CompileError::Unsupported { .. }) => {}
+            Err(e) => return Err(e.clone()),
+        }
+        lowered.push(r);
+    }
+    let mut program = Program::with_capacity(len);
     let mut tiles = 1u64;
 
     if let Some(gemm_id) = block.gemm {
@@ -124,12 +139,9 @@ where
             group,
         ));
         let mut obuf_released = block.gemm.is_none();
-        for (i, &id) in block.non_gemm.iter().enumerate() {
-            let lowered = lower(graph.node(id));
-            let compiled = match lowered.borrow() {
-                Ok(c) => c,
-                Err(CompileError::Unsupported { .. }) => continue,
-                Err(e) => return Err(e.clone()),
+        for (i, lowered) in lowered.iter().enumerate() {
+            let Ok(compiled) = lowered.borrow() else {
+                continue; // `Unsupported`: nothing to run on the Tandem side
             };
             for (prog, reps) in &compiled.tiles {
                 tiles = tiles.max(*reps);

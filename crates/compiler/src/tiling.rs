@@ -153,11 +153,12 @@ struct WinShape {
 
 impl Tiler {
     /// Creates the policy for `lanes` lanes and `interim_rows` rows per
-    /// Interim BUF.
+    /// Interim BUF, of which it plans with the rows a
+    /// [`crate::TileProgramBuilder`] can address (at most `u16::MAX`).
     pub fn new(lanes: usize, interim_rows: usize) -> Self {
         Tiler {
             lanes,
-            interim_rows,
+            interim_rows: usize::from(crate::codegen::usable_rows(interim_rows)),
         }
     }
 

@@ -13,7 +13,10 @@
 //! predicates, i.e. compile and verify clean at widened mode.
 
 use std::collections::BTreeMap;
-use tandem_compiler::{enumerate_sites, schedule_graph_opts, CompileOptions, OpLowering, Schedule};
+use tandem_compiler::{
+    enumerate_sites, schedule_graph_opts, CompileError, CompileOptions, OpLowering, Schedule,
+};
+use tandem_model::zoo::Benchmark;
 use tandem_model::{Graph, GraphBuilder, Padding};
 use tandem_verify::{Verifier, VerifyConfig, VerifyMode};
 
@@ -86,6 +89,28 @@ fn strided_average_pool_stays_in_bounds() {
         let y = b.avg_pool(x, 3, 2);
         b.output(y);
         assert_clean(&b.finish(), lanes, rows);
+    }
+}
+
+/// Scratchpads past the 16-bit row address. The builder used to keep
+/// `interim_rows as u16` (0 at 65,536 rows) while the tiler planned with
+/// the full count, so a node whose tile needed the rows failed to lower
+/// there, and the NPU charged it nothing. Both now use the rows a
+/// program can address, so every node lowers (or is a GEMM-side
+/// `Unsupported`) on each side of the boundary.
+#[test]
+fn every_zoo_node_lowers_past_the_16_bit_row_address() {
+    for rows in [65_535, 65_536, 66_048] {
+        let lowering = OpLowering::new(32, rows);
+        for bench in Benchmark::ALL {
+            let graph = bench.graph();
+            for node in graph.nodes() {
+                match lowering.lower_node(&graph, node) {
+                    Ok(_) | Err(CompileError::Unsupported { .. }) => {}
+                    Err(e) => panic!("{} {} on 32×{rows}: {e}", bench.name(), node.name),
+                }
+            }
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 
 use crate::opcode::*;
 use crate::operand::{Namespace, Operand};
+use std::ops::Deref;
 
 /// Payload of a synchronization instruction (paper §5: func bits are
 /// `⟨GEMM/SIMD, START/END, EXEC/BUF, X⟩`).
@@ -264,25 +265,24 @@ impl Instruction {
         }
     }
 
-    /// Builds the pair of IMM BUF writes materializing a full 32-bit
-    /// constant in slot `index`. Returns one instruction when the value fits
-    /// in a sign-extended 16-bit immediate.
-    pub fn imm_write(index: u8, value: i32) -> Vec<Self> {
+    /// Builds the IMM BUF writes materializing a full 32-bit constant in
+    /// slot `index`: one `ImmWriteLow`, followed by an `ImmWriteHigh` only
+    /// when the value does not fit in a sign-extended 16-bit immediate.
+    /// The writes are returned inline as an [`ImmWrite`], so building them
+    /// allocates nothing.
+    pub fn imm_write(index: u8, value: i32) -> ImmWrite {
         assert!(index < 32, "imm slot {index} does not fit in 5 bits");
         let low = Instruction::ImmWriteLow {
             index,
             value: value as i16,
         };
-        if (value as i16) as i32 == value {
-            vec![low]
-        } else {
-            vec![
-                low,
-                Instruction::ImmWriteHigh {
-                    index,
-                    value: (value >> 16) as u16,
-                },
-            ]
+        let high = Instruction::ImmWriteHigh {
+            index,
+            value: (value >> 16) as u16,
+        };
+        ImmWrite {
+            writes: [low, high],
+            len: if (value as i16) as i32 == value { 1 } else { 2 },
         }
     }
 
@@ -397,5 +397,41 @@ pub(crate) fn namespace_opt_to_bits(op: Option<Operand>) -> u32 {
     match op {
         Some(o) => o.to_bits(),
         None => (Namespace::NONE_BITS as u32) << 5,
+    }
+}
+
+/// The one or two IMM BUF writes of one 32-bit constant, held inline (see
+/// [`Instruction::imm_write`]). It derefs to a slice (`len()`, `iter()`)
+/// and iterates by value or by reference, like the `Vec` it replaces,
+/// without a heap allocation per constant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImmWrite {
+    writes: [Instruction; 2],
+    len: usize,
+}
+
+impl Deref for ImmWrite {
+    type Target = [Instruction];
+
+    fn deref(&self) -> &[Instruction] {
+        &self.writes[..self.len]
+    }
+}
+
+impl IntoIterator for ImmWrite {
+    type Item = Instruction;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Instruction, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.writes.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a ImmWrite {
+    type Item = &'a Instruction;
+    type IntoIter = std::slice::Iter<'a, Instruction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }

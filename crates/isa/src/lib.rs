@@ -54,7 +54,7 @@ mod parse;
 mod program;
 
 pub use error::DecodeError;
-pub use instr::{Instruction, LoopBindings, SyncInfo};
+pub use instr::{ImmWrite, Instruction, LoopBindings, SyncInfo};
 pub use opcode::{
     AluFunc, CalculusFunc, CastTarget, ComparisonFunc, IterConfigFunc, LoopFunc, Opcode,
     PermuteFunc, SyncEdge, SyncKind, SyncUnit, TileBuffer, TileDirection, TileFunc,

@@ -18,6 +18,14 @@ impl Program {
         Self::default()
     }
 
+    /// Creates an empty program with room for `capacity` instructions, so
+    /// that pushing up to that many reallocates nothing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            instructions: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one instruction.
     pub fn push(&mut self, instr: Instruction) {
         self.instructions.push(instr);

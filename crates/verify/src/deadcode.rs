@@ -38,15 +38,29 @@ use tandem_isa::{Instruction, Namespace, Program, IMM_BUF_SLOTS};
 /// The `dead-traffic` pass: the dead-store / redundant-IMM-traffic
 /// lints.
 pub(crate) fn check(cfg: &VerifyConfig, program: &Program, diags: &mut Vec<Diagnostic>) {
+    run(cfg, program, Some(diags));
+}
+
+/// The words the `dead-traffic` findings would report wasted, summed
+/// without building a message or a [`Diagnostic`] for any of them.
+pub(crate) fn wasted_words(cfg: &VerifyConfig, program: &Program) -> u64 {
+    run(cfg, program, None)
+}
+
+/// Runs the pass, pushing its findings to `diags` when given, and
+/// returns their total wasted words.
+fn run(cfg: &VerifyConfig, program: &Program, diags: Option<&mut Vec<Diagnostic>>) -> u64 {
     let mut v = DeadTrafficVisitor {
         cfg,
         pending: TRACKED.map(|ns| vec![0; cfg.rows(ns)]),
         dead: vec![None; program.len()],
         imm: [ImmSlot::default(); IMM_BUF_SLOTS],
         diags,
+        wasted: 0,
     };
     Walker::walk(cfg, program, &mut v);
     v.finish();
+    v.wasted
 }
 
 /// Lifecycle of one IMM BUF slot.
@@ -84,10 +98,23 @@ struct DeadTrafficVisitor<'a> {
     /// before any read (`None` while nothing of it was killed).
     dead: Vec<Option<(Namespace, u64)>>,
     imm: [ImmSlot; IMM_BUF_SLOTS],
-    diags: &'a mut Vec<Diagnostic>,
+    /// Where findings go; `None` when only their wasted words are
+    /// wanted, so no message is formatted.
+    diags: Option<&'a mut Vec<Diagnostic>>,
+    /// Wasted words of every finding so far.
+    wasted: u64,
 }
 
 impl DeadTrafficVisitor<'_> {
+    /// Records a finding at `pc` wasting `wasted` words; `message` is
+    /// only formatted when findings are collected.
+    fn report(&mut self, pc: usize, rule: Rule, wasted: u64, message: impl FnOnce() -> String) {
+        self.wasted += wasted;
+        if let Some(diags) = self.diags.as_deref_mut() {
+            diags.push(Diagnostic::with_wasted(pc, rule, message(), wasted));
+        }
+    }
+
     /// Forget all pending stores of `ns` (an instruction with unmodeled
     /// reads may consume any of them).
     fn barrier_ns(&mut self, ns: Namespace) {
@@ -118,32 +145,24 @@ impl DeadTrafficVisitor<'_> {
     /// the IMM writes whose value was never consumed.
     fn finish(&mut self) {
         let lanes = self.cfg.lanes as u64;
-        for (pc, &dead) in self.dead.iter().enumerate() {
+        for (pc, dead) in std::mem::take(&mut self.dead).into_iter().enumerate() {
             let Some((ns, rows)) = dead else { continue };
-            self.diags.push(Diagnostic::with_wasted(
-                pc,
-                Rule::DeadStore,
+            let words = rows * lanes;
+            self.report(pc, Rule::DeadStore, words, || {
                 format!(
                     "store to {ns} writes {rows} row(s) that are overwritten before \
-                     anything reads them — ~{} wasted words of scratchpad traffic",
-                    rows * lanes
-                ),
-                rows * lanes,
-            ));
+                     anything reads them — ~{words} wasted words of scratchpad traffic"
+                )
+            });
         }
-        for (slot, s) in self.imm.iter().enumerate() {
-            if let Some(pc) = s.written_at {
-                if !s.read_since {
-                    self.diags.push(Diagnostic::with_wasted(
-                        pc,
-                        Rule::RedundantImmWrite,
-                        format!(
-                            "IMM BUF slot {slot} is written here but no compute \
-                             instruction ever reads the value — wasted IMM traffic"
-                        ),
-                        1,
-                    ));
-                }
+        for (slot, s) in self.imm.into_iter().enumerate() {
+            if let (Some(pc), false) = (s.written_at, s.read_since) {
+                self.report(pc, Rule::RedundantImmWrite, 1, || {
+                    format!(
+                        "IMM BUF slot {slot} is written here but no compute \
+                         instruction ever reads the value — wasted IMM traffic"
+                    )
+                });
             }
         }
     }
@@ -255,34 +274,31 @@ impl Visitor for DeadTrafficVisitor<'_> {
     }
 
     fn imm_write(&mut self, _walker: &Walker, pc: usize, slot: usize, replaces: bool) {
-        let Some(s) = self.imm.get_mut(slot) else {
+        let Some(&s) = self.imm.get(slot) else {
             return;
         };
         if replaces {
             // Low-half write: replaces the slot's value. If the previous
             // value was never read, the earlier write was redundant.
-            if let Some(prev) = s.written_at {
-                if !s.read_since {
-                    self.diags.push(Diagnostic::with_wasted(
-                        prev,
-                        Rule::RedundantImmWrite,
-                        format!(
-                            "IMM BUF slot {slot} is rewritten at pc {pc} before any \
-                             compute instruction reads this value — the write is dead"
-                        ),
-                        1,
-                    ));
-                }
+            if let (Some(prev), false) = (s.written_at, s.read_since) {
+                self.report(prev, Rule::RedundantImmWrite, 1, || {
+                    format!(
+                        "IMM BUF slot {slot} is rewritten at pc {pc} before any \
+                         compute instruction reads this value — the write is dead"
+                    )
+                });
             }
-            *s = ImmSlot {
+            self.imm[slot] = ImmSlot {
                 written_at: Some(pc),
                 read_since: false,
             };
         } else if s.written_at.is_none() {
             // High-half patch of a slot we never saw the low half of;
             // start tracking from here.
-            s.written_at = Some(pc);
-            s.read_since = false;
+            self.imm[slot] = ImmSlot {
+                written_at: Some(pc),
+                read_since: false,
+            };
         }
         // High-half writes otherwise extend the in-flight low write of
         // the same 32-bit constant (`Instruction::imm_write` idiom) and

@@ -178,12 +178,11 @@ impl Verifier {
 
     /// `verify(program).wasted_words()`, computed by the dead-traffic
     /// pass alone: it is the only pass whose findings carry a
-    /// [`Diagnostic::wasted_words`] estimate. The autotuner's mutation
-    /// prior calls this.
+    /// [`Diagnostic::wasted_words`] estimate. The counts are summed as
+    /// the pass finds them; no message or [`Diagnostic`] is built. The
+    /// autotuner's mutation prior calls this.
     pub fn wasted_words(&self, program: &Program) -> u64 {
-        let mut diags = Vec::new();
-        deadcode::check(&self.cfg, program, &mut diags);
-        report(program, diags).wasted_words()
+        deadcode::wasted_words(&self.cfg, program)
     }
 
     /// Like [`Verifier::verify`], additionally returning wall-time and
