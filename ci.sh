@@ -43,15 +43,16 @@ cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 24
 # Trace outputs land in artifacts/ (gitignored), not the repo root.
 mkdir -p artifacts
 
-# tandem_profile exits non-zero if the attribution buckets don't sum to
-# the reported latency; the traces are uploaded as CI artifacts.
-echo "==> tandem-profile (cycle-attribution traces: ResNet-50, BERT)"
-cargo run --release -q --bin tandem_profile -- resnet50 artifacts/resnet50.trace.json
-cargo run --release -q --bin tandem_profile -- bert artifacts/bert.trace.json
+# `tandem profile` exits non-zero if the model fails the verify gate or
+# the attribution buckets don't sum to the reported latency; the traces
+# are uploaded as CI artifacts.
+echo "==> tandem profile (cycle-attribution traces: ResNet-50, BERT)"
+cargo run --release -q --bin tandem -- profile resnet50 artifacts/resnet50.trace.json
+cargo run --release -q --bin tandem -- profile bert artifacts/bert.trace.json
 
-# Paper figures: `cargo test` pins `tandem figure all` to the golden in a
-# debug build; this re-checks the release build byte for byte, so a
-# release-only divergence in a modeled number fails here.
+# Paper figures and extensions: `cargo test` pins `tandem figure all` to
+# the golden in a debug build; this re-checks the release build byte for
+# byte, so a release-only divergence in a modeled number fails here.
 echo "==> tandem figure all (release output == tests/golden/figures_all.txt)"
 cargo run --release -q --bin tandem -- figure all > artifacts/figures_all.txt
 diff -u tests/golden/figures_all.txt artifacts/figures_all.txt

@@ -2,24 +2,38 @@
 //!
 //! ```text
 //! tandem models                         list the benchmark zoo
-//! tandem run <model> [flags]            end-to-end simulation
+//! tandem run <model> [flags]            compile + verify for the machine,
+//!                                       then simulate end to end
 //!     --layer-granularity               whole-layer handoff (Figure 8 baseline)
 //!     --knobs regfile,loops,addr,fifo,special
 //!                                       de-specialize (Figure 6/18 ablations)
 //!     --iso-a100                        216x scale-up (Figure 21 setting)
 //!     --seq <n>                         sequence length (n >= 1) for BERT/GPT-2
+//! tandem profile <model> [out.trace.json]
+//!                                       verify, then run traced: write the
+//!                                       Chrome trace (default
+//!                                       <model>.trace.json), print the
+//!                                       report and the critical-path
+//!                                       cycle attribution; exit 1 if its
+//!                                       buckets do not sum to the latency
 //! tandem asm <file.tasm> [--trace]      assemble + verify a Tandem program,
 //!                                       print its diagnostics to stderr and,
 //!                                       if none is an error, run it
 //!                                       functionally and print the report
 //!                                       (--trace: and its Chrome trace JSON)
-//! tandem figure <id>|all                print one paper table/figure, or
-//!                                       all of them in paper order
+//! tandem figure <id>|all                print one paper table/figure or
+//!                                       extension, or all of them in
+//!                                       registry order
 //! ```
+//!
+//! `run` and `profile` compile the model for the machine with the verify
+//! gate on first; a lowering error or a verifier error is printed to
+//! stderr and exits 1 without simulating, as `asm` does.
 
 use std::process::ExitCode;
 use tandem_bench::experiments::{self, EXPERIMENTS};
 use tandem_bench::Suite;
+use tandem_compiler::{schedule_graph_opts, CompileOptions, OpLowering};
 use tandem_core::{Dram, TandemConfig, TandemProcessor};
 use tandem_model::zoo::{self, Benchmark};
 use tandem_model::Graph;
@@ -30,23 +44,50 @@ use tandem_verify::{Verifier, VerifyConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  tandem models\n  tandem run <model> [--layer-granularity] \
-         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem asm <file.tasm> [--trace]  \
-         (verifies first; exit 1 on a verifier error)\n  tandem figure <id>|all"
+         [--knobs k1,k2,..] [--iso-a100] [--seq <n>]\n  tandem profile <model> \
+         [out.trace.json]\n  tandem asm <file.tasm> [--trace]\n  tandem figure <id>|all\n\
+         run, profile and asm verify first and exit 1 on an error"
     );
     ExitCode::from(2)
 }
 
-fn model_by_name(name: &str, seq: usize) -> Option<Graph> {
-    Some(match name.to_lowercase().as_str() {
+/// The zoo model a user names (its `tandem models` name, its graph name
+/// or a short alias, in any case; `seq` applies to BERT and GPT-2), or
+/// the usage error for an unknown name.
+fn model_by_name(name: &str, seq: usize) -> Result<Graph, ExitCode> {
+    Ok(match name.to_lowercase().as_str() {
         "vgg16" | "vgg-16" => zoo::vgg16(),
         "resnet50" | "resnet-50" => zoo::resnet50(),
         "yolov3" => zoo::yolov3(),
         "mobilenetv2" | "mobilenet" => zoo::mobilenetv2(),
-        "efficientnet" | "efficientnet-b0" => zoo::efficientnet_b0(),
-        "bert" | "bert-base" => zoo::bert_base(seq),
+        "efficientnet" | "efficientnet-b0" | "efficientnet_b0" => zoo::efficientnet_b0(),
+        "bert" | "bert-base" | "bert_base" => zoo::bert_base(seq),
         "gpt2" | "gpt-2" => zoo::gpt2(seq),
-        _ => return None,
+        _ => {
+            eprintln!("unknown model `{name}` — see `tandem models`");
+            return Err(usage());
+        }
     })
+}
+
+/// The NPU for `cfg`, once `graph` compiles for its machine (lanes,
+/// Interim rows and schedule) with the verify gate on: the verdict
+/// [`Npu::verify_schedule`] gives. On a lowering error or a verifier
+/// error it prints the error (with the failing block's report) to stderr
+/// and gives exit 1, so nothing unverified is simulated.
+fn verified_npu(cfg: NpuConfig, graph: &Graph) -> Result<Npu, ExitCode> {
+    let lowering = OpLowering::new(cfg.tandem.lanes, cfg.tandem.interim_rows);
+    let opts = CompileOptions {
+        schedule: cfg.schedule.clone(),
+        ..CompileOptions::default()
+    };
+    match schedule_graph_opts(&lowering, graph, &opts) {
+        Ok(_) => Ok(Npu::new(cfg)),
+        Err(e) => {
+            eprintln!("{}: {e}\n{}: not simulating", graph.name, graph.name);
+            Err(ExitCode::FAILURE)
+        }
+    }
 }
 
 fn parse_knobs(spec: &str) -> Result<Despecialization, String> {
@@ -65,9 +106,9 @@ fn parse_knobs(spec: &str) -> Result<Despecialization, String> {
     Ok(knobs)
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &[String]) -> Result<(), ExitCode> {
     let Some(model_name) = args.first() else {
-        return usage();
+        return Err(usage());
     };
     let mut cfg = NpuConfig::paper();
     let mut seq = 128usize;
@@ -85,13 +126,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--knobs" => {
                 i += 1;
                 let Some(spec) = args.get(i) else {
-                    return usage();
+                    return Err(usage());
                 };
                 match parse_knobs(spec) {
                     Ok(k) => cfg.knobs = k,
                     Err(e) => {
                         eprintln!("{e}");
-                        return ExitCode::from(2);
+                        return Err(ExitCode::from(2));
                     }
                 }
             }
@@ -99,23 +140,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 i += 1;
                 let Some(n) = args.get(i).and_then(|s| s.parse().ok()).filter(|&n| n > 0) else {
                     eprintln!("--seq takes a positive integer");
-                    return usage();
+                    return Err(usage());
                 };
                 seq = n;
             }
             other => {
                 eprintln!("unknown flag `{other}`");
-                return usage();
+                return Err(usage());
             }
         }
         i += 1;
     }
-    let Some(graph) = model_by_name(model_name, seq) else {
-        eprintln!("unknown model `{model_name}` — see `tandem models`");
-        return ExitCode::from(2);
-    };
-
-    let report = Npu::new(cfg.clone()).run(&graph);
+    let graph = model_by_name(model_name, seq)?;
+    let report = verified_npu(cfg.clone(), &graph)?.run(&graph);
     println!(
         "model          : {} ({} nodes)",
         graph.name,
@@ -155,7 +192,40 @@ fn cmd_run(args: &[String]) -> ExitCode {
     for (kind, cycles) in kinds.into_iter().take(12) {
         println!("  {:<20} {cycles:>12}", kind.to_string());
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn cmd_profile(args: &[String]) -> Result<(), ExitCode> {
+    let (model_name, out_path) = match args {
+        [m] => (m, format!("{}.trace.json", m.to_ascii_lowercase())),
+        [m, out] => (m, out.clone()),
+        _ => return Err(usage()),
+    };
+    let graph = model_by_name(model_name, 128)?;
+    let npu = verified_npu(NpuConfig::paper(), &graph)?;
+    let mut sink = ChromeTraceSink::new();
+    let report = npu.run_traced(&graph, &mut sink);
+    if let Err(e) = std::fs::write(&out_path, sink.to_json()) {
+        eprintln!("cannot write {out_path}: {e}");
+        return Err(ExitCode::FAILURE);
+    }
+    println!(
+        "{} — {} nodes, {} trace events\n{report}\n\ncritical-path cycle attribution\n{}\n\n\
+         trace written to {out_path} (load in https://ui.perfetto.dev or chrome://tracing)",
+        graph.name,
+        graph.nodes().len(),
+        sink.len(),
+        report.attribution
+    );
+    if report.attribution.total() != report.total_cycles {
+        eprintln!(
+            "ERROR: attribution buckets sum to {} but the run reports {} cycles",
+            report.attribution.total(),
+            report.total_cycles
+        );
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(())
 }
 
 fn cmd_asm(args: &[String]) -> ExitCode {
@@ -260,9 +330,26 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("run") => cmd_run(&args[1..]),
+        Some("run") => cmd_run(&args[1..]).err().unwrap_or(ExitCode::SUCCESS),
+        Some("profile") => cmd_profile(&args[1..]).err().unwrap_or(ExitCode::SUCCESS),
         Some("asm") => cmd_asm(&args[1..]),
         Some("figure") => cmd_figure(&args[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_gate_passes_the_paper_machine_and_refuses_a_cramped_one() {
+        let graph = zoo::mobilenetv2();
+        assert!(verified_npu(NpuConfig::paper(), &graph).is_ok());
+        // Eight Interim rows: MobileNetV2's first block reads past them.
+        let mut cramped = NpuConfig::paper();
+        cramped.tandem.interim_rows = 8;
+        assert!(!Npu::new(cramped.clone()).verify_schedule(&graph));
+        assert!(verified_npu(cramped, &graph).is_err());
     }
 }

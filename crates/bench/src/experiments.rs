@@ -1,25 +1,29 @@
 //! The experiment registry: every reproduced paper table and figure in
-//! paper order, with the paper's claim, the function that renders it, the
-//! printed numbers its verdict rests on and the band each must stay in.
+//! paper order, and the marked extensions beyond the paper, each with its
+//! claim, the function that renders it, the printed numbers its verdict
+//! rests on and the band each must stay in.
 //!
 //! `tandem figure <id>|all` prints from it, `tests/figures_render.rs`
 //! renders every entry, checks every headline against its band, pins the
 //! full `figure all` text to a golden, and checks the EXPERIMENTS.md table
 //! against one generated from it.
 
-use crate::figures::{breakdowns::*, characterization::*, gpus::*, headline::*};
+use crate::figures::{breakdowns::*, characterization::*, extensions::*, gpus::*, headline::*};
 use crate::figures::{specialization::*, vpu::*};
 use crate::suite::Suite;
 use crate::table::Table;
 
-/// One paper experiment.
+/// One experiment: a paper table or figure, or an extension.
 #[derive(Debug)]
 pub struct Experiment {
-    /// The `tandem figure` id: `table1`, `fig01` … `fig26`.
+    /// The `tandem figure` id: `table1`, `fig01` … `fig26` for the
+    /// paper; `fig24b` (after `fig24`), `dse`, `seq` and `llm` (after
+    /// `fig26`) for the extensions.
     pub id: &'static str,
     /// What the paper measures and claims, in one line.
     pub claim: &'static str,
-    /// Renders the experiment's tables (one, except Figure 4's three).
+    /// Renders the experiment's tables (one, except Figure 4's three and
+    /// the sequence sweep's two).
     pub render: fn(&Suite) -> Vec<Table>,
     /// The printed numbers the verdict rests on.
     pub headlines: &'static [Headline],
@@ -54,7 +58,8 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
-/// Every experiment, in paper order.
+/// Every experiment in paper order, each extension after the figure it
+/// accompanies or, standing alone, after `fig26`.
 pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         id: "table1",
@@ -250,6 +255,30 @@ pub static EXPERIMENTS: &[Experiment] = &[
         render: |s| vec![fig26_area(s)],
         headlines: &[("ALU lanes", "share", 55.0, 58.0)],
         verdict: "✅ by construction: the model is fitted to the paper's post-layout data, then exercised parametrically",
+    },
+    Experiment {
+        id: "dse",
+        claim: "GeneSys generator sweep (§10, not in the paper): on BERT the latency × Tandem-area × energy frontier keeps 15 of 20 grid points; the paper's 32×512×32 is not on it",
+        render: |_| vec![dse_frontier()],
+        headlines: &[("32×256×32", "latency ms", 20.0, 35.0)],
+        verdict: "✅ extension: halving the paper point's Interim BUF rows dominates it on BERT; every grid point compiles and verifies for the whole zoo",
+    },
+    Experiment {
+        id: "seq",
+        claim: "sequence-length scaling (§1–2 trend, not in the paper): attention's O(seq²) work grows the non-GEMM share of BERT and GPT-2 with context",
+        render: |_| seq_scaling(),
+        headlines: &[
+            ("32", "non-GEMM share", 5.0, 20.0),
+            ("512", "non-GEMM share", 35.0, 60.0),
+        ],
+        verdict: "✅ extension: BERT's non-GEMM share rises from 11% at 32 tokens to 48% at 512",
+    },
+    Experiment {
+        id: "llm",
+        claim: "LLaMA-style decoder (not in the paper): RMSNorm, RoPE and SwiGLU lower onto the unmodified primitive set",
+        render: |_| vec![llm_preview()],
+        headlines: &[("LLaMA-style (2023)", "non-GEMM share", 15.0, 40.0)],
+        verdict: "✅ extension: no hardware change; its non-GEMM share sits with BERT's and GPT-2's",
     },
 ];
 

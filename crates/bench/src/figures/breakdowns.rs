@@ -83,13 +83,12 @@ pub fn fig24b_cycle_attribution(suite: &Suite) -> Table {
     for (i, name) in suite.names().iter().enumerate() {
         let a = &suite.tandem[i].attribution;
         let total = a.total().max(1) as f64;
-        let mut cells = vec![name.to_string()];
-        cells.extend(
+        t.labelled_row(
+            name,
             a.rows()
                 .iter()
                 .map(|&(_, cycles)| pct(cycles as f64 / total)),
         );
-        t.row(cells);
     }
     t.note("from NpuReport::attribution; buckets sum to the end-to-end latency exactly (see docs/PROFILING.md)");
     t
@@ -116,24 +115,10 @@ pub fn fig25_energy_breakdown(suite: &Suite) -> Table {
         for (s, v) in sums.iter_mut().zip([dram, spad, alu, loop_addr, other]) {
             *s += v;
         }
-        t.row(vec![
-            name.to_string(),
-            pct(dram),
-            pct(spad),
-            pct(alu),
-            pct(loop_addr),
-            pct(other),
-        ]);
+        t.labelled_row(name, [dram, spad, alu, loop_addr, other].map(pct));
     }
     let n = suite.models.len() as f64;
-    t.row(vec![
-        "mean".into(),
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-        pct(sums[3] / n),
-        pct(sums[4] / n),
-    ]);
+    t.labelled_row("mean", sums.map(|s| pct(s / n)));
     t.note("paper means: DRAM ~31%, on-chip ~13%, ALU ~12%, loop+addr ~40%");
     t
 }

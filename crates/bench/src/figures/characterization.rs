@@ -108,17 +108,7 @@ pub fn fig03_runtime_breakdown(suite: &Suite) -> Table {
         let (g1, n1, c1) = suite.baseline1[i].fractions();
         let (g2, n2, c2) = suite.baseline2[i].fractions();
         let (gg, gn, _) = suite.a100_trt[i].fractions();
-        t.row(vec![
-            name.to_string(),
-            pct(g1),
-            pct(n1),
-            pct(c1),
-            pct(g2),
-            pct(n2),
-            pct(c2),
-            pct(gg),
-            pct(gn),
-        ]);
+        t.labelled_row(name, [g1, n1, c1, g2, n2, c2, gg, gn].map(pct));
     }
     t.note("paper: non-GEMM reaches 81% of EfficientNet runtime on baseline(2) and 73% on the GPU");
     t

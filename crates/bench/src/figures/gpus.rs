@@ -25,11 +25,7 @@ pub fn fig20_perf_per_watt(suite: &Suite) -> Table {
         rtx_col.push(b);
         t.row(vec![name.to_string(), ratio(a), ratio(b)]);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&npu_col)),
-        ratio(geomean(&rtx_col)),
-    ]);
+    t.labelled_row("geomean", [npu_col, rtx_col].map(|c| ratio(geomean(&c))));
     t.note("paper: NPU-Tandem 4.8x over Jetson; RTX 2080 Ti ~20% below Jetson on average");
     t
 }
@@ -63,12 +59,10 @@ pub fn fig21_a100(suite: &Suite) -> Table {
         vs_trt.push(c);
         t.row(vec![name.to_string(), ratio(a), ratio(b), ratio(c)]);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&vs_cuda)),
-        ratio(geomean(&trt_vs_cuda)),
-        ratio(geomean(&vs_trt)),
-    ]);
+    t.labelled_row(
+        "geomean",
+        [vs_cuda, trt_vs_cuda, vs_trt].map(|c| ratio(geomean(&c))),
+    );
     t.note("paper: 4.0x over CUDA execution; ~parity with TensorRT (1.025x)");
     t
 }
@@ -93,13 +87,7 @@ pub fn fig22_a100_breakdown(suite: &Suite) -> Table {
         let total = (g + n).max(1.0);
         let cuda = &suite.a100_cuda[i];
         let (cg, cn, _) = cuda.fractions();
-        t.row(vec![
-            name.to_string(),
-            pct(g / total),
-            pct(n / total),
-            pct(cg),
-            pct(cn),
-        ]);
+        t.labelled_row(name, [g / total, n / total, cg, cn].map(pct));
     }
     t.note("paper: non-GEMM dominates the A100-CUDA time of MobileNetV2/EfficientNet/BERT/GPT-2");
     t
@@ -120,7 +108,7 @@ pub fn fig23_nongemm_speedup(suite: &Suite) -> Table {
         col.push(v);
         t.row(vec![name.to_string(), ratio(v)]);
     }
-    t.row(vec!["geomean".into(), ratio(geomean(&col))]);
+    t.labelled_row("geomean", [ratio(geomean(&col))]);
     t.note("paper: 3.4x average; BERT 8.0x, ResNet-50 5.2x, MobileNetV2 4.5x; GPT-2 memory-bandwidth-limited");
     t
 }

@@ -22,11 +22,7 @@ pub fn fig14_speedup_baselines(suite: &Suite) -> Table {
         s2.push(v2);
         t.row(vec![name.to_string(), ratio(v1), ratio(v2)]);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&s1)),
-        ratio(geomean(&s2)),
-    ]);
+    t.labelled_row("geomean", [s1, s2].map(|c| ratio(geomean(&c))));
     t.note("paper: 3.5x over baseline(1), 2.7x over baseline(2); MobileNetV2 5.9x/5.4x, BERT 5.4x/4.5x");
     t
 }
@@ -47,11 +43,7 @@ pub fn fig15_energy_baselines(suite: &Suite) -> Table {
         e2.push(v2);
         t.row(vec![name.to_string(), ratio(v1), ratio(v2)]);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&e1)),
-        ratio(geomean(&e2)),
-    ]);
+    t.labelled_row("geomean", [e1, e2].map(|c| ratio(geomean(&c))));
     t.note("paper: 39.2x over baseline(1), 20.6x over baseline(2)");
     t
 }
@@ -76,12 +68,7 @@ pub fn fig16_gemmini(suite: &Suite) -> Table {
         gain.push(g);
         t.row(vec![name.to_string(), ratio(a), ratio(b), ratio(g)]);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&v1)),
-        ratio(geomean(&v32)),
-        ratio(geomean(&gain)),
-    ]);
+    t.labelled_row("geomean", [v1, v32, gain].map(|c| ratio(geomean(&c))));
     t.note("paper: 47.8x over 1-core, 5.9x over multicore (max 35.3x MobileNetV2, min 0.9x VGG-16); multicore helps Gemmini 8.0x");
     t
 }

@@ -59,15 +59,7 @@ pub fn fig06_specialization_overheads(suite: &Suite) -> Table {
         t.row(cells);
     }
     let n = suite.models.len() as f64;
-    t.row(vec![
-        "mean".into(),
-        pct(sums[0][0] / n),
-        pct(sums[0][1] / n),
-        pct(sums[1][0] / n),
-        pct(sums[1][1] / n),
-        pct(sums[2][0] / n),
-        pct(sums[2][1] / n),
-    ]);
+    t.labelled_row("mean", sums.iter().flatten().map(|s| pct(s / n)));
     t.note("paper means: regfile 41% N-G / 27% E2E; addr calc 59% / 40%; loops 70% / 47%");
     t
 }
@@ -76,7 +68,7 @@ pub fn fig06_specialization_overheads(suite: &Suite) -> Table {
 /// coordination granularity, with the stall share that *explains* the
 /// gap regenerated from the cycle-attribution rollup (the sum of its
 /// `sync wait` + `fill/drain` + `dae wait` buckets over the latency —
-/// `tandem-profile` prints the full per-model table).
+/// `tandem profile` prints the full per-model table).
 pub fn fig08_utilization(suite: &Suite) -> Table {
     let mut cfg = NpuConfig::paper();
     cfg.granularity = TileGranularity::Layer;
@@ -112,26 +104,10 @@ pub fn fig08_utilization(suite: &Suite) -> Table {
         for (s, v) in sums.iter_mut().zip(vals.iter()) {
             *s += v;
         }
-        t.row(vec![
-            bench.name().to_string(),
-            pct(vals[0]),
-            pct(vals[1]),
-            pct(vals[2]),
-            pct(vals[3]),
-            pct(vals[4]),
-            pct(vals[5]),
-        ]);
+        t.labelled_row(bench.name(), vals.map(pct));
     }
     let n = suite.models.len() as f64;
-    t.row(vec![
-        "mean".into(),
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-        pct(sums[3] / n),
-        pct(sums[4] / n),
-        pct(sums[5] / n),
-    ]);
+    t.labelled_row("mean", sums.map(|s| pct(s / n)));
     t.note("paper: tile granularity gains +20% GEMM-unit and +13% Tandem utilization; stall columns from the attribution rollup (sync wait + dae wait + fill/drain)");
     t
 }

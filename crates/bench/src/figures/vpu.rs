@@ -33,13 +33,7 @@ pub fn fig18_vpu_speedup(suite: &Suite) -> Table {
         }
         t.row(cells);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&cols[0])),
-        ratio(geomean(&cols[1])),
-        ratio(geomean(&cols[2])),
-        ratio(geomean(&cols[3])),
-    ]);
+    t.labelled_row("geomean", cols.iter().map(|c| ratio(geomean(c))));
     t.note("paper: final 2.6x; loop specialization worth 2.1x alone, regfile removal 1.4x (GPT-2 2.9x), OBUF 1.1x, VPU special fns cost us 0.8x");
     t
 }
@@ -96,13 +90,7 @@ pub fn fig19_vpu_energy(suite: &Suite) -> Table {
         }
         t.row(cells);
     }
-    t.row(vec![
-        "geomean".into(),
-        ratio(geomean(&cols[0])),
-        ratio(geomean(&cols[1])),
-        ratio(geomean(&cols[2])),
-        ratio(geomean(&cols[3])),
-    ]);
+    t.labelled_row("geomean", cols.iter().map(|c| ratio(geomean(c))));
     t.note("paper: final 1.4x; regfile removal worth 1.2x; MobileNetV2 2.0x, EfficientNet 1.8x, GPT-2 1.7x, VGG-16/YOLOv3 1.1x");
     t
 }

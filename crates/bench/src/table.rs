@@ -28,6 +28,15 @@ impl Table {
         self
     }
 
+    /// Appends a row: `label`, then `cells`.
+    pub fn labelled_row(
+        &mut self,
+        label: &str,
+        cells: impl IntoIterator<Item = String>,
+    ) -> &mut Self {
+        self.row(std::iter::once(label.to_string()).chain(cells).collect())
+    }
+
     /// Appends a footnote line.
     pub fn note(&mut self, note: impl Into<String>) -> &mut Self {
         self.notes.push(note.into());
@@ -110,7 +119,7 @@ mod tests {
     #[test]
     fn renders_aligned_rows() {
         let mut t = Table::new("demo", &["model", "speedup"]);
-        t.row(vec!["VGG-16".into(), ratio(1.5)]);
+        t.labelled_row("VGG-16", [ratio(1.5)]);
         t.row(vec!["BERT".into(), ratio(12.25)]);
         t.note("normalized to baseline");
         let s = t.render();

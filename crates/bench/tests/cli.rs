@@ -1,5 +1,5 @@
-//! The `tandem` binary's usage errors and its `figure` and `asm`
-//! subcommands, run as a user runs them.
+//! The `tandem` binary's usage errors and its `run`, `profile`, `figure`
+//! and `asm` subcommands, run as a user runs them.
 
 use std::process::{Command, Output};
 
@@ -42,6 +42,98 @@ fn figure_prints_exactly_its_block() {
     );
     assert_eq!(stdout.matches("== ").count(), 1, "{stdout}");
     assert!(stdout.contains("geomean"), "{stdout}");
+}
+
+#[test]
+fn the_extensions_print_exactly_their_blocks_at_the_end_of_figure_all() {
+    let golden = include_str!("../../../tests/golden/figures_all.txt");
+    let mut tail = String::new();
+    for (id, title, tables) in [
+        ("dse", "== DSE Pareto frontier — BERT", 1),
+        ("seq", "== BERT-base: sequence-length scaling", 2),
+        ("llm", "== LLM preview", 1),
+    ] {
+        let out = tandem(&["figure", id]);
+        assert!(out.status.success(), "{id}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 figure text");
+        assert!(stdout.starts_with(title), "{id}: {stdout}");
+        assert_eq!(
+            stdout.matches("\n== ").count() + 1,
+            tables,
+            "{id}: {stdout}"
+        );
+        tail += &stdout;
+    }
+    assert!(
+        golden.ends_with(&tail),
+        "figure all does not end with:\n{tail}"
+    );
+}
+
+#[test]
+fn profile_writes_the_trace_and_prints_the_attribution() {
+    let trace = concat!(env!("CARGO_TARGET_TMPDIR"), "/r.trace.json");
+    let _ = std::fs::remove_file(trace);
+    let out = tandem(&["profile", "resnet50", trace]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("critical-path cycle attribution"),
+        "{stdout}"
+    );
+    let written = std::fs::metadata(trace).expect("trace written");
+    assert!(written.len() > 0);
+}
+
+#[test]
+fn unknown_models_are_usage_errors() {
+    for args in [["run", "alexnet"], ["profile", "alexnet"]] {
+        let out = tandem(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown model `alexnet`"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn profile_reports_an_unwritable_trace_path() {
+    let trace = concat!(env!("CARGO_TARGET_TMPDIR"), "/no_such_dir/r.trace.json");
+    let out = tandem(&["profile", "vgg16", trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("cannot write {trace}")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn run_and_profile_accept_every_listed_model() {
+    let out = tandem(&["models"]);
+    assert!(out.status.success());
+    let listing = String::from_utf8(out.stdout).expect("utf-8 model list");
+    let names: Vec<&str> = listing
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(names.len(), 7, "{listing}");
+    for name in names {
+        let out = tandem(&["run", name]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "run {name}: {stdout}");
+        assert!(stdout.contains("latency        :"), "run {name}: {stdout}");
+
+        let trace = format!("{}/{name}.trace.json", env!("CARGO_TARGET_TMPDIR"));
+        let out = tandem(&["profile", name, &trace]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "profile {name}: {stdout}");
+        assert!(
+            stdout.contains("critical-path cycle attribution"),
+            "profile {name}: {stdout}"
+        );
+    }
 }
 
 /// The committed example program: a 16-iteration Code Repeater nest.

@@ -6,8 +6,8 @@
 //! Mul/Sub/Add against precomputed sin/cos tables), SiLU (Sigmoid·Mul),
 //! and the gated SwiGLU FFN.
 //!
-//! Not part of the paper's figures; used by the `llm_preview` bench target
-//! and the extension tests.
+//! Not part of the paper's figures; used by the `llm` extension of the
+//! experiment registry (`tandem figure llm`) and the extension tests.
 
 use crate::builder::GraphBuilder;
 use crate::graph::{Graph, TensorId};
