@@ -346,7 +346,8 @@ mod tests {
     fn the_gate_passes_the_paper_machine_and_refuses_a_cramped_one() {
         let graph = zoo::mobilenetv2();
         assert!(verified_npu(NpuConfig::paper(), &graph).is_ok());
-        // Eight Interim rows: MobileNetV2's first block reads past them.
+        // Eight Interim rows cannot hold a 3×3 depthwise conv's weights
+        // and bias: lowering refuses MobileNetV2 with `OutOfScratchpad`.
         let mut cramped = NpuConfig::paper();
         cramped.tandem.interim_rows = 8;
         assert!(!Npu::new(cramped.clone()).verify_schedule(&graph));

@@ -219,25 +219,6 @@ impl TileProgramBuilder {
         self.iter(view.ns, view.base, stride)
     }
 
-    /// Marks the current iterator/scratchpad allocation state; a following
-    /// [`reset_to`](Self::reset_to) releases everything allocated since —
-    /// the per-operator scoping that keeps fused bundles within the 32
-    /// iterator entries.
-    pub fn mark(&self) -> BuilderMark {
-        BuilderMark {
-            iter_next: self.iter_next,
-            row_next: self.row_next,
-        }
-    }
-
-    /// Releases iterators and temp rows allocated after `mark`. The
-    /// emitted configuration instructions remain (reconfiguration is how
-    /// the hardware reuses entries); only the allocator state rolls back.
-    pub fn reset_to(&mut self, mark: BuilderMark) {
-        self.iter_next = mark.iter_next;
-        self.row_next = mark.row_next;
-    }
-
     /// Emits a loop nest running `body` over `levels` (outermost first).
     ///
     /// # Errors
@@ -311,13 +292,6 @@ impl TileProgramBuilder {
     }
 }
 
-/// Allocator snapshot returned by [`TileProgramBuilder::mark`].
-#[derive(Debug, Clone, Copy)]
-pub struct BuilderMark {
-    iter_next: [u8; 4],
-    row_next: [u16; 2],
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,13 +323,9 @@ mod tests {
         let mut b = TileProgramBuilder::new(8, 64);
         let v1 = b.alloc(Namespace::Interim1, 32).unwrap();
         assert_eq!(v1.base, 0);
-        let mark = b.mark();
         let v2 = b.alloc(Namespace::Interim1, 32).unwrap();
         assert_eq!(v2.base, 32);
         assert!(b.alloc(Namespace::Interim1, 1).is_err());
-        b.reset_to(mark);
-        let v3 = b.alloc(Namespace::Interim1, 16).unwrap();
-        assert_eq!(v3.base, 32);
     }
 
     #[test]

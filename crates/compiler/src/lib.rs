@@ -24,21 +24,20 @@ pub mod kernels;
 mod blocks;
 mod codegen;
 mod lower;
-pub mod passes;
 mod schedule;
 mod signature;
 mod tiling;
 mod tune_space;
 
 pub use blocks::{BlockKind, ExecutionBlock, Partitioner};
-pub use codegen::{BuilderMark, Fixed, NestLevel, TileProgramBuilder, View};
+pub use codegen::{Fixed, NestLevel, TileProgramBuilder, View};
 pub use lower::{CompileError, CompiledOp, OpLowering};
 pub use schedule::{
     schedule_block, schedule_graph, schedule_graph_opts, schedule_graph_with, CompileOptions,
     ScheduledBlock,
 };
 pub use signature::NodeSignature;
-pub use tiling::{TilePlan, Tiler};
+pub use tiling::Tiler;
 pub use tune_space::{
     enumerate_sites, prefetch_key, stable_hash, Schedule, StableHasher, TileChoice, TuneSite,
 };

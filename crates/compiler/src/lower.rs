@@ -94,22 +94,17 @@ impl fmt::Display for CompileError {
 
 impl Error for CompileError {}
 
-/// A lowered operator: one or more tile programs, each executed a number
-/// of times (identical tiles share one program; the Data Access Engine's
-/// tile-grid odometer walks the tensor between repetitions).
+/// A lowered operator: at most one tile program, executed a number of
+/// times (every tile of a node runs the same program; the Data Access
+/// Engine's tile-grid odometer walks the tensor between repetitions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledOp {
     /// The operator this lowers.
     pub kind: OpKind,
-    /// `(program, repetitions)` pairs.
-    pub tiles: Vec<(Program, u64)>,
-}
-
-impl CompiledOp {
-    /// Total tile executions.
-    pub fn tile_count(&self) -> u64 {
-        self.tiles.iter().map(|&(_, n)| n).sum()
-    }
+    /// The `(program, repetitions)` pair; `None` for pure metadata
+    /// (Reshape, Flatten, Squeeze, Unsqueeze), which is free on the
+    /// Tandem Processor.
+    pub tiles: Option<(Program, u64)>,
 }
 
 /// The operator-template library, parameterized by the machine shape and
@@ -1138,8 +1133,8 @@ impl OpLowering {
         Ok(b.finish())
     }
 
-    /// Lowers one graph node into tile programs (see [`crate::Tiler`] for
-    /// the tile-size policy driving the repetition counts).
+    /// Lowers one graph node into its tile program (see [`crate::Tiler`]
+    /// for the tile-size policy driving the repetition count).
     ///
     /// # Errors
     ///

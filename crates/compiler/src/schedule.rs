@@ -98,7 +98,7 @@ where
     for &id in &block.non_gemm {
         let r = lower(graph.node(id));
         match r.borrow() {
-            Ok(c) => len += c.tiles.iter().map(|(p, _)| p.len()).sum::<usize>(),
+            Ok(c) => len += c.tiles.as_ref().map_or(0, |(p, _)| p.len()),
             Err(CompileError::Unsupported { .. }) => {}
             Err(e) => return Err(e.clone()),
         }
@@ -143,7 +143,7 @@ where
             let Ok(compiled) = lowered.borrow() else {
                 continue; // `Unsupported`: nothing to run on the Tandem side
             };
-            for (prog, reps) in &compiled.tiles {
+            if let Some((prog, reps)) = &compiled.tiles {
                 tiles = tiles.max(*reps);
                 program.extend(prog.iter().copied());
             }

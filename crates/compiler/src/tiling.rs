@@ -2,8 +2,8 @@
 //! "big enough to encompass all the adjacent elements of an input tensor
 //! for the non-GEMM operation, while small enough to fit on the limited
 //! on-chip scratchpads". This module decides per-operator tile shapes and
-//! drives [`crate::OpLowering`]'s templates to produce `(program,
-//! repetition)` pairs.
+//! drives [`crate::OpLowering`]'s templates to produce one `(program,
+//! repetitions)` pair per node.
 //!
 //! Layout convention: SIMD lanes carry the *independent* dimension
 //! (channels for image operators, token/head instances for transformer
@@ -13,15 +13,19 @@
 //! of EfficientNet's first SE block), it is chunked into partial
 //! reductions, mirroring what the paper's compiler must do.
 //!
-//! Every decision is a point in an explicit per-family search space: the
-//! hand-rolled heuristic supplies the *baseline* [`TileChoice`], a
-//! [`crate::Schedule`] carried by the lowering may pin an alternative, and
-//! [`Tiler::choices`] enumerates the legal alternatives the `tandem-tune`
-//! search may explore. Overrides are validated against the same capacity
-//! predicates the lowering templates allocate under (and `tandem-verify`
-//! re-checks); an illegal or wrong-family override silently falls back to
-//! the baseline, so a mutated schedule can never make compilation fail
-//! where the baseline would succeed.
+//! A node's kind picks its operator family once, in one match: the
+//! family description holds the node's residency shape, and everything
+//! else reads it — the hand-rolled *baseline* [`TileChoice`], the
+//! legality test of a choice, the program build, and the alternatives
+//! [`Tiler::choices`] enumerates for the `tandem-tune` search. A
+//! [`crate::Schedule`] carried by the lowering may pin an alternative;
+//! the legality test is the capacity predicate the templates allocate
+//! under (and `tandem-verify` re-checks), and an illegal or wrong-family
+//! choice silently falls back to the baseline, so a mutated schedule can
+//! never make compilation fail where the baseline would succeed. The
+//! baseline must pass the same test: a machine whose scratchpads cannot
+//! hold even the family's smallest tile is refused with
+//! [`CompileError::OutOfScratchpad`].
 
 use crate::codegen::View;
 use crate::lower::{CompileError, CompiledOp, OpLowering};
@@ -29,15 +33,6 @@ use crate::tune_space::TileChoice;
 use std::collections::BTreeSet;
 use tandem_isa::{Namespace, Program};
 use tandem_model::{Graph, Node, OpClass, OpKind};
-
-/// A chosen tile decomposition for one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TilePlan {
-    /// Rows of one tile (per lane-group).
-    pub tile_rows: u16,
-    /// Number of tile executions.
-    pub tiles: u64,
-}
 
 /// Tile-size policy bound to a machine shape.
 #[derive(Debug, Clone, Copy)]
@@ -95,6 +90,17 @@ fn divisors_le(n: u64, cap: u64, limit: usize) -> Vec<u64> {
     out
 }
 
+/// The tile heights the tuner tries for `total` rows under a legal
+/// `cap`: the cap, half of it, and the two largest exact divisors.
+fn tile_options(total: u64, cap: u64) -> BTreeSet<u64> {
+    let mut options = BTreeSet::from([cap]);
+    if cap >= 2 {
+        options.insert(cap / 2);
+    }
+    options.extend(divisors_le(total, cap, 2));
+    options
+}
+
 /// The window-family fit predicate: a strip of `oh_t` output rows keeps
 /// the input halo AND the output strip resident together (the output
 /// lives right after the input rows), and the innermost window walk runs
@@ -136,6 +142,21 @@ struct RedShape {
     gap: bool,
 }
 
+impl RedShape {
+    /// Rows one group of a `dc`-row chunk keeps resident. Softmax
+    /// allocates `m(g) + s(g·dc) + e(g·dc) + sum(g)` plus the 3
+    /// `g·dc`-row `i-exp` temps in Interim BUF 2 (`5dc+2` per group,
+    /// which also covers the `2·g·dc` x+y residency in BUF 1);
+    /// mean-family reductions only keep x (`g·dc`) and y (`g`) in BUF 1.
+    fn group_rows(&self, dc: u64) -> u64 {
+        if self.softmax {
+            5 * dc + 2
+        } else {
+            dc + 1
+        }
+    }
+}
+
 /// Residency profile of one window node (pool / depthwise conv).
 #[derive(Debug, Clone, Copy)]
 struct WinShape {
@@ -149,6 +170,30 @@ struct WinShape {
     spatial_fold: u64,
     /// Largest strip height that fits — the baseline (greedy) choice.
     oh_cap: u64,
+    /// Interim BUF 2 rows of depthwise weights (`k²`) and bias (1); 0
+    /// for pools.
+    weight_rows: u64,
+}
+
+/// One non-GEMM node's operator family with its residency shape: the
+/// only place a node's kind picks a template. [`Tiler::lower`] and
+/// [`Tiler::choices`] both read it.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    /// Pure metadata: free on the Tandem Processor, no program.
+    Metadata,
+    /// Reductions over the last axis, and global average pooling.
+    Reduce(RedShape),
+    /// Window operators: channels across lanes, one output-row strip per
+    /// tile.
+    Window(WinShape),
+    /// Layout movement through the Permute Engine.
+    Permute {
+        /// Total output rows to move.
+        rows_total: u64,
+    },
+    /// Everything element-wise (math, activations, casts, Where).
+    Elementwise(EwShape),
 }
 
 impl Tiler {
@@ -162,36 +207,155 @@ impl Tiler {
         }
     }
 
-    /// Splits `total_rows` into equal tiles of at most `budget_rows`.
-    pub fn plan(&self, total_rows: u64, budget_rows: u64) -> TilePlan {
-        let budget = budget_rows.max(1);
-        let tile_rows = total_rows.min(budget).max(1);
-        TilePlan {
-            tile_rows: tile_rows.min(u16::MAX as u64) as u16,
-            tiles: total_rows.div_ceil(tile_rows),
-        }
+    /// Rows of one of the equal tiles that split `total_rows` into tiles
+    /// of at most `budget_rows`.
+    fn plan(&self, total_rows: u64, budget_rows: u64) -> u16 {
+        total_rows
+            .min(budget_rows.max(1))
+            .max(1)
+            .min(u64::from(u16::MAX)) as u16
     }
 
-    fn rows_for(&self, elems: u64) -> u64 {
-        elems.div_ceil(self.lanes as u64)
+    /// The family of `node`, with its residency shape.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::Unsupported`] for GEMM-class nodes (they run on
+    /// the systolic array); [`CompileError::OutOfScratchpad`] for a
+    /// window whose one-row strip does not fit.
+    fn family(&self, graph: &Graph, node: &Node) -> Result<Family, CompileError> {
+        let rows_total = || {
+            let out_elems = graph.tensor(node.outputs[0]).shape.elements() as u64;
+            out_elems.div_ceil(self.lanes as u64)
+        };
+        Ok(match node.kind {
+            kind if kind.class() == OpClass::Gemm => {
+                return Err(CompileError::Unsupported { kind });
+            }
+            OpKind::Reshape | OpKind::Flatten | OpKind::Squeeze | OpKind::Unsqueeze => {
+                Family::Metadata
+            }
+            OpKind::Softmax | OpKind::ReduceMean | OpKind::GlobalAveragePool => {
+                Family::Reduce(self.red_shape(graph, node))
+            }
+            OpKind::MaxPool | OpKind::AveragePool | OpKind::DepthwiseConv => {
+                Family::Window(self.win_shape(graph, node)?)
+            }
+            OpKind::Transpose
+            | OpKind::Concat
+            | OpKind::Split
+            | OpKind::Slice
+            | OpKind::Gather
+            | OpKind::Resize => Family::Permute {
+                rows_total: rows_total(),
+            },
+            kind => Family::Elementwise(EwShape {
+                rows_total: rows_total().max(1),
+                io_in: 1 + u64::from(needs_x2(kind)),
+                io_bufs: 1 + node.inputs.len().min(2) as u64,
+                temps: temp_buffers(kind) as u64,
+            }),
+        })
+    }
+
+    /// The family's hand-rolled choice (`None` for metadata, which has no
+    /// tile).
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::OutOfScratchpad`] when the baseline fails the
+    /// family's own legality test: the scratchpads cannot hold even the
+    /// family's smallest tile, so neither can they hold any other.
+    fn baseline(&self, family: &Family) -> Result<Option<TileChoice>, CompileError> {
+        let ir = self.interim_rows as u64;
+        let choice = match *family {
+            Family::Metadata => return Ok(None),
+            Family::Reduce(s) => {
+                let (dc, g) = self.red_baseline(&s);
+                TileChoice::Reduce {
+                    d_chunk: dc as u16,
+                    groups: g as u16,
+                }
+            }
+            Family::Window(ws) => TileChoice::Window {
+                out_rows: ws.oh_cap as u16,
+                swap_kernel_loops: false,
+            },
+            Family::Permute { rows_total } => TileChoice::Permute {
+                rows: self.plan(rows_total, ir / 2),
+            },
+            Family::Elementwise(s) => TileChoice::Elementwise {
+                rows: self.plan(s.rows_total, self.ew_cap(&s, false)),
+                split: 1,
+                y_in_interim2: false,
+            },
+        };
+        if self.admits(family, choice) {
+            return Ok(Some(choice));
+        }
+        // The scratchpad the smallest tile overflows, and its rows there.
+        let (ns, requested) = match *family {
+            Family::Reduce(s) if s.softmax => (Namespace::Interim2, s.group_rows(1)),
+            Family::Window(ws) => (Namespace::Interim2, ws.weight_rows),
+            Family::Elementwise(s) if s.temps > s.io_bufs => (Namespace::Interim2, s.temps),
+            Family::Elementwise(s) => (Namespace::Interim1, s.io_bufs),
+            Family::Reduce(s) => (Namespace::Interim1, s.group_rows(1)),
+            Family::Metadata | Family::Permute { .. } => (Namespace::Interim1, 1),
+        };
+        Err(CompileError::OutOfScratchpad {
+            ns,
+            requested: requested as usize,
+            available: self.interim_rows,
+        })
+    }
+
+    /// The legality test: whether `choice` is one of `family`'s and its
+    /// tile fits the scratchpads — the capacity predicates the templates
+    /// allocate under.
+    // Inlined (with `ew_cap`) so that the baseline's own fit check folds
+    // into its construction: lowering repeats no division for it.
+    #[inline(always)]
+    fn admits(&self, family: &Family, choice: TileChoice) -> bool {
+        let ir = self.interim_rows as u64;
+        match (*family, choice) {
+            (Family::Reduce(s), TileChoice::Reduce { d_chunk, groups }) => {
+                let dc = u64::from(d_chunk);
+                dc >= 1 && dc <= s.d && groups >= 1 && u64::from(groups) <= self.red_g_cap(&s, dc)
+            }
+            (Family::Window(ws), TileChoice::Window { out_rows, .. }) => {
+                let oh_t = u64::from(out_rows);
+                ws.weight_rows <= ir
+                    && oh_t >= 1
+                    && oh_t <= ws.oh
+                    && win_fits(ir, ws.k, ws.stride, oh_t, ws.w_t, ws.ow_t)
+            }
+            (Family::Permute { rows_total }, TileChoice::Permute { rows }) => {
+                rows >= 1 && u64::from(rows) <= self.perm_cap(rows_total)
+            }
+            (
+                Family::Elementwise(s),
+                TileChoice::Elementwise {
+                    rows,
+                    split,
+                    y_in_interim2,
+                },
+            ) => {
+                rows >= 1
+                    && split >= 1
+                    && rows.is_multiple_of(split)
+                    && u64::from(rows) <= self.ew_cap(&s, y_in_interim2)
+            }
+            _ => false,
+        }
     }
 
     // ----- element-wise family --------------------------------------
-
-    fn ew_shape(&self, graph: &Graph, node: &Node) -> EwShape {
-        let out_elems = graph.tensor(node.outputs[0]).shape.elements() as u64;
-        EwShape {
-            rows_total: self.rows_for(out_elems).max(1),
-            io_in: 1 + u64::from(needs_x2(node.kind)),
-            io_bufs: 1 + node.inputs.len().min(2) as u64,
-            temps: temp_buffers(node.kind) as u64,
-        }
-    }
 
     /// The largest legal tile for an element-wise node. Baseline layout
     /// shares Interim BUF 1 between inputs and output; `y_in_interim2`
     /// moves the output above the template temps in Interim BUF 2,
     /// trading temp headroom for input-side row budget.
+    #[inline(always)]
     fn ew_cap(&self, s: &EwShape, y_in_interim2: bool) -> u64 {
         let ir = self.interim_rows as u64;
         let cap = if y_in_interim2 {
@@ -202,13 +366,6 @@ impl Tiler {
         cap.min(s.rows_total).min(u16::MAX as u64)
     }
 
-    fn ew_legal(&self, s: &EwShape, rows: u16, split: u16, y_in_interim2: bool) -> bool {
-        rows >= 1
-            && split >= 1
-            && rows.is_multiple_of(split)
-            && u64::from(rows) <= self.ew_cap(s, y_in_interim2)
-    }
-
     fn build_elementwise(
         &self,
         lowering: &OpLowering,
@@ -217,7 +374,7 @@ impl Tiler {
         rows: u16,
         split: u16,
         y_in_interim2: bool,
-    ) -> Result<Vec<(Program, u64)>, CompileError> {
+    ) -> Result<(Program, u64), CompileError> {
         let kind = node.kind;
         let r = rows;
         let x = View {
@@ -253,14 +410,14 @@ impl Tiler {
             x2,
             y,
         )?;
-        Ok(vec![(prog, s.rows_total.div_ceil(u64::from(r)))])
+        Ok((prog, s.rows_total.div_ceil(u64::from(r))))
     }
 
     // ----- reduction family -----------------------------------------
 
     fn red_shape(&self, graph: &Graph, node: &Node) -> RedShape {
+        let s = &graph.tensor(node.inputs[0]).shape;
         if node.kind == OpKind::GlobalAveragePool {
-            let s = &graph.tensor(node.inputs[0]).shape;
             RedShape {
                 d: (s.dim(2) * s.dim(3)) as u64,
                 groups_total: (s.dim(1) as u64).div_ceil(self.lanes as u64),
@@ -268,8 +425,8 @@ impl Tiler {
                 gap: true,
             }
         } else {
-            let d = out_shapes_last_input_axis(graph, node) as u64;
-            let instances = (input_elems(graph, node) / d.max(1)).max(1);
+            let d = s.dim(-1) as u64;
+            let instances = (s.elements() as u64 / d.max(1)).max(1);
             RedShape {
                 d,
                 groups_total: instances.div_ceil(self.lanes as u64).max(1),
@@ -279,20 +436,12 @@ impl Tiler {
         }
     }
 
-    /// The largest legal group count for a `d_chunk`-row reduction chunk.
-    /// Softmax allocates `m(g) + s(g·dc) + e(g·dc) + sum(g)` plus the 3
-    /// `g·dc`-row `i-exp` temps in Interim BUF 2 (`g·(5dc+2) ≤ ir`, which
-    /// also covers the `2·g·dc` x+y residency in BUF 1); mean-family
-    /// reductions only keep x (`g·dc`) and y (`g`) in BUF 1
-    /// (`g·(dc+1) ≤ ir`).
+    /// The largest legal group count for a `dc`-row reduction chunk
+    /// ([`RedShape::group_rows`] rows per group).
     fn red_g_cap(&self, s: &RedShape, dc: u64) -> u64 {
-        let ir = self.interim_rows as u64;
-        let per_group = if s.softmax { 5 * dc + 2 } else { dc + 1 };
-        (ir / per_group).min(s.groups_total).min(u16::MAX as u64)
-    }
-
-    fn red_legal(&self, s: &RedShape, dc: u64, g: u64) -> bool {
-        dc >= 1 && dc <= s.d.min(u16::MAX as u64) && g >= 1 && g <= self.red_g_cap(s, dc)
+        (self.interim_rows as u64 / s.group_rows(dc))
+            .min(s.groups_total)
+            .min(u16::MAX as u64)
     }
 
     /// The hand-rolled `(d_chunk, groups)` heuristic — deliberately more
@@ -326,7 +475,7 @@ impl Tiler {
         s: &RedShape,
         dc: u64,
         g: u64,
-    ) -> Result<Vec<(Program, u64)>, CompileError> {
+    ) -> Result<(Program, u64), CompileError> {
         let x = View {
             ns: Namespace::Interim1,
             base: 0,
@@ -344,7 +493,7 @@ impl Tiler {
             lowering.reduce_mean_tile(g as u16, dc as u16, s.d as i32, x, y)?
         };
         let reps = s.groups_total.div_ceil(g) * s.d.div_ceil(dc);
-        Ok(vec![(prog, reps)])
+        Ok((prog, reps))
     }
 
     // ----- window family --------------------------------------------
@@ -396,20 +545,12 @@ impl Tiler {
             ch_tiles,
             spatial_fold,
             oh_cap,
+            weight_rows: if node.kind == OpKind::DepthwiseConv {
+                k * k + 1
+            } else {
+                0
+            },
         })
-    }
-
-    fn win_legal(&self, ws: &WinShape, oh_t: u64) -> bool {
-        oh_t >= 1
-            && oh_t <= ws.oh.min(u16::MAX as u64)
-            && win_fits(
-                self.interim_rows as u64,
-                ws.k,
-                ws.stride,
-                oh_t,
-                ws.w_t,
-                ws.ow_t,
-            )
     }
 
     fn build_window(
@@ -419,7 +560,7 @@ impl Tiler {
         ws: &WinShape,
         oh_t: u64,
         swap_kernel_loops: bool,
-    ) -> Result<Vec<(Program, u64)>, CompileError> {
+    ) -> Result<(Program, u64), CompileError> {
         let strips = ws.oh.div_ceil(oh_t);
         let in_rows = (((oh_t - 1) * ws.stride + ws.k) * ws.w_t) as u16;
         let x = View {
@@ -461,7 +602,7 @@ impl Tiler {
             y,
         )?;
         let reps = (ws.ch_tiles * strips * ws.w_tiles).div_ceil(ws.spatial_fold);
-        Ok(vec![(prog, reps)])
+        Ok((prog, reps))
     }
 
     // ----- permute family -------------------------------------------
@@ -481,7 +622,7 @@ impl Tiler {
         kind: OpKind,
         rows_total: u64,
         tile_rows: u16,
-    ) -> Result<Vec<(Program, u64)>, CompileError> {
+    ) -> Result<(Program, u64), CompileError> {
         let src = View {
             ns: Namespace::Interim1,
             base: 0,
@@ -505,19 +646,20 @@ impl Tiler {
             ],
             cross,
         )?;
-        Ok(vec![(prog, rows_total.div_ceil(u64::from(words)))])
+        Ok((prog, rows_total.div_ceil(u64::from(words))))
     }
 
-    // ----- lowering entry point -------------------------------------
+    // ----- entry points ---------------------------------------------
 
-    /// Lowers one node into tile programs, honoring `choice` — the
+    /// Lowers one node into its tile program, honoring `choice` — the
     /// [`TileChoice`] the lowering's [`crate::Schedule`] pins at this
     /// node's site ([`OpLowering::choice_for`]) — when it is legal.
     /// GEMM-class nodes are rejected (they run on the systolic array).
     ///
     /// # Errors
     ///
-    /// [`CompileError`] on unsupported nodes or resource exhaustion.
+    /// [`CompileError`] on unsupported nodes or resource exhaustion,
+    /// including a machine too small for the node's family.
     pub fn lower(
         &self,
         lowering: &OpLowering,
@@ -525,92 +667,45 @@ impl Tiler {
         node: &Node,
         choice: Option<TileChoice>,
     ) -> Result<CompiledOp, CompileError> {
-        let kind = node.kind;
-        if kind.class() == OpClass::Gemm {
-            return Err(CompileError::Unsupported { kind });
-        }
-
-        let tiles = match kind {
-            // pure metadata — free on the Tandem Processor
-            OpKind::Reshape | OpKind::Flatten | OpKind::Squeeze | OpKind::Unsqueeze => Vec::new(),
-
-            // reductions over the last axis (and global average pooling)
-            OpKind::Softmax | OpKind::ReduceMean | OpKind::GlobalAveragePool => {
-                let s = self.red_shape(graph, node);
-                let (dc, g) = match choice {
-                    Some(TileChoice::Reduce { d_chunk, groups })
-                        if self.red_legal(&s, u64::from(d_chunk), u64::from(groups)) =>
-                    {
-                        (u64::from(d_chunk), u64::from(groups))
-                    }
-                    _ => self.red_baseline(&s),
-                };
-                self.build_reduce(lowering, &s, dc, g)?
-            }
-
-            // window operators: channels across lanes, one output-row
-            // strip per tile
-            OpKind::MaxPool | OpKind::AveragePool | OpKind::DepthwiseConv => {
-                let ws = self.win_shape(graph, node)?;
-                let (oh_t, swap) = match choice {
-                    Some(TileChoice::Window {
-                        out_rows,
-                        swap_kernel_loops,
-                    }) if self.win_legal(&ws, u64::from(out_rows)) => {
-                        (u64::from(out_rows), swap_kernel_loops)
-                    }
-                    _ => (ws.oh_cap, false),
-                };
-                self.build_window(lowering, kind, &ws, oh_t, swap)?
-            }
-
-            // layout movement through the Permute Engine
-            OpKind::Transpose
-            | OpKind::Concat
-            | OpKind::Split
-            | OpKind::Slice
-            | OpKind::Gather
-            | OpKind::Resize => {
-                let out_elems = graph.tensor(node.outputs[0]).shape.elements() as u64;
-                let rows_total = self.rows_for(out_elems);
-                let tile_rows = match choice {
-                    Some(TileChoice::Permute { rows })
-                        if rows >= 1 && u64::from(rows) <= self.perm_cap(rows_total) =>
-                    {
-                        rows
-                    }
-                    _ => {
-                        self.plan(rows_total, self.interim_rows as u64 / 2)
-                            .tile_rows
-                    }
-                };
-                self.build_permute(lowering, kind, rows_total, tile_rows)?
-            }
-
-            // everything element-wise (math, activations, casts, Where)
-            _ => {
-                let s = self.ew_shape(graph, node);
-                let (rows, split, ns2) = match choice {
-                    Some(TileChoice::Elementwise {
-                        rows,
-                        split,
-                        y_in_interim2,
-                    }) if self.ew_legal(&s, rows, split, y_in_interim2) => {
-                        (rows, split, y_in_interim2)
-                    }
-                    _ => (
-                        self.plan(s.rows_total, self.ew_cap(&s, false)).tile_rows,
-                        1,
-                        false,
-                    ),
-                };
-                self.build_elementwise(lowering, node, &s, rows, split, ns2)?
-            }
+        let family = self.family(graph, node)?;
+        let Some(baseline) = self.baseline(&family)? else {
+            return Ok(CompiledOp {
+                kind: node.kind,
+                tiles: None,
+            });
         };
-        Ok(CompiledOp { kind, tiles })
+        let choice = choice
+            .filter(|&c| self.admits(&family, c))
+            .unwrap_or(baseline);
+        let tile = match (family, choice) {
+            (Family::Reduce(s), TileChoice::Reduce { d_chunk, groups }) => {
+                self.build_reduce(lowering, &s, d_chunk.into(), groups.into())
+            }
+            (
+                Family::Window(ws),
+                TileChoice::Window {
+                    out_rows,
+                    swap_kernel_loops,
+                },
+            ) => self.build_window(lowering, node.kind, &ws, out_rows.into(), swap_kernel_loops),
+            (Family::Permute { rows_total }, TileChoice::Permute { rows }) => {
+                self.build_permute(lowering, node.kind, rows_total, rows)
+            }
+            (
+                Family::Elementwise(s),
+                TileChoice::Elementwise {
+                    rows,
+                    split,
+                    y_in_interim2,
+                },
+            ) => self.build_elementwise(lowering, node, &s, rows, split, y_in_interim2),
+            _ => unreachable!("{choice:?} is not a choice of {family:?}"),
+        };
+        Ok(CompiledOp {
+            kind: node.kind,
+            tiles: Some(tile?),
+        })
     }
-
-    // ----- search-space enumeration ---------------------------------
 
     /// The tuning site of `node`: the hand-rolled baseline decision and
     /// the legal alternatives (baseline included, deduplicated, in
@@ -623,33 +718,23 @@ impl Tiler {
         graph: &Graph,
         node: &Node,
     ) -> Option<(TileChoice, Vec<TileChoice>)> {
-        let kind = node.kind;
-        if kind.class() == OpClass::Gemm
-            || matches!(
-                kind,
-                OpKind::Reshape | OpKind::Flatten | OpKind::Squeeze | OpKind::Unsqueeze
-            )
-        {
+        let family = self.family(graph, node).ok()?;
+        let Ok(Some(baseline)) = self.baseline(&family) else {
             return None;
-        }
+        };
         // Only nodes the compiler can actually lower are tuning sites.
         self.lower(lowering, graph, node, lowering.choice_for(graph, node))
             .ok()?;
 
-        let mut set: BTreeSet<TileChoice> = BTreeSet::new();
-        let baseline = match kind {
-            OpKind::Softmax | OpKind::ReduceMean | OpKind::GlobalAveragePool => {
-                let s = self.red_shape(graph, node);
-                let (bdc, bg) = self.red_baseline(&s);
-                let baseline = TileChoice::Reduce {
-                    d_chunk: bdc as u16,
-                    groups: bg as u16,
-                };
-                set.insert(baseline);
+        // The family's candidate tiles, kept where the family admits them.
+        let mut set = BTreeSet::from([baseline]);
+        let ir = self.interim_rows as u64;
+        match family {
+            Family::Metadata => {}
+            Family::Reduce(s) => {
                 // Chunk extents: the full axis, its divisors, the legal
                 // cap, the baseline — exact division on both axes kills
                 // the partial-tile overcharge.
-                let ir = self.interim_rows as u64;
                 let dc_cap = if s.softmax {
                     ir.saturating_sub(2) / 5
                 } else {
@@ -657,51 +742,26 @@ impl Tiler {
                 }
                 .min(s.d)
                 .min(u16::MAX as u64);
-                let mut dcs: BTreeSet<u64> = BTreeSet::new();
-                dcs.insert(bdc);
+                let mut dcs = BTreeSet::from([self.red_baseline(&s).0]);
                 if dc_cap >= 1 {
                     dcs.insert(dc_cap);
                     dcs.extend(divisors_le(s.d, dc_cap, 2));
                 }
-                for &dc in &dcs {
+                for dc in dcs {
                     let g_max = self.red_g_cap(&s, dc);
-                    if g_max == 0 {
-                        continue;
-                    }
-                    let mut gs: BTreeSet<u64> = BTreeSet::new();
-                    gs.insert(g_max);
-                    gs.extend(divisors_le(s.groups_total, g_max, 1));
-                    if dc == bdc {
-                        gs.insert(bg);
-                    }
-                    for &g in &gs {
-                        if self.red_legal(&s, dc, g) {
-                            set.insert(TileChoice::Reduce {
-                                d_chunk: dc as u16,
-                                groups: g as u16,
-                            });
-                        }
+                    for g in divisors_le(s.groups_total, g_max, 1)
+                        .into_iter()
+                        .chain([g_max])
+                    {
+                        set.insert(TileChoice::Reduce {
+                            d_chunk: dc as u16,
+                            groups: g as u16,
+                        });
                     }
                 }
-                baseline
             }
-
-            OpKind::MaxPool | OpKind::AveragePool | OpKind::DepthwiseConv => {
-                let ws = self.win_shape(graph, node).ok()?;
-                let baseline = TileChoice::Window {
-                    out_rows: ws.oh_cap as u16,
-                    swap_kernel_loops: false,
-                };
-                let mut strips: BTreeSet<u64> = BTreeSet::new();
-                strips.insert(ws.oh_cap);
-                strips.extend(divisors_le(ws.oh, ws.oh_cap, 2));
-                if ws.oh_cap >= 2 {
-                    strips.insert(ws.oh_cap / 2);
-                }
-                for &oh_t in &strips {
-                    if !self.win_legal(&ws, oh_t) {
-                        continue;
-                    }
+            Family::Window(ws) => {
+                for oh_t in tile_options(ws.oh, ws.oh_cap) {
                     for swap in [false, true] {
                         set.insert(TileChoice::Window {
                             out_rows: oh_t as u16,
@@ -709,67 +769,21 @@ impl Tiler {
                         });
                     }
                 }
-                baseline
             }
-
-            OpKind::Transpose
-            | OpKind::Concat
-            | OpKind::Split
-            | OpKind::Slice
-            | OpKind::Gather
-            | OpKind::Resize => {
-                let out_elems = graph.tensor(node.outputs[0]).shape.elements() as u64;
-                let rows_total = self.rows_for(out_elems);
-                let cap = self.perm_cap(rows_total);
-                let baseline = TileChoice::Permute {
-                    rows: self
-                        .plan(rows_total, self.interim_rows as u64 / 2)
-                        .tile_rows,
-                };
-                set.insert(baseline);
-                let mut rows: BTreeSet<u64> = BTreeSet::new();
-                rows.insert(cap);
-                if cap >= 2 {
-                    rows.insert(cap / 2);
+            Family::Permute { rows_total } => {
+                for r in tile_options(rows_total, self.perm_cap(rows_total)) {
+                    set.insert(TileChoice::Permute { rows: r as u16 });
                 }
-                rows.extend(divisors_le(rows_total, cap, 2));
-                for &r in &rows {
-                    if r >= 1 {
-                        set.insert(TileChoice::Permute { rows: r as u16 });
-                    }
-                }
-                baseline
             }
-
-            _ => {
-                let s = self.ew_shape(graph, node);
-                let baseline = TileChoice::Elementwise {
-                    rows: self.plan(s.rows_total, self.ew_cap(&s, false)).tile_rows,
-                    split: 1,
-                    y_in_interim2: false,
-                };
-                set.insert(baseline);
+            Family::Elementwise(s) => {
                 for ns2 in [false, true] {
-                    let cap = self.ew_cap(&s, ns2);
-                    if cap == 0 {
-                        continue;
-                    }
-                    let mut rows: BTreeSet<u64> = BTreeSet::new();
-                    rows.insert(cap);
-                    if cap >= 2 {
-                        rows.insert(cap / 2);
-                    }
-                    rows.extend(divisors_le(s.rows_total, cap, 2));
-                    for &r in &rows {
-                        for split in [1u16, 2] {
-                            if !self.ew_legal(&s, r as u16, split, ns2) {
-                                continue;
-                            }
-                            // A split equal to the whole tile degenerates
-                            // to the flat loop — skip the duplicate.
-                            if split > 1 && r / u64::from(split) <= 1 {
-                                continue;
-                            }
+                    for r in tile_options(s.rows_total, self.ew_cap(&s, ns2)) {
+                        // A split equal to the whole tile degenerates to
+                        // the flat loop — skip the duplicate.
+                        for split in [1u16, 2]
+                            .into_iter()
+                            .filter(|&sp| sp == 1 || r / u64::from(sp) > 1)
+                        {
                             set.insert(TileChoice::Elementwise {
                                 rows: r as u16,
                                 split,
@@ -778,23 +792,11 @@ impl Tiler {
                         }
                     }
                 }
-                baseline
             }
-        };
-        let candidates: Vec<TileChoice> = set.into_iter().collect();
-        if candidates.len() < 2 {
-            return None;
         }
-        Some((baseline, candidates))
+        set.retain(|&c| self.admits(&family, c));
+        (set.len() >= 2).then(|| (baseline, set.into_iter().collect()))
     }
-}
-
-fn input_elems(graph: &Graph, node: &Node) -> u64 {
-    graph.tensor(node.inputs[0]).shape.elements() as u64
-}
-
-fn out_shapes_last_input_axis(graph: &Graph, node: &Node) -> usize {
-    graph.tensor(node.inputs[0]).shape.dim(-1)
 }
 
 #[cfg(test)]
@@ -806,20 +808,15 @@ mod tests {
     #[test]
     fn plan_splits_evenly() {
         let t = Tiler::new(32, 512);
-        let p = t.plan(1000, 512);
-        assert_eq!(p.tile_rows, 512);
-        assert_eq!(p.tiles, 2);
-        let small = t.plan(100, 512);
-        assert_eq!(small.tile_rows, 100);
-        assert_eq!(small.tiles, 1);
+        assert_eq!(t.plan(1000, 512), 512);
+        assert_eq!(t.plan(100, 512), 100);
     }
 
     #[test]
     fn plan_never_zero() {
         let t = Tiler::new(32, 512);
-        let p = t.plan(1, 0);
-        assert_eq!(p.tile_rows, 1);
-        assert_eq!(p.tiles, 1);
+        assert_eq!(t.plan(1, 0), 1);
+        assert_eq!(t.plan(0, 512), 1);
     }
 
     #[test]

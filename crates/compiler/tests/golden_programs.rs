@@ -46,8 +46,8 @@ impl Fnv {
 fn fold(h: &mut Fnv, lowered: &Result<CompiledOp, CompileError>) {
     match lowered {
         Ok(op) => {
-            h.u64(op.tiles.len() as u64);
-            for (prog, reps) in &op.tiles {
+            h.u64(usize::from(op.tiles.is_some()) as u64);
+            if let Some((prog, reps)) = &op.tiles {
                 h.u64(prog.len() as u64);
                 for w in prog.encode() {
                     h.bytes(&w.to_le_bytes());

@@ -14,7 +14,8 @@
 
 use std::collections::BTreeMap;
 use tandem_compiler::{
-    enumerate_sites, schedule_graph_opts, CompileError, CompileOptions, OpLowering, Schedule,
+    enumerate_sites, schedule_graph_opts, CompileError, CompileOptions, NodeSignature, OpLowering,
+    Schedule,
 };
 use tandem_model::zoo::Benchmark;
 use tandem_model::{Graph, GraphBuilder, Padding};
@@ -213,4 +214,51 @@ fn random_schedules_verify_clean() {
 
 fn xtrial_seed(lanes: u64, rows: u64) -> u64 {
     0x7a4d_e001 ^ (lanes << 32) ^ rows
+}
+
+/// The tiler refuses every machine it cannot fit. On lanes {8, 32} and
+/// Interim BUFs of 1 to 32 rows (and 64), every distinct non-GEMM zoo
+/// node either lowers to a program the verifier passes, or lowering
+/// returns a [`CompileError`]: it never emits a program that reads or
+/// writes past the scratchpads. Depthwise weights and bias in Interim
+/// BUF 2, and element-wise or reduction tiles with no row to spare, are
+/// the two misfits this catches.
+#[test]
+fn every_zoo_node_fits_or_is_refused_on_small_scratchpads() {
+    let q = OpLowering::new(32, 512).fixed.q;
+    let graphs: Vec<Graph> = Benchmark::ALL.iter().map(|b| b.graph()).collect();
+    // One representative per distinct non-GEMM node (the signature of a
+    // fixed machine shape tells nodes apart on every shape).
+    let mut seen = std::collections::HashSet::new();
+    let mut nodes = Vec::new();
+    for graph in &graphs {
+        for node in graph.nodes() {
+            if node.kind.class().is_non_gemm()
+                && seen.insert(NodeSignature::of(graph, node, 32, 512, q))
+            {
+                nodes.push((graph, node));
+            }
+        }
+    }
+    for lanes in [8usize, 32] {
+        for rows in (1..=32).chain([64]) {
+            let lowering = OpLowering::new(lanes, rows);
+            let verifier = Verifier::new(VerifyConfig::for_lowering(lanes, rows));
+            for &(graph, node) in &nodes {
+                let Ok(op) = lowering.lower_node(graph, node) else {
+                    continue;
+                };
+                if let Some((prog, _)) = &op.tiles {
+                    assert!(
+                        verifier.is_clean(prog),
+                        "{} {} ({}) on {lanes}×{rows} lowers to a program that does not fit:\n{}",
+                        graph.name,
+                        node.name,
+                        node.kind,
+                        verifier.verify(prog)
+                    );
+                }
+            }
+        }
+    }
 }

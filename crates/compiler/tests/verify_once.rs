@@ -112,7 +112,9 @@ fn a_corrupted_later_twin_is_reported_at_its_own_index() {
 /// Closes the block's Tandem region and reopens it under `group`.
 fn reopen(compiled: CompiledOp, group: u8) -> CompiledOp {
     let mut tiles = compiled.tiles;
-    let program = &mut tiles[0].0;
+    let (program, _) = tiles
+        .as_mut()
+        .expect("the block's first node has a program");
     program.push(Instruction::sync(
         SyncUnit::Simd,
         SyncEdge::End,

@@ -1341,7 +1341,7 @@ impl Npu {
 
     /// Embeds the instruction-level timeline of the block's compiled tile
     /// programs (`lowered`, one lowering per non-GEMM node) on the
-    /// [`Track::Program`] lane starting at `start`: each
+    /// [`Track::Program`] lane starting at `start`: each node's
     /// program's first repetition plays out span by span (config runs,
     /// Code Repeater nests, permutes, DMA bursts, syncs); further
     /// repetitions coalesce into one "tile repeats" span.
@@ -1354,48 +1354,56 @@ impl Npu {
     ) {
         let mut at = start;
         for compiled in lowered {
-            let Ok(c) = compiled.as_ref() else { continue };
-            for (prog, reps) in &c.tiles {
-                let one = {
-                    let mut off = OffsetSink::new(sink, at, Track::Program);
-                    proc.run_traced(prog, &mut Dram::new(0), &mut off)
-                        .expect("compiled tile program must simulate")
-                };
-                at += one.compute_cycles;
-                if *reps > 1 {
-                    let rest = one.compute_cycles * (*reps - 1);
-                    sink.span(
-                        Track::Program,
-                        "tile repeats",
-                        "compute",
-                        at,
-                        rest,
-                        &[("reps", *reps - 1)],
-                    );
-                    at += rest;
-                }
+            let Ok(CompiledOp {
+                tiles: Some((prog, reps)),
+                ..
+            }) = compiled.as_ref()
+            else {
+                continue;
+            };
+            let one = {
+                let mut off = OffsetSink::new(sink, at, Track::Program);
+                proc.run_traced(prog, &mut Dram::new(0), &mut off)
+                    .expect("compiled tile program must simulate")
+            };
+            at += one.compute_cycles;
+            if *reps > 1 {
+                let rest = one.compute_cycles * (*reps - 1);
+                sink.span(
+                    Track::Program,
+                    "tile repeats",
+                    "compute",
+                    at,
+                    rest,
+                    &[("reps", *reps - 1)],
+                );
+                at += rest;
             }
         }
     }
 }
 
-/// The performance-mode report of a node's lowering `compiled`, summed
-/// over its tile programs and run on the data-free `proc`: a pure
-/// function of the programs, since each program's configuration section
-/// overwrites whatever state an earlier one left. A metadata-only op (a
-/// compile error) costs nothing.
+/// The performance-mode report of a node's lowering `compiled`: its tile
+/// program run once on the data-free `proc` (a pure function of the
+/// program, since its configuration section overwrites whatever state an
+/// earlier program left), scaled by its repetitions.
+///
+/// Metadata lowers to no program and costs nothing. A lowering error —
+/// a node this machine cannot fit — also reads 0 cycles here, and the
+/// run reports nothing: the guards against such a machine are the
+/// compile gate of `tandem run` / `tandem profile` and
+/// [`Npu::verify_schedule`], which refuse it before any run.
 fn simulate(proc: &mut TandemProcessor, compiled: &Result<CompiledOp, CompileError>) -> RunReport {
-    let Ok(compiled) = compiled else {
-        return RunReport::default();
-    };
-    let mut total = RunReport::default();
-    for (prog, reps) in &compiled.tiles {
-        let one = proc
+    match compiled {
+        Ok(CompiledOp {
+            tiles: Some((prog, reps)),
+            ..
+        }) => proc
             .run(prog, &mut Dram::new(0))
-            .expect("compiled tile program must simulate");
-        total.merge(&one.scaled(*reps));
+            .expect("compiled tile program must simulate")
+            .scaled(*reps),
+        Ok(CompiledOp { tiles: None, .. }) | Err(_) => RunReport::default(),
     }
-    total
 }
 
 /// The largest divisor of `n` that is at most `cap` (≥ 1): the biggest

@@ -11,8 +11,8 @@
 //! often. Sites that govern many graph nodes get a proportional boost
 //! too — a win there multiplies across every instance.
 
-use tandem_compiler::{OpLowering, TuneSite};
-use tandem_model::{Graph, OpClass};
+use tandem_compiler::{CompiledOp, OpLowering, TuneSite};
+use tandem_model::Graph;
 use tandem_verify::{Verifier, VerifyConfig};
 
 /// One mutation weight per site (parallel to `sites`, each ≥ 1):
@@ -31,14 +31,14 @@ pub fn site_weights(
         .iter()
         .map(|site| {
             let node = graph.node(site.node);
-            let mut wasted = 0u64;
-            if node.kind.class() != OpClass::Gemm {
-                if let Ok(compiled) = lowering.lower_node(graph, node) {
-                    for (prog, reps) in &compiled.tiles {
-                        wasted += verifier.wasted_words(prog) * reps;
-                    }
-                }
-            }
+            // GEMM nodes lower to `Unsupported` and metadata to no program.
+            let wasted = match lowering.lower_node(graph, node) {
+                Ok(CompiledOp {
+                    tiles: Some((prog, reps)),
+                    ..
+                }) => verifier.wasted_words(&prog) * reps,
+                _ => 0,
+            };
             1 + site.instances + wasted * site.instances
         })
         .collect()
