@@ -35,8 +35,8 @@ cargo test -q
 # non-zero on any post-dedup error or any widened/exact divergence.
 # Per model, TANDEM_LINT.json also records distinct_blocks (block
 # programs distinct up to sync group, the ones the compiler's verify gate
-# verifies) and gate_ns (best-of-five wall of schedule_graph_opts with
-# verify on); neither is gated.
+# verifies) and gate_ns (median wall of five schedule_graph_opts runs with
+# verify on, gate_min_ns and gate_max_ns beside it); neither is gated.
 echo "==> tandem-lint (static verification of the model zoo)"
 cargo run --release -q --bin tandem_lint -- TANDEM_LINT.json --budget-ms 24
 
@@ -104,13 +104,14 @@ cargo run --release -q --bin tandem_tune -- --smoke --out artifacts/BENCH_TUNE_S
 
 # Whole-stack host benchmark, correctness only: short transformer_cold
 # and cnn_cold runs (every cache cold, so every node is lowered, verified
-# and simulated on the cold compile path) and a short cnn_warm run
-# (caches filled in set-up, so runs, tuner siblings and serving tables
-# take the warm paths) check every phase's result against the uncached
-# reference and must report "correct": true on their last line. Their
-# timings are not gated here (a 2 s run on a shared CI runner is too
-# noisy for that).
-for workload in transformer_cold cnn_cold cnn_warm; do
+# and simulated on the cold compile path) and short cnn_warm and
+# transformer_warm runs (caches filled in set-up, so runs, tuner siblings
+# and serving tables take the warm paths; transformer_warm's siblings
+# answer most nodes from each run's own table of node reports) check
+# every phase's result against the uncached reference and must report
+# "correct": true on their last line. Their timings are not gated here (a
+# 2 s run on a shared CI runner is too noisy for that).
+for workload in transformer_cold cnn_cold cnn_warm transformer_warm; do
     echo "==> hostbench (whole-stack correctness smoke, $workload)"
     hostbench_out=$(cargo run --release --offline --manifest-path hostbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)

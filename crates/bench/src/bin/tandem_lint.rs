@@ -20,9 +20,10 @@
 //! symbolic walk and the mode-independent passes.
 //!
 //! Each model also reports `distinct_blocks`, its block programs that
-//! differ other than in sync group, and `gate_ns`, the best-of-five wall
-//! of compiling it with the compiler's verify gate on — the gate verifies
-//! only the distinct programs, so the two numbers go together.
+//! differ other than in sync group, and `gate_ns`, the median wall of
+//! five compilations with the compiler's verify gate on (`gate_min_ns`
+//! and `gate_max_ns` beside it) — the gate verifies only the distinct
+//! programs, so the two numbers go together.
 //!
 //! Diagnostics that are byte-identical across blocks (signature-cached
 //! tile programs repeat across a model) are deduplicated with a `×N`
@@ -39,7 +40,8 @@ use tandem_isa::Instruction;
 use tandem_model::zoo::Benchmark;
 use tandem_verify::{Severity, Verifier, VerifyConfig, VerifyMode, VerifyRun};
 
-/// Full widened passes over each model; the fastest one is reported.
+/// Timed repetitions per model: full widened passes, of which the
+/// fastest is reported, and gated compilations, of which the median is.
 const TIMING_REPS: usize = 5;
 
 /// One deduplicated finding: the first block it appeared in, the
@@ -63,8 +65,8 @@ struct ModelOutcome {
     modes_agree: bool,
     widened: Duration,
     exact: Duration,
-    /// Best-of-five wall of `schedule_graph_opts` with verify on.
-    gate: Duration,
+    /// Walls of `schedule_graph_opts` with verify on, fastest first.
+    gate: [Duration; TIMING_REPS],
     /// Wall of the mode-dependent loop-summarization (bounds-resolve)
     /// phase alone, per mode, over all blocks.
     summarize_widened: Duration,
@@ -89,15 +91,14 @@ fn lint_model(lowering: &OpLowering, bench: Benchmark) -> ModelOutcome {
     };
     let blocks = schedule_graph_opts(lowering, &graph, &no_verify)
         .unwrap_or_else(|e| panic!("{}: scheduling failed: {e}", graph.name));
-    let gate = (0..TIMING_REPS)
-        .map(|_| {
-            let start = Instant::now();
-            let gated = schedule_graph_opts(lowering, &graph, &CompileOptions::default());
-            std::hint::black_box(gated).ok();
-            start.elapsed()
-        })
-        .min()
-        .unwrap_or_default();
+    let mut gate = [Duration::ZERO; TIMING_REPS];
+    for wall in &mut gate {
+        let start = Instant::now();
+        let gated = schedule_graph_opts(lowering, &graph, &CompileOptions::default());
+        std::hint::black_box(gated).ok();
+        *wall = start.elapsed();
+    }
+    gate.sort();
     let distinct: HashSet<Vec<Instruction>> = blocks
         .iter()
         .map(|sb| sb.program.iter().map(|i| i.ungrouped()).collect())
@@ -264,7 +265,7 @@ fn main() {
             o.exact.as_secs_f64() * 1e3,
             speedup(o.exact, o.widened),
             speedup(o.summarize_exact, o.summarize_widened),
-            o.gate.as_secs_f64() * 1e3,
+            o.gate[TIMING_REPS / 2].as_secs_f64() * 1e3,
             if o.errors == 0 && o.modes_agree {
                 "ok"
             } else {
@@ -343,7 +344,7 @@ fn main() {
             json,
             "    {{\"name\": {}, \"blocks\": {}, \"instructions\": {}, \
              \"distinct_blocks\": {}, \"warnings\": {}, \"errors\": {}, \
-             \"modes_agree\": {}, \"gate_ns\": {}, \
+             \"modes_agree\": {}, \"gate_ns\": {}, \"gate_min_ns\": {}, \"gate_max_ns\": {}, \
              \"verify_ns\": {{\"widened\": {}, \"exact\": {}, \"speedup\": {:.2}}}, \
              \"summarize_ns\": {{\"widened\": {}, \"exact\": {}, \"speedup\": {:.2}}}, \
              \"passes\": [{}], \"rules\": {{{}}}, \"findings\": [{}]}}{}",
@@ -354,7 +355,9 @@ fn main() {
             o.warnings,
             o.errors,
             o.modes_agree,
-            o.gate.as_nanos(),
+            o.gate[TIMING_REPS / 2].as_nanos(),
+            o.gate[0].as_nanos(),
+            o.gate[TIMING_REPS - 1].as_nanos(),
             o.widened.as_nanos(),
             o.exact.as_nanos(),
             speedup(o.exact, o.widened),

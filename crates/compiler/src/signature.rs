@@ -13,9 +13,10 @@
 
 use crate::lower::OpLowering;
 use crate::tune_space::{StableHasher, TileChoice};
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use tandem_model::hash::WordHasher;
+use tandem_model::hash::{WordHasher, WordMap};
 use tandem_model::{Graph, Node};
 
 /// Everything [`OpLowering::lower_node`] can observe about a node: the
@@ -43,7 +44,10 @@ use tandem_model::{Graph, Node};
 ///
 /// The words are shared: cloning a signature, or re-keying it under
 /// another choice with [`NodeSignature::with_choice`], copies no words
-/// and rehashes only the choice.
+/// and rehashes only the choice. [`NodeSignature::intern_graph`] builds
+/// one word buffer per *distinct* signature of a graph's nodes and gives
+/// each node a dense id into them, so what is derived from a signature
+/// (its site key, its simulated report) can be derived once per id.
 #[derive(Debug, Clone)]
 pub struct NodeSignature {
     /// The flattened key (layout above).
@@ -81,24 +85,56 @@ impl NodeSignature {
     pub fn of(graph: &Graph, node: &Node, lanes: usize, interim_rows: usize, q: u32) -> Self {
         let mut words = Vec::new();
         key_words(&mut words, graph, node, lanes, interim_rows, q);
-        Self::sealed(&words)
+        Self::sealed(&words, words_state(&words))
     }
 
-    /// [`NodeSignature::of`] every non-GEMM node of `graph`, by node
-    /// index (`None` for the GEMM nodes, which the Tandem compiler never
-    /// lowers), built through one scratch buffer.
-    pub fn of_graph(graph: &Graph, lanes: usize, interim_rows: usize, q: u32) -> Vec<Option<Self>> {
+    /// The choice-free signatures of the nodes of `graph` that `keep`
+    /// accepts, on `lowering`'s machine shape, interned: each node's id,
+    /// by node index (`None` for a node `keep` refuses), and the distinct
+    /// signatures, by id in order of first appearance. Ids are dense, and
+    /// two kept nodes share one exactly when their [`NodeSignature::of`]
+    /// values are equal.
+    ///
+    /// Each node's words are built in one scratch buffer and hashed; a
+    /// node whose words were seen before is found by that hash and
+    /// confirmed word by word, and allocates nothing.
+    pub fn intern_graph(
+        lowering: &OpLowering,
+        graph: &Graph,
+        keep: impl Fn(&Node) -> bool,
+    ) -> (Vec<Option<u32>>, Vec<Self>) {
+        let (lanes, interim_rows, q) =
+            (lowering.lanes(), lowering.interim_rows(), lowering.fixed.q);
         let mut words = Vec::new();
-        graph
+        let mut distinct: Vec<Self> = Vec::new();
+        // The id of each distinct signature by its hash; a hash taken by
+        // other words moves on to the next value.
+        let mut by_hash: WordMap<u64, u32> = WordMap::default();
+        let ids = graph
             .nodes()
             .iter()
             .map(|node| {
-                node.kind.class().is_non_gemm().then(|| {
-                    key_words(&mut words, graph, node, lanes, interim_rows, q);
-                    Self::sealed(&words)
+                if !keep(node) {
+                    return None;
+                }
+                key_words(&mut words, graph, node, lanes, interim_rows, q);
+                let state = words_state(&words);
+                let mut key = state.finish();
+                Some(loop {
+                    match by_hash.entry(key) {
+                        Entry::Vacant(e) => {
+                            distinct.push(Self::sealed(&words, state));
+                            break *e.insert(distinct.len() as u32 - 1);
+                        }
+                        Entry::Occupied(e) if *distinct[*e.get() as usize].words == *words => {
+                            break *e.get()
+                        }
+                        Entry::Occupied(_) => key = key.wrapping_add(1),
+                    }
                 })
             })
-            .collect()
+            .collect();
+        (ids, distinct)
     }
 
     /// The signature of `node` under `lowering`'s machine shape,
@@ -120,12 +156,9 @@ impl NodeSignature {
         sig.with_choice(choice)
     }
 
-    /// The choice-free signature of `words`.
-    fn sealed(words: &[u64]) -> Self {
-        let mut h = WordHasher::default();
-        for &w in words {
-            h.write_u64(w);
-        }
+    /// The choice-free signature of `words`, whose [`WordHasher`] state
+    /// is `h`.
+    fn sealed(words: &[u64], h: WordHasher) -> Self {
         let mut sealed = h;
         None::<TileChoice>.hash(&mut sealed);
         NodeSignature {
@@ -162,6 +195,15 @@ impl NodeSignature {
     pub fn site_key(&self) -> u64 {
         site_key_of(&self.words)
     }
+}
+
+/// The [`WordHasher`] state after `words`.
+fn words_state(words: &[u64]) -> WordHasher {
+    let mut h = WordHasher::default();
+    for &w in words {
+        h.write_u64(w);
+    }
+    h
 }
 
 /// Writes the flat key of [`NodeSignature`] into `words`, replacing its

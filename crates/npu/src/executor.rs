@@ -153,8 +153,9 @@ type GateKey = (bool, Vec<(u64, Option<TileChoice>)>);
 
 /// The six memos (compile, gate, sim, graph, plan, demand) shared by
 /// every clone of an [`Npu`], by its same-silicon siblings and by all
-/// [`Npu::run_many`] workers, and the count of blocks runs composed from
-/// an earlier block of their class.
+/// [`Npu::run_many`] workers, the count of blocks runs composed from
+/// an earlier block of their class, and the count of nodes runs
+/// answered from their own table of node reports.
 ///
 /// `plan` holds what no schedule can change about each graph — its
 /// blocks, their DRAM bytes and GEMM workloads, and its node signatures
@@ -190,6 +191,20 @@ struct NpuCaches {
     plan: Memo<PlanKey, Arc<GraphPlan>>,
     demand: Memo<DemandKey, ServiceDemand>,
     reused_blocks: AtomicU64,
+    /// Node reports a run found in its own [`NodeReports`] table: `sim`
+    /// probes saved, counted as `sim` hits.
+    table_hits: AtomicU64,
+}
+
+/// One run's node reports before the knobs, by signature id (see
+/// [`GraphPlan`]): a node whose id the run has already resolved reads
+/// its report here and skips the shared `sim` memo's lock and probe.
+/// Empty on an [`Npu::uncached`] runner, whose plan has no ids.
+#[derive(Debug)]
+struct NodeReports {
+    by_id: Vec<Option<RunReport>>,
+    /// Lookups answered from `by_id`.
+    hits: u64,
 }
 
 /// What one execution block costs before the blocks around it are
@@ -373,7 +388,7 @@ impl Npu {
         ExecStats {
             compile_hits: c.compile.hits(),
             compile_misses: c.compile.misses(),
-            sim_hits: c.sim.hits(),
+            sim_hits: c.sim.hits() + c.table_hits.load(Ordering::Relaxed),
             sim_misses: c.sim.misses(),
             graph_hits: c.graph.hits(),
             graph_misses: c.graph.misses(),
@@ -453,6 +468,9 @@ impl Npu {
     /// the first member of a repeated class computes them, and every
     /// member composes them in block order. A traced run computes every
     /// block's own parts, since its trace re-runs the programs anyway.
+    /// Nodes of one signature id share one report in [`NodeReports`]
+    /// before the knobs, so only the first node of each id probes the
+    /// `sim` memo.
     fn run_core_traced(&self, graph: &Graph, sink: &mut dyn TraceSink) -> NpuReport {
         let plan = self.plan(graph);
         let mut report = NpuReport {
@@ -469,6 +487,10 @@ impl Npu {
         // the budget a schedule-enabled weight prefetch may hide in.
         let mut exposed = 0u64;
         let mut class_parts: Vec<Option<BlockParts>> = vec![None; plan.classes];
+        let mut reports = NodeReports {
+            by_id: vec![None; plan.distinct.len()],
+            hits: 0,
+        };
         // Room for every block's kinds (one per node, plus the cast), so
         // the list is allocated once.
         let mut kinds = Vec::with_capacity(plan.blocks.iter().map(|b| b.block.len() + 1).sum());
@@ -480,11 +502,18 @@ impl Npu {
                     let slot = &mut class_parts[class];
                     reused += u64::from(slot.is_some());
                     &*slot.get_or_insert_with(|| {
-                        self.block_parts(graph, &plan, planned, &mut proc, &mut kinds)
+                        self.block_parts(graph, &plan, planned, &mut reports, &mut proc, &mut kinds)
                     })
                 }
                 None => {
-                    own = self.block_parts(graph, &plan, planned, &mut proc, &mut kinds);
+                    own = self.block_parts(
+                        graph,
+                        &plan,
+                        planned,
+                        &mut reports,
+                        &mut proc,
+                        &mut kinds,
+                    );
                     &own
                 }
             };
@@ -511,6 +540,9 @@ impl Npu {
         self.caches
             .reused_blocks
             .fetch_add(reused, Ordering::Relaxed);
+        self.caches
+            .table_hits
+            .fetch_add(reports.hits, Ordering::Relaxed);
         let energy_model = EnergyModel::paper(self.cfg.tandem.lanes);
         report.tandem_energy = energy_model.energy(&report.counters);
         report.static_nj = self.cfg.static_power_w * report.seconds() * 1e9;
@@ -639,23 +671,37 @@ impl Npu {
     }
 
     /// Simulates one non-GEMM node's compiled programs in performance
-    /// mode and applies the knobs to the report. The simulation is
-    /// memoized on the node's signature `sig` when there is one (the
-    /// knobs apply after the lookup, so siblings that differ only in knobs
-    /// share every entry); a miss lowers through the compile cache under
-    /// the same signature, so the compile cache is consulted only on `sim`
+    /// mode and applies the knobs to the report. The report before the
+    /// knobs comes from the run's `reports` when an earlier node of the
+    /// run has the same signature id; else the simulation is memoized on
+    /// the node's signature when the plan has one (the knobs apply after
+    /// the lookup, so siblings that differ only in knobs share every
+    /// entry), and a miss lowers through the compile cache under the
+    /// same signature, so the compile cache is consulted only on `sim`
     /// misses. A simulation runs on the run's data-free `proc`.
     fn tandem_node_report(
         &self,
         graph: &Graph,
+        plan: &GraphPlan,
         node: &Node,
-        sig: Option<NodeSignature>,
+        reports: &mut NodeReports,
         proc: &mut TandemProcessor,
     ) -> RunReport {
-        let mut report = match sig {
-            Some(sig) => self.caches.sim.get_or_insert_with(&sig, || {
-                simulate(proc, &self.lower(graph, node, Some(&sig)))
-            }),
+        let mut report = match plan.ids.get(node.id.index()).copied().flatten() {
+            Some(id) => match &mut reports.by_id[id as usize] {
+                Some(known) => {
+                    reports.hits += 1;
+                    *known
+                }
+                slot @ None => {
+                    let sig = plan
+                        .signature(graph, &self.lowering, node.id)
+                        .expect("a plan with ids has every node's signature");
+                    *slot.insert(self.caches.sim.get_or_insert_with(&sig, || {
+                        simulate(proc, &self.lower(graph, node, Some(&sig)))
+                    }))
+                }
+            },
             None => simulate(proc, &self.lower(graph, node, None)),
         };
         self.cfg.knobs.apply(node.kind, &mut report);
@@ -769,14 +815,15 @@ impl Npu {
     }
 
     /// The parts of `planned`'s cost that no other block changes: the
-    /// Tandem side (node reports, cast stream, DMA), the per-kind
-    /// cycles, appended to `kinds`, and the GEMM side's tiling and
-    /// closed-form reports.
+    /// Tandem side (node reports, through the run's `reports`, cast
+    /// stream, DMA), the per-kind cycles, appended to `kinds`, and the
+    /// GEMM side's tiling and closed-form reports.
     fn block_parts(
         &self,
         graph: &Graph,
         plan: &GraphPlan,
         planned: &PlannedBlock,
+        reports: &mut NodeReports,
         proc: &mut TandemProcessor,
         kinds: &mut Vec<(OpKind, u64)>,
     ) -> BlockParts {
@@ -786,8 +833,7 @@ impl Npu {
         let mut tandem = RunReport::default();
         for &id in &block.non_gemm {
             let node = graph.node(id);
-            let sig = plan.signature(graph, &self.lowering, id);
-            let r = self.tandem_node_report(graph, node, sig, proc);
+            let r = self.tandem_node_report(graph, plan, node, reports, proc);
             add_cycles(kinds, start, node.kind, r.compute_cycles);
             tandem.merge(&r);
         }

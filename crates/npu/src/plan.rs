@@ -7,14 +7,22 @@
 //! tuning-site key of its nodes. None of these depends on the schedule,
 //! the knobs or the verifier settings, so an NPU's cache set builds one
 //! [`GraphPlan`] per graph and every sibling reads it: a tuner candidate
-//! then pays one schedule lookup and one memo probe per node, with no
-//! partitioning and no FNV hashing. An [`crate::Npu::uncached`] runner
-//! builds a fresh plan, without signatures or block classes, on every
-//! call.
+//! then pays one schedule lookup and one memo probe per *distinct* node,
+//! with no partitioning and no FNV hashing. An [`crate::Npu::uncached`]
+//! runner builds a fresh plan, without signatures or block classes, on
+//! every call.
+//!
+//! The signatures are interned ([`NodeSignature::intern_graph`]): the
+//! plan holds each distinct non-GEMM signature once and gives every
+//! non-GEMM node its dense id. Transformers repeat their layers, so
+//! BERT-128 has 536 non-GEMM nodes but 30 distinct signatures. Whatever
+//! is derived from a signature — its site key, its simulated report
+//! within a run — is derived once per id and read by every node that
+//! has it.
 //!
 //! The plan also sorts the blocks into classes. Two blocks are in one
 //! class when they have the same Tandem DRAM bytes, the same non-GEMM
-//! signatures in order and structurally equal GEMM nodes: then every
+//! signature ids in order and structurally equal GEMM nodes: then every
 //! site key in them is equal, so under any schedule, knobs and
 //! granularity they cost the same, except for the cross-block prefetch
 //! window, and a run computes their cost once.
@@ -34,12 +42,17 @@ pub(crate) struct GraphPlan {
     pub(crate) blocks: Vec<PlannedBlock>,
     /// The number of block classes with more than one member.
     pub(crate) classes: usize,
-    /// The choice-free signature of every non-GEMM node, by node index.
-    /// Empty in an uncached runner's plan: nothing there keys a cache.
-    sigs: Vec<Option<NodeSignature>>,
+    /// The signature id of every node, by node index: an index into
+    /// `distinct`, `None` for a GEMM node (the Tandem compiler never
+    /// lowers one). Empty in an uncached runner's plan: nothing there
+    /// keys a cache.
+    pub(crate) ids: Vec<Option<u32>>,
+    /// The graph's distinct choice-free non-GEMM signatures, by id.
+    pub(crate) distinct: Vec<NodeSignature>,
     /// The tuning-site key of every node, by node index, computed the
     /// first time a non-empty schedule, the gate or `tune_sites` asks
-    /// for one — so empty-schedule runs hash no site keys.
+    /// for one — so empty-schedule runs hash no site keys. A cached
+    /// plan hashes one key per distinct signature.
     pub(crate) site_keys: OnceLock<Vec<u64>>,
 }
 
@@ -60,7 +73,7 @@ pub(crate) struct PlannedBlock {
 
 impl GraphPlan {
     /// Partitions `graph` and charges every block; with `signatures`,
-    /// also builds every non-GEMM node's signature on `lowering`'s
+    /// also interns every non-GEMM node's signature on `lowering`'s
     /// machine shape and sorts the blocks into classes.
     pub(crate) fn build(graph: &Graph, lowering: &OpLowering, signatures: bool) -> Self {
         let blocks = Partitioner::new().partition(graph);
@@ -77,37 +90,45 @@ impl GraphPlan {
                 class: None,
             })
             .collect();
-        let (sigs, classes) = if signatures {
-            let sigs = NodeSignature::of_graph(
-                graph,
-                lowering.lanes(),
-                lowering.interim_rows(),
-                lowering.fixed.q,
-            );
-            let classes = assign_classes(graph, &sigs, &mut blocks);
-            (sigs, classes)
+        let (ids, distinct, classes) = if signatures {
+            let (ids, distinct) =
+                NodeSignature::intern_graph(lowering, graph, |n| n.kind.class().is_non_gemm());
+            let classes = assign_classes(graph, &ids, &mut blocks);
+            (ids, distinct, classes)
         } else {
-            (Vec::new(), 0)
+            (Vec::new(), Vec::new(), 0)
         };
         GraphPlan {
             blocks,
             classes,
-            sigs,
+            ids,
+            distinct,
             site_keys: OnceLock::new(),
         }
     }
 
     /// Every node's tuning-site key ([`NodeSignature::site_key`]), by
-    /// node index.
+    /// node index: hashed once per distinct signature, or once per node
+    /// in an uncached runner's plan. The GEMM nodes are interned here,
+    /// the first time a key is asked for, so an empty-schedule run pays
+    /// nothing for them.
     pub(crate) fn site_keys(&self, graph: &Graph, lowering: &OpLowering) -> &[u64] {
         self.site_keys.get_or_init(|| {
-            let nodes = graph.nodes().iter();
-            nodes
-                .map(|n| match self.base(n.id) {
-                    Some(sig) => sig.site_key(),
-                    None => lowering.site_key(graph, n),
-                })
-                .collect()
+            if self.ids.is_empty() {
+                let nodes = graph.nodes().iter();
+                return nodes.map(|n| lowering.site_key(graph, n)).collect();
+            }
+            let (gemm_ids, gemm) =
+                NodeSignature::intern_graph(lowering, graph, |n| !n.kind.class().is_non_gemm());
+            let keys_of = |sigs: &[NodeSignature]| -> Vec<u64> {
+                sigs.iter().map(NodeSignature::site_key).collect()
+            };
+            let (keys, gemm_keys) = (keys_of(&self.distinct), keys_of(&gemm));
+            let key = |(id, gemm_id): (&Option<u32>, Option<u32>)| match id {
+                Some(id) => keys[*id as usize],
+                None => gemm_keys[gemm_id.expect("a GEMM node has a GEMM id") as usize],
+            };
+            self.ids.iter().zip(gemm_ids).map(key).collect()
         })
     }
 
@@ -131,20 +152,18 @@ impl GraphPlan {
 
     /// The choice-free signature of node `id`, if the plan holds one.
     fn base(&self, id: NodeId) -> Option<&NodeSignature> {
-        self.sigs.get(id.index())?.as_ref()
+        let id = (*self.ids.get(id.index())?)?;
+        Some(&self.distinct[id as usize])
     }
 }
 
 /// Sets the class of every block that shares its class with another
-/// one and returns the number of such classes. Each block is looked up
-/// by a hash of its DRAM bytes, its signatures' stored hashes and its
-/// GEMM workload; a candidate counts only if [`same_class`] confirms
-/// it, and a hash taken by another class moves on to the next value.
-fn assign_classes(
-    graph: &Graph,
-    sigs: &[Option<NodeSignature>],
-    blocks: &mut [PlannedBlock],
-) -> usize {
+/// one and returns the number of such classes, given every node's
+/// signature id. Each block is looked up by a hash of its DRAM bytes,
+/// its non-GEMM nodes' ids and its GEMM workload; a candidate counts
+/// only if [`same_class`] confirms it, and a hash taken by another class
+/// moves on to the next value.
+fn assign_classes(graph: &Graph, ids: &[Option<u32>], blocks: &mut [PlannedBlock]) -> usize {
     // The first block of each class, by hash.
     let mut first: WordMap<u64, usize> = WordMap::default();
     first.reserve(blocks.len());
@@ -154,7 +173,7 @@ fn assign_classes(
         let mut h = WordHasher::default();
         h.write_u64(planned.tandem_dram_bytes);
         for &id in &planned.block.non_gemm {
-            sigs[id.index()].hash(&mut h);
+            ids[id.index()].hash(&mut h);
         }
         planned.gemm.hash(&mut h);
         let mut key = h.finish();
@@ -164,7 +183,7 @@ fn assign_classes(
                     e.insert(b);
                     break None;
                 }
-                Entry::Occupied(e) if same_class(graph, sigs, &blocks[*e.get()], planned) => {
+                Entry::Occupied(e) if same_class(graph, ids, &blocks[*e.get()], planned) => {
                     break Some(*e.get())
                 }
                 Entry::Occupied(_) => key = key.wrapping_add(1),
@@ -182,21 +201,16 @@ fn assign_classes(
 }
 
 /// Whether blocks `a` and `b` cost the same in any run: equal Tandem
-/// DRAM bytes, equal non-GEMM signatures in order, and structurally
+/// DRAM bytes, equal non-GEMM signature ids in order, and structurally
 /// equal GEMM nodes (or none).
-fn same_class(
-    graph: &Graph,
-    sigs: &[Option<NodeSignature>],
-    a: &PlannedBlock,
-    b: &PlannedBlock,
-) -> bool {
+fn same_class(graph: &Graph, ids: &[Option<u32>], a: &PlannedBlock, b: &PlannedBlock) -> bool {
     let (x, y) = (&a.block, &b.block);
     a.tandem_dram_bytes == b.tandem_dram_bytes
         && x.non_gemm.len() == y.non_gemm.len()
         && x.non_gemm
             .iter()
             .zip(&y.non_gemm)
-            .all(|(m, n)| sigs[m.index()] == sigs[n.index()])
+            .all(|(m, n)| ids[m.index()] == ids[n.index()])
         && match (x.gemm, y.gemm) {
             (None, None) => true,
             (Some(m), Some(n)) => same_gemm(graph, graph.node(m), graph.node(n)),
@@ -433,6 +447,60 @@ mod tests {
             repeated += paper.0;
         }
         assert!(repeated > 0, "the zoo repeats blocks");
+    }
+
+    #[test]
+    fn interned_ids_and_site_keys_equal_the_per_node_reference() {
+        use std::collections::HashMap;
+        let mut models = zoo::all_models();
+        models.extend([zoo::llama_tiny(32), zoo::gpt2_decode_step(64)]);
+        for (lanes, rows) in [(32, 512), (8, 64)] {
+            let lowering = OpLowering::new(lanes, rows);
+            for graph in &models {
+                let plan = GraphPlan::build(graph, &lowering, true);
+                let at = |what: &dyn std::fmt::Display| {
+                    format!("{} on {lanes}x{rows}: {what}", graph.name)
+                };
+                assert_eq!(plan.ids.len(), graph.nodes().len(), "{}", at(&"ids"));
+                // Dense: every id names a distinct signature, and every
+                // distinct signature has a node.
+                let mut used = vec![false; plan.distinct.len()];
+                for &id in plan.ids.iter().flatten() {
+                    used[id as usize] = true;
+                }
+                assert!(used.iter().all(|&u| u), "{}", at(&"unused id"));
+                // Two non-GEMM nodes share an id iff their signatures
+                // are equal.
+                let mut id_of: HashMap<NodeSignature, u32> = HashMap::new();
+                let mut sig_of: HashMap<u32, NodeSignature> = HashMap::new();
+                for node in graph.nodes() {
+                    let Some(id) = plan.ids[node.id.index()] else {
+                        assert!(!node.kind.class().is_non_gemm(), "{}", at(&node.name));
+                        continue;
+                    };
+                    let sig = NodeSignature::for_lowering(&lowering, graph, node);
+                    let name = &node.name;
+                    assert_eq!(*id_of.entry(sig.clone()).or_insert(id), id, "{}", at(name));
+                    assert_eq!(
+                        *sig_of.entry(id).or_insert(sig.clone()),
+                        sig,
+                        "{}",
+                        at(name)
+                    );
+                    assert_eq!(plan.base(node.id), Some(&sig), "{}", at(name));
+                }
+                // Committed schedules name sites by these keys.
+                let keys = plan.site_keys(graph, &lowering);
+                for node in graph.nodes() {
+                    assert_eq!(
+                        keys[node.id.index()],
+                        lowering.site_key(graph, node),
+                        "{}",
+                        at(&node.name)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,11 @@ pub struct ExecStats {
     pub compile_hits: u64,
     /// Compilation-cache misses (nodes actually lowered) during this run.
     pub compile_misses: u64,
-    /// Node-simulation-cache hits during this run.
+    /// Node-simulation-cache hits during this run. A node whose
+    /// signature id an earlier node of the same run resolved reads the
+    /// run's own table of node reports instead of probing the shared
+    /// memo, and counts here too, exactly like the probe it replaces:
+    /// each run adds those in once, when it ends.
     pub sim_hits: u64,
     /// Node-simulation-cache misses (nodes actually simulated).
     pub sim_misses: u64,
